@@ -203,9 +203,19 @@ def shot_device_seed(base_seed: int, shot: int) -> int:
     return (base_seed + 0x9E3779B1 * shot) & 0x7FFFFFFF
 
 
+def shot_summary(device_seed: int, stats: ExecutionStats) -> Dict[str, int]:
+    """The per-shot record of ``RunResult.shot_stats``."""
+    return {
+        "device_seed": device_seed,
+        "makespan_cycles": stats.makespan_cycles,
+        "sync_stall_cycles": stats.sync_stall_cycles,
+    }
+
+
 def simulate_shot(compilation: CompilationResult, device_seed: int,
                   until: Optional[int] = None) -> Dict[str, int]:
-    """Run one timing-only shot of a compiled circuit (picklable worker).
+    """Run one timing-only shot of a compiled circuit on a freshly built
+    system (picklable worker).
 
     Measurement outcomes are sampled from ``device_seed``, so dynamic
     branches — and therefore makespans — vary shot to shot.
@@ -213,12 +223,7 @@ def simulate_shot(compilation: CompilationResult, device_seed: int,
     system = compilation.build_system(backend=None, device_seed=device_seed,
                                       record_gate_log=False,
                                       record_telf=False)
-    stats = system.run(until=until)
-    return {
-        "device_seed": device_seed,
-        "makespan_cycles": stats.makespan_cycles,
-        "sync_stall_cycles": stats.sync_stall_cycles,
-    }
+    return shot_summary(device_seed, system.run(until=until))
 
 
 #: Per-process memo for executor-dispatched shots: each worker compiles a
@@ -271,7 +276,9 @@ def run_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
     through the lane engine (:mod:`repro.sim.lanes`): when no compiled
     program contains a ``recv``, all timing-only lanes are provably
     identical and shot 0 is fanned out across them at zero simulation
-    cost (``RunResult.lane_mode == "fastforward"``).  The quantum-state
+    cost (``RunResult.lane_mode == "fastforward"``); otherwise every lane
+    replays on one timing-only system rewound between shots
+    (``"replay"``).  The quantum-state
     ``backend``, if any, is attached to shot 0 only; extra shots are
     timing-only.  ``noise_model`` arms the device's error-injection hooks
     for shot 0 (see :meth:`CompilationResult.build_system`).
@@ -304,11 +311,7 @@ def run_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
     _QUEUE_HIGH_WATER.track_max(stats.max_queue_depth)
     result = RunResult(compilation=compilation, system=system, stats=stats)
     if shots > 1:
-        first = {
-            "device_seed": device_seed,
-            "makespan_cycles": stats.makespan_cycles,
-            "sync_stall_cycles": stats.sync_stall_cycles,
-        }
+        first = shot_summary(device_seed, stats)
         if executor is None:
             from ..sim.lanes import run_extra_shots
             rest, result.lane_mode = run_extra_shots(

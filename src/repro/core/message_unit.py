@@ -19,6 +19,10 @@ class MessageUnit:
 
     def __init__(self, owner_name: str):
         self.owner_name = owner_name
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop queued messages, the blocked receiver and the tally."""
         self._inboxes = defaultdict(deque)
         self._order = deque()  # arrival order across sources (for ANY_SOURCE)
         #: Entries in ``_order`` already consumed by a concrete-source

@@ -76,7 +76,8 @@ class HISQCore:
     def __init__(self, name: str, address: int, engine, telf,
                  config: Optional[CoreConfig] = None,
                  program: Optional[Program] = None,
-                 strict_timing: bool = False):
+                 strict_timing: bool = False,
+                 tier: Optional[str] = None):
         self.name = name
         self.address = address
         self.engine = engine
@@ -86,48 +87,23 @@ class HISQCore:
         self._telf_raw = telf._raw if getattr(telf, "enabled", True) \
             else None
         self.config = config or CoreConfig()
-        self.program = program or Program(name=name)
         #: Raise TimingViolation instead of counting it (used in tests).
         self.strict_timing = strict_timing
+        #: Replay tier fixed by the owning system, which reads it once
+        #: for all its cores; None re-reads the environment per load.
+        self._tier = tier
 
         self.regs = RegisterFile()
-        self.memory = {}
-        self.pc = 0
-        self.position = 0  # pipeline-side timeline cursor (cycles)
-        self.timer = AbsoluteTimer()
         self.sync_unit = SyncUnit(name)
         self.message_unit = MessageUnit(name)
         self.fabric = None  # wired by the system builder
-
         self._queue = ItemQueue(self.config.event_queue_depth)
-        self._tcu_busy = False
-        self._sync_state = None
-        self._halted = False
-        self._pipeline_blocked = False
-        self._started = False
-        self._replay_tier = replay_tier()
-        self._decoded = decode_program(self.program) \
-            if self._replay_tier != "legacy" else None
         #: Prebound continuation callbacks (skip per-event bound-method
         #: creation and the fast/legacy dispatch hop).
-        self._pipeline_entry = (self._pipeline_run_fast
-                                if self._decoded is not None
-                                else self._pipeline_run_legacy)
         self._tcu_loop_cb = self._tcu_loop
         self._do_recv_cb = self._do_recv_pending
         self._delivered_cb = self._delivered
-        self._recv_rd = 0
-        self._recv_src = 0
-        self._refresh_fast_ctx()
-
-        # Statistics.
-        self.instructions_executed = 0
-        self.codewords_emitted = 0
-        self.syncs_completed = 0
-        self.messages_sent = 0
-        self.timing_violations = 0
-        self.pipeline_stall_cycles = 0
-        self.last_event_time = 0
+        self.load(program or Program(name=name))
 
     def _refresh_fast_ctx(self) -> None:
         """Pre-assemble the fast interpreter's per-activation constants."""
@@ -149,7 +125,7 @@ class HISQCore:
     def load(self, program: Program) -> None:
         """Install a program and reset execution state."""
         self.program = program
-        self._replay_tier = replay_tier()
+        self._replay_tier = self._tier or replay_tier()
         self._decoded = decode_program(program) \
             if self._replay_tier != "legacy" else None
         self._pipeline_entry = (self._pipeline_run_fast
@@ -159,15 +135,33 @@ class HISQCore:
         self.reset()
 
     def reset(self) -> None:
-        """Reset registers, cursors and statistics (program retained)."""
+        """Return every piece of run state to its initial value: registers,
+        memory, cursors, timer, TCU queue, SyncU, MsgU, pending waits and
+        statistics.  The program and its decode are retained."""
         self.regs.reset()
-        self.memory.clear()
+        self.memory = {}
         self.pc = 0
-        self.position = 0
+        self.position = 0  # pipeline-side timeline cursor (cycles)
         self.timer = AbsoluteTimer()
+        self.sync_unit.reset()
+        self.message_unit.reset()
+        self._queue.reset()
+        self._tcu_busy = False
+        self._sync_state = None
         self._halted = False
         self._pipeline_blocked = False
         self._started = False
+        self._recv_rd = 0
+        self._recv_src = 0
+
+        # Statistics.
+        self.instructions_executed = 0
+        self.codewords_emitted = 0
+        self.syncs_completed = 0
+        self.messages_sent = 0
+        self.timing_violations = 0
+        self.pipeline_stall_cycles = 0
+        self.last_event_time = 0
 
     def start(self, at: int = 0) -> None:
         """Schedule the pipeline to begin executing at cycle ``at``."""

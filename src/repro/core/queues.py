@@ -116,6 +116,12 @@ class ItemQueue:
     def __init__(self, depth: int):
         self.depth = depth
         self._items = deque()
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the queue and zero its tallies.  The deque is cleared in
+        place: the fast interpreter holds its bound ``append``."""
+        self._items.clear()
         #: Logical item count (plain items + undrained batch elements).
         self._count = 0
         #: High-water mark of :attr:`_count` (observability; the fast

@@ -28,6 +28,11 @@ class SyncUnit:
 
     def __init__(self, owner_name: str):
         self.owner_name = owner_name
+        self.deliver_signal = self._deliver_signal  # prebound
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop latched signals, buffered Tm, waiters and tallies."""
         self._flags: Dict[int, int] = defaultdict(int)
         self._flag_waiter: Optional[tuple] = None
         self._tm_buffer: Optional[int] = None
@@ -39,7 +44,6 @@ class SyncUnit:
         #: so FIFO order is engine firing order — no per-signal
         #: closure needed).
         self._inbound_signals = deque()
-        self.deliver_signal = self._deliver_signal  # prebound
 
     # -- nearby synchronization ---------------------------------------------
 

@@ -504,8 +504,11 @@ def _gc_batched(tasks: Sequence[SweepTask], every: int = 8):
     walk the whole heap every few ten-thousand allocations costs 15-25% of
     serial sweep wall-clock.  Pausing the collector and doing one explicit
     ``gc.collect`` every ``every`` cells keeps memory bounded while taking
-    the collector off the hot path.  The collector's previous state is
-    restored even when a cell raises.
+    the collector off the hot path.  The cycles held between collections
+    are at most two systems per cell: shot 0's, plus one reused lane
+    system for multishot cells (:mod:`repro.sim.lanes` rewinds it per
+    lane instead of building one per shot).  The collector's previous
+    state is restored even when a cell raises.
     """
     import gc
 

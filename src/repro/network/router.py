@@ -70,6 +70,17 @@ class Router:
         self.parent_address: Optional[int] = None
         self.groups: Dict[int, SyncGroupInfo] = {}
         self.fabric = None  # wired by the system builder
+        # Prebind the engine callbacks once — scheduling then passes an
+        # existing object instead of materializing a bound method (let
+        # alone a lambda) per message.
+        self.deliver_booking = self.deliver_booking
+        self._relay_up = self._relay_up
+        self._relay_down = self._relay_down
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop booking buckets, in-flight payloads and tallies; the
+        configured groups and tree wiring stay."""
         self._pending: Dict[tuple, Dict[int, int]] = {}
         #: Payload FIFOs behind the prebound callbacks.  Safe because
         #: each queue's traffic has one uniform engine delay: inbound
@@ -79,12 +90,6 @@ class Router:
         self._inbound: deque = deque()
         self._up: deque = deque()
         self._down: deque = deque()
-        # Prebind the engine callbacks once — scheduling then passes an
-        # existing object instead of materializing a bound method (let
-        # alone a lambda) per message.
-        self.deliver_booking = self.deliver_booking
-        self._relay_up = self._relay_up
-        self._relay_down = self._relay_down
         self.bookings_handled = 0
         self.broadcasts_sent = 0
         #: Incomplete rendezvous dropped by :meth:`abandon` (leak

@@ -109,23 +109,30 @@ class QuantumDevice:
         self.telf = telf
         self.config = config
         self.backend = backend
-        self.rng = np.random.default_rng(seed)
         #: optional :class:`repro.noise.model.NoiseModel` (duck-typed to
         #: avoid a sim <-> noise import cycle); draws come from a
         #: dedicated stream so enabling noise never perturbs the
         #: existing measurement-sampling RNG.
         self.noise_model = noise_model
-        self.noise_rng = np.random.default_rng(noise_seed)
+        self.noise_seed = noise_seed
+        self.record_gate_log = record_gate_log
+        self._measurement_cycles = config.measurement_cycles
+        self.reset(seed)
+
+    def reset(self, seed: int) -> None:
+        """Reseed both RNG streams and drop every run record: activity,
+        gate log, unmatched halves, forced outcomes, memos and tallies.
+        The backend, if any, is the caller's to reset."""
+        self.rng = np.random.default_rng(seed)
+        self.noise_rng = np.random.default_rng(self.noise_seed)
         self.noise_events = 0
         #: (name, qubits) -> resolved channel list; the model is frozen,
         #: so identical gate slots reuse one channel object instead of
         #: rebuilding (validate + sort) on every event in the hot loop.
         self._noise_channels: Dict[tuple, list] = {}
-        self.record_gate_log = record_gate_log
-        self.gate_log: List[Tuple[int, str, Tuple[int, ...]]] = []
         #: gate-arity -> cycles (avoids a float divmod per gate event).
         self._gate_cycles_memo: Dict[int, int] = {}
-        self._measurement_cycles = config.measurement_cycles
+        self.gate_log: List[Tuple[int, str, Tuple[int, ...]]] = []
         self.activity: Dict[int, QubitActivity] = defaultdict(QubitActivity)
         self._pending_halves: Dict[tuple, dict] = {}
         self._forced: Dict[int, deque] = defaultdict(deque)

@@ -38,6 +38,11 @@ class Engine:
     """A minimal deterministic discrete-event scheduler."""
 
     def __init__(self):
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop every pending event and rewind to cycle 0 with zeroed
+        tallies: the state of a freshly constructed engine."""
         #: wheel slot ``t & mask`` -> deque of callbacks at cycle ``t``;
         #: within the window the mapping time -> slot is injective, so a
         #: slot is either empty (None) or belongs to exactly one cycle.

@@ -10,10 +10,16 @@ identical — so instead of re-simulating per shot, the lane engine runs
 the reference lane once and *fans the result out* across all lanes,
 folding per-lane seeds back into the scalar per-shot stats format.
 
-Dynamic programs (any ``recv`` present — feedback, teleportation
-gadgets, lock-step broadcast waits) fall back to one full replay per
-lane, sharing the compilation and decode work that
-:func:`repro.compiler.driver.run_circuit` already paid once.
+Fast-forward only fires on measurement-free circuits (e.g. ``qft``):
+every ``measure`` lowers to a ``recv`` from the acquisition unit, so any
+circuit that measures — all the dynamic registry workloads included —
+replays one full simulation per lane.  Those replays share the
+compilation and decode work that :func:`repro.compiler.driver.
+run_circuit` already paid once, and they run on *one* timing-only
+:class:`~repro.sim.system.ControlSystem` built for the first lane and
+rewound with :meth:`~repro.sim.system.ControlSystem.reset` for every
+later one.  A fresh build per lane (:func:`repro.compiler.driver.
+simulate_shot`, still the executor path) is the differential oracle.
 
 ``REPRO_NO_LANES=1`` (strictly parsed, see :mod:`repro.fastpath`)
 disables fast-forward entirely; the differential tests assert both modes
@@ -25,6 +31,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..fastpath import lanes_enabled
+from ..isa.decoded import decode_program
 
 #: Process-wide lane accounting: shots satisfied by static fast-forward
 #: vs shots that ran a full per-lane replay.
@@ -45,19 +52,40 @@ def reset_lane_totals() -> None:
 def static_timing(compilation) -> bool:
     """Whether ``compilation``'s timing is device-seed independent.
 
-    True iff no compiled program contains a ``recv``: measurement
-    outcomes (the only seed-dependent values) are then never read by any
-    pipeline, so they cannot steer control flow or timing.  The scan
-    result is memoized on the compilation object.
+    True iff no compiled program contains a ``recv``
+    (:attr:`~repro.isa.decoded.DecodedProgram.has_recv`, the same rule
+    compiled sync plans use): measurement outcomes (the only
+    seed-dependent values) are then never read by any pipeline, so they
+    cannot steer control flow or timing.  The answer is memoized on the
+    compilation object.
     """
     cached = getattr(compilation, "_lanes_static", None)
     if cached is not None:
         return cached
-    static = not any(instr.mnemonic == "recv"
-                     for program in compilation.programs.values()
-                     for instr in program.instructions)
+    static = not any(decode_program(program).has_recv
+                     for program in compilation.programs.values())
     compilation._lanes_static = static
     return static
+
+
+def _replay_lanes(compilation, device_seed: int, shots: int,
+                  until: Optional[int]) -> List[Dict[str, int]]:
+    """One full simulation per lane ``1 .. shots-1`` on a single reused
+    timing-only system."""
+    from ..compiler.driver import shot_device_seed, shot_summary
+
+    rest = []
+    system = None
+    for shot in range(1, shots):
+        seed = shot_device_seed(device_seed, shot)
+        if system is None:
+            system = compilation.build_system(
+                backend=None, device_seed=seed, record_gate_log=False,
+                record_telf=False)
+        else:
+            system.reset(seed)
+        rest.append(shot_summary(seed, system.run(until=until)))
+    return rest
 
 
 def run_extra_shots(compilation, device_seed: int, shots: int,
@@ -91,8 +119,6 @@ def run_extra_shots(compilation, device_seed: int, shots: int,
                 for s in range(1, shots)]
         _LANE_TOTALS["fastforward"] += shots - 1
         return rest, "fastforward"
-    rest = [simulate_shot(compilation, shot_device_seed(device_seed, s),
-                          until)
-            for s in range(1, shots)]
+    rest = _replay_lanes(compilation, device_seed, shots, until)
     _LANE_TOTALS["replayed"] += shots - 1
     return rest, "replay"

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional
 from ..core.config import CENTRAL_ADDRESS, CoreConfig
 from ..core.node import HISQCore
 from ..errors import ExecutionError, SynchronizationError
-from ..fastpath import sync_plan_enabled
+from ..fastpath import replay_tier, sync_plan_enabled
 from ..isa.decoded import decode_program
 from ..isa.program import Program
 from ..network.messages import BookingMessage, TimePointMessage
@@ -88,10 +88,11 @@ class ControlSystem:
             neighbor_link_cycles=self.config.neighbor_link_cycles,
             router_hop_cycles=self.config.router_hop_cycles)
         self.cores: Dict[int, HISQCore] = {}
+        tier = replay_tier()
         for address in range(self.topology.num_controllers):
             core = HISQCore("C{}".format(address), address, self.engine,
                             self.telf, config=self.core_config,
-                            strict_timing=strict_timing)
+                            strict_timing=strict_timing, tier=tier)
             core.fabric = self
             self.cores[address] = core
         self.routers: Dict[int, Router] = {}
@@ -110,20 +111,54 @@ class ControlSystem:
         self.codeword_tables: Dict[int, dict] = {a: {} for a in self.cores}
         self.sync_groups: Dict[int, List[int]] = {}
         self._group_target: Dict[int, int] = {}
-        self._epochs: Dict[tuple, int] = {}
-        self.unmapped_codewords = 0
         #: Compiled sync plans (:mod:`repro.network.sync_plan`), one per
         #: registered group, plus their per-level sync-unit fan-out lists
         #: resolved once at registration time.
         self._sync_plans: Dict[int, SyncPlanGroup] = {}
         self._sync_plan_levels: Dict[int, list] = {}
+        self._reset_run_state()
+
+    def _reset_run_state(self) -> None:
+        self._epochs: Dict[tuple, int] = {}
+        self.unmapped_codewords = 0
         #: (group, epoch) -> [bookings seen, max T, max dest arrival].
         self._sync_plan_state: Dict[tuple, list] = {}
-        #: Decided once at :meth:`start_all` (all programs loaded by
-        #: then); None = not decided yet.
+        #: Decided once per run at :meth:`start_all` (all programs
+        #: loaded by then); None = not decided yet.
         self._sync_plan_active: Optional[bool] = None
         self.sync_plan_resolved = 0
         self.abandoned_sync_epochs = 0
+
+    def reset(self, device_seed: int) -> None:
+        """Rewind a timing-only system to cycle 0 for another shot.
+
+        Every piece of run state returns to its initial value in place —
+        engine, cores (with their TCU queues, SyncUs and MsgUs), routers,
+        the device (reseeded with ``device_seed``) and the system's epoch
+        and sync-plan bookkeeping — so the next :meth:`run` matches a
+        freshly built system with that seed exactly.  The static wiring
+        stays: topology, loaded and decoded programs, codeword tables,
+        sync groups and the prebound sync-plan levels.
+
+        Only timing-only systems can be rewound: a quantum backend, gate
+        log or TELF record would carry the previous shot's state, so they
+        raise :class:`ExecutionError` instead.
+        """
+        kept = [name for name, on in (
+            ("a quantum backend", self.device.backend is not None),
+            ("a gate log", self.device.record_gate_log),
+            ("TELF recording", self.telf.enabled)) if on]
+        if kept:
+            raise ExecutionError(
+                "cannot reset a system with {}: only timing-only systems "
+                "can be rewound".format(", ".join(kept)))
+        self.engine.reset()
+        for core in self.cores.values():
+            core.reset()
+        for router in self.routers.values():
+            router.reset()
+        self.device.reset(device_seed)
+        self._reset_run_state()
 
     # ------------------------------------------------------------------
     # Configuration

@@ -3,15 +3,31 @@
 End-to-end lane/replay equivalence lives in
 tests/core/test_replay_tiers.py; this file covers the building blocks:
 static-timing detection, memoization, fast-forward stat fan-out, seed
-derivation, and the counters.
+derivation, the counters, and the in-place ``ControlSystem.reset`` that
+replayed lanes run on (differential against a fresh build per shot).
 """
 
+import dataclasses
+import types
+from collections import deque
+
+import numpy as np
 import pytest
 
+from repro.compiler import schemes as scheme_registry
 from repro.compiler.driver import (compile_circuit, run_circuit,
-                                   shot_device_seed)
+                                   shot_device_seed, simulate_shot)
+from repro.core.message_unit import MessageUnit
+from repro.core.queues import ItemQueue
+from repro.core.sync_unit import SyncUnit
+from repro.core.timer import AbsoluteTimer
+from repro.errors import ExecutionError
+from repro.harness import registry
+from repro.isa.registers import RegisterFile
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.stabilizer import StabilizerBackend
 from repro.sim import lanes
+from repro.sim.device import QubitActivity
 
 
 def _static_circuit():
@@ -115,6 +131,175 @@ class TestSeedDerivation:
         assert len(set(seeds)) == 64
         assert seeds == [shot_device_seed(1234, s) for s in range(64)]
         assert all(0 <= s <= 0x7FFFFFFF for s in seeds)
+
+
+#: Recv-bearing registry workloads (the ``multishot_dynamic`` set).
+DYNAMIC_WORKLOADS = ("logical_t_n864", "repetition_d75", "qaoa_n150",
+                     "bv_n1000")
+SCALE = 0.05
+
+
+def _compile(workload, scheme, substitution=0.25):
+    spec = registry.get_workload(workload).spec(SCALE, substitution)
+    return compile_circuit(spec.circuit(), scheme=scheme,
+                           mesh_kind=spec.mesh_kind)
+
+
+def _timing_only(compilation, seed):
+    return compilation.build_system(backend=None, device_seed=seed,
+                                    record_gate_log=False, record_telf=False)
+
+
+def _fingerprint(system, stats):
+    """Everything a shot observably produced."""
+    return (vars(stats), system.device.lifetimes_ns(),
+            {address: (router.bookings_handled, router.broadcasts_sent,
+                       router.abandoned_epochs)
+             for address, router in system.routers.items()},
+            system.sync_plan_resolved, system.abandoned_sync_epochs)
+
+
+def _fresh_fingerprint(compilation, seed):
+    system = _timing_only(compilation, seed)
+    return _fingerprint(system, system.run())
+
+
+#: Run-state objects a component owns outright; their state is compared
+#: attribute by attribute.  Any other object is wiring (engine, fabric,
+#: programs, plans) and compares by type only.
+_OWNED = (ItemQueue, SyncUnit, MessageUnit, AbsoluteTimer, QubitActivity)
+
+
+def _state(value):
+    """Identity-free, comparable view of ``value``."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, np.random.Generator):
+        return value.bit_generator.state
+    if isinstance(value, RegisterFile):
+        return value.snapshot()
+    if isinstance(value, _OWNED):
+        return type(value).__name__, _state(vars(value))
+    if isinstance(value, types.MethodType):
+        return "method", value.__func__.__qualname__
+    if isinstance(value, types.BuiltinMethodType):
+        return "builtin", value.__name__, _state(value.__self__)
+    if isinstance(value, (list, tuple, deque)):
+        return type(value).__name__, [_state(item) for item in value]
+    if isinstance(value, dict):
+        factory = getattr(value, "default_factory", None)
+        return (type(value).__name__, getattr(factory, "__name__", None),
+                {key: _state(item) for key, item in value.items()})
+    if dataclasses.is_dataclass(value):
+        return value
+    return type(value).__name__
+
+
+def _components(system):
+    yield "system", system
+    yield "engine", system.engine
+    yield "device", system.device
+    for address, core in system.cores.items():
+        yield "core {}".format(address), core
+    for address, router in system.routers.items():
+        yield "router {}".format(address), router
+
+
+def _assert_fresh_components(system, fresh):
+    """Every component of ``system`` holds the same state as its
+    counterpart in the freshly built ``fresh``."""
+    for (label, reused), (_, built) in zip(_components(system),
+                                           _components(fresh)):
+        assert _state(vars(reused)) == _state(vars(built)), label
+
+
+class TestReusedLanesMatchFreshBuilds:
+    """``run_extra_shots`` replays dynamic lanes on one system rewound
+    with ``ControlSystem.reset``; a fresh build per shot is the oracle."""
+
+    @pytest.mark.parametrize("scheme", scheme_registry.scheme_names())
+    @pytest.mark.parametrize("workload", DYNAMIC_WORKLOADS)
+    def test_reset_matches_fresh_build(self, workload, scheme):
+        compilation = _compile(workload, scheme)
+        assert not lanes.static_timing(compilation)
+        system = _timing_only(compilation, 1)
+        # A bounded first run strands in-flight state for reset to drop.
+        system.run(until=200)
+        for seed in (7, 1234):
+            system.reset(seed)
+            assert _fingerprint(system, system.run()) == \
+                _fresh_fingerprint(compilation, seed), seed
+
+    def test_reset_drops_inflight_state(self):
+        compilation = _compile("bv_n1000", "bisp")
+        system = _timing_only(compilation, 5)
+        system.run(until=100)
+        cores = system.cores.values()
+        assert system.engine.pending
+        assert any(len(core._queue) for core in cores)
+        assert any(core.message_unit._waiter or core.sync_unit._flag_waiter
+                   or core.sync_unit._tm_waiter or core._queue._space_waiter
+                   for core in cores)
+        assert any(router._pending or router._inbound or router._up
+                   or router._down for router in system.routers.values())
+        system.reset(99)
+        _assert_fresh_components(system, _timing_only(compilation, 99))
+        assert _fingerprint(system, system.run()) == \
+            _fresh_fingerprint(compilation, 99)
+
+    def test_reset_after_full_run_leaves_fresh_components(self):
+        compilation = _compile("qaoa_n150", "lockstep")
+        system = _timing_only(compilation, 8)
+        system.run()
+        system.reset(21)
+        _assert_fresh_components(system, _timing_only(compilation, 21))
+
+    def test_run_extra_shots_matches_fresh_oracle(self):
+        compilation = _compile("qaoa_n150", "bisp")
+        rest, mode = lanes.run_extra_shots(compilation, 1234, 5)
+        assert mode == "replay"
+        assert rest == [simulate_shot(compilation, shot_device_seed(1234, s))
+                        for s in range(1, 5)]
+        bounded, _ = lanes.run_extra_shots(compilation, 1234, 3, until=150)
+        assert bounded == [
+            simulate_shot(compilation, shot_device_seed(1234, s), until=150)
+            for s in range(1, 3)]
+
+    def test_sync_plan_state_crosses_reset(self, monkeypatch):
+        """Recv-free programs resolve region syncs through compiled
+        plans; a reset mid-epoch must drop the partial plan state."""
+        monkeypatch.setenv("REPRO_NO_LANES", "1")
+        compilation = _compile("qft_n300", "bisp", substitution=0.0)
+        assert lanes.static_timing(compilation)
+        system = _timing_only(compilation, 3)
+        system.run(until=100)
+        assert system._sync_plan_state
+        system.reset(4)
+        reused = _fingerprint(system, system.run())
+        assert reused == _fresh_fingerprint(compilation, 4)
+        assert system.sync_plan_resolved > 0
+        rest, mode = lanes.run_extra_shots(compilation, 1234, 4)
+        assert mode == "replay"
+        assert rest == [simulate_shot(compilation, shot_device_seed(1234, s))
+                        for s in range(1, 4)]
+
+
+class TestResetGuard:
+    @pytest.mark.parametrize("stateful,why", [
+        ("record_gate_log", "gate log"),
+        ("record_telf", "TELF"),
+        ("backend", "quantum backend"),
+    ])
+    def test_stateful_systems_refuse_reset(self, stateful, why):
+        compilation = compile_circuit(_feedback_circuit())
+        options = {"backend": None, "record_gate_log": False,
+                   "record_telf": False}
+        options[stateful] = True if stateful != "backend" else \
+            StabilizerBackend(compilation.circuit.num_qubits, seed=1)
+        system = compilation.build_system(device_seed=1, **options)
+        system.run()
+        with pytest.raises(ExecutionError, match=why):
+            system.reset(2)
 
 
 class TestRunCircuitIntegration:
