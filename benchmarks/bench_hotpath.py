@@ -1,20 +1,20 @@
-"""Hot-path benchmark: replay tiers, lane fan-out, packed tableau.
+"""Hot-path benchmark: fast interpreter, lane fan-out, packed tableau.
 
 The perf-trajectory artifact of the simulator core.  The paper-tag
-Figure-15 sweep runs serially once per replay tier —
+Figure-15 sweep runs serially once per interpreter —
 
 * ``legacy`` — the original per-instruction interpreter
   (``REPRO_NO_FASTPATH=1``),
-* ``block``  — PR-5 fast path: pre-decode + per-item basic-block replay,
-* ``vector`` — the structure-of-arrays tier: admitted slices enqueue one
-  :class:`~repro.core.queues.ReplayBatch` over the block's pre-compiled
-  item columns instead of per-item NamedTuples
+* ``vector`` — the default fast path: pre-decode + basic-block replay,
+  where admitted slices enqueue one :class:`~repro.core.queues.ReplayBatch`
+  over the block's pre-compiled item columns instead of per-item
+  NamedTuples
 
-— and records per-tier wall-clocks plus deterministic result rows in
-``BENCH_hotpath.json``.  All tiers must be *bit-identical* (same
-per-cell makespans, stalls and lifetimes); only the clock may differ.
-The vector row also carries the batch-replay counters, so the CI digest
-gate fails if the vector tier silently degrades to block replay.
+— and records per-interpreter wall-clocks plus deterministic result rows
+in ``BENCH_hotpath.json``.  Both must be *bit-identical* (same per-cell
+makespans, stalls and lifetimes); only the clock may differ.  The vector
+row also carries the batch-replay counters, so the CI digest gate fails
+if replay silently stops batching.
 
 A second benchmark times lane-parallel multishot on a static (recv-free)
 workload: the lane engine fans one reference lane across all shots, so
@@ -48,11 +48,10 @@ from repro.harness.registry import get_workload
 from repro.harness.spec import SweepSpec
 from repro.compiler.driver import run_circuit
 from repro.isa import decoded
-from repro.network import sync_plan
 from repro.quantum.stabilizer import StabilizerBackend
 from repro.sim import lanes
 
-#: Conservative CI floor for vector tier vs the legacy interpreter on
+#: Conservative CI floor for the fast path vs the legacy interpreter on
 #: shared runners (the local scale-0.1 numbers are much higher — see
 #: README "Performance").  Below this floor the fast path regressed.
 MIN_SWEEP_SPEEDUP = float(os.environ.get("REPRO_HOTPATH_MIN_SPEEDUP",
@@ -75,40 +74,38 @@ MIN_TABLEAU_SPEEDUP = 2.0
 MIN_COMPILE_CACHE_SPEEDUP = float(os.environ.get(
     "REPRO_COMPILE_CACHE_MIN_SPEEDUP", "1.2"))
 
-TIERS = ("legacy", "block", "vector")
+TIERS = ("legacy", "vector")
 
 
 @contextlib.contextmanager
 def _tier_env(tier):
-    """Pin the replay tier for one timed sweep, whatever the ambient
-    environment; restore it after."""
-    saved = {name: os.environ.pop(name, None)
-             for name in ("REPRO_NO_FASTPATH", "REPRO_REPLAY_TIER")}
-    os.environ["REPRO_REPLAY_TIER"] = tier
+    """Pin the interpreter for one timed sweep, whatever the ambient
+    environment (``legacy`` sets ``REPRO_NO_FASTPATH=1``); restore it
+    after."""
+    saved = os.environ.pop("REPRO_NO_FASTPATH", None)
+    if tier == "legacy":
+        os.environ["REPRO_NO_FASTPATH"] = "1"
     try:
         yield
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop("REPRO_NO_FASTPATH", None)
+        else:
+            os.environ["REPRO_NO_FASTPATH"] = saved
 
 
 def _timed_sweep(spec):
-    """One serial sweep; returns (rows, seconds, replay + plan totals)."""
+    """One serial sweep; returns (rows, seconds, replay totals)."""
     decoded.reset_replay_totals()
-    sync_plan.reset_sync_plan_totals()
-    tasks = tasks_from_spec(spec)  # captures the pinned tier flags
+    tasks = tasks_from_spec(spec)
     started = time.perf_counter()
     results, _ = run_tasks(tasks, processes=1)
     seconds = time.perf_counter() - started
     rows = [dataclasses.asdict(results[task.key()]) for task in tasks]
-    return rows, seconds, dict(decoded.replay_totals(),
-                               sync_plan=sync_plan.sync_plan_totals())
+    return rows, seconds, decoded.replay_totals()
 
 
-def test_sweep_replay_tiers(bench_recorder, scale):
+def test_sweep_interpreters(bench_recorder, scale):
     spec = SweepSpec(tags=("paper",), scales=(float(scale),))
 
     rows, seconds, warm_seconds, totals = {}, {}, {}, {}
@@ -125,25 +122,18 @@ def test_sweep_replay_tiers(bench_recorder, scale):
             assert warm_rows == rows[tier], tier
 
     speedup_vector = seconds["legacy"] / seconds["vector"]
-    speedup_block = seconds["legacy"] / seconds["block"]
     warm_speedup = warm_seconds["legacy"] / warm_seconds["vector"]
     print("\n=== serial paper-tag sweep (scale={}) ===".format(scale))
-    print("cold  legacy: {:.2f}s   block: {:.2f}s ({:.2f}x)   "
-          "vector: {:.2f}s ({:.2f}x)".format(
-              seconds["legacy"], seconds["block"], speedup_block,
-              seconds["vector"], speedup_vector))
-    print("warm  legacy: {:.2f}s   block: {:.2f}s   vector: {:.2f}s "
+    print("cold  legacy: {:.2f}s   vector: {:.2f}s ({:.2f}x)".format(
+        seconds["legacy"], seconds["vector"], speedup_vector))
+    print("warm  legacy: {:.2f}s   vector: {:.2f}s "
           "({:.2f}x; vs cold legacy {:.2f}x)".format(
-              warm_seconds["legacy"], warm_seconds["block"],
-              warm_seconds["vector"], warm_speedup,
+              warm_seconds["legacy"], warm_seconds["vector"], warm_speedup,
               seconds["legacy"] / warm_seconds["vector"]))
-    print("vector replays: {} batches / {} items  (block-tier "
-          "fallbacks: {})".format(totals["vector"]["vector"],
-                                  totals["vector"]["vector_items"],
-                                  totals["vector"]["block"]))
-    print("sync plans: {} resolved / {} fallback epochs (vector tier)"
-          .format(totals["vector"]["sync_plan"]["resolved"],
-                  totals["vector"]["sync_plan"]["fallback"]))
+    print("vector replays: {} batches / {} items  (short slices pushed "
+          "item by item: {})".format(totals["vector"]["vector"],
+                                     totals["vector"]["vector_items"],
+                                     totals["vector"]["block"]))
 
     cells = len(rows["legacy"])
     makespan_sum = sum(row["makespan_cycles"] for row in rows["legacy"])
@@ -151,40 +141,28 @@ def test_sweep_replay_tiers(bench_recorder, scale):
         row = dict(cells=cells, scale=float(scale),
                    identical=int(rows[tier] == rows["legacy"]),
                    makespan_sum=sum(r["makespan_cycles"]
-                                    for r in rows[tier]),
-                   # Deterministic per tier: a silent change in the
-                   # resolved/fallback split (e.g. the plan gate
-                   # misfiring) moves the digest and fails CI.
-                   sync_plan_resolved=totals[tier]["sync_plan"]["resolved"],
-                   sync_plan_fallback=totals[tier]["sync_plan"]["fallback"])
+                                    for r in rows[tier]))
         if tier == "vector":
             # Deterministic (serial sweep, fixed tasks): digest-gated in
-            # CI so a silent fall-back to block replay fails the build.
+            # CI so replay that silently stops batching fails the build.
             row["vector_batches"] = totals[tier]["vector"]
             row["vector_items"] = totals[tier]["vector_items"]
         bench_recorder.add(
             "sweep_{}_scale_{:g}".format(tier, float(scale)), **row)
     bench_recorder.note_volatile(
-        legacy_seconds=seconds["legacy"], block_seconds=seconds["block"],
+        legacy_seconds=seconds["legacy"],
         vector_seconds=seconds["vector"], sweep_speedup=speedup_vector,
-        block_speedup=speedup_block,
         warm_legacy_seconds=warm_seconds["legacy"],
-        warm_block_seconds=warm_seconds["block"],
         warm_vector_seconds=warm_seconds["vector"],
         warm_speedup=warm_speedup)
 
     # Bit-identity is the hard requirement; the wall-clock floor guards
     # against the fast path silently regressing to the legacy cost.
-    assert rows["block"] == rows["legacy"]
     assert rows["vector"] == rows["legacy"]
     assert makespan_sum > 0
-    # The vector tier must actually batch (not quietly run block replay).
+    # The fast path must actually batch, and legacy must never replay.
     assert totals["vector"]["vector"] > 0, totals["vector"]
-    assert {key: totals["legacy"][key]
-            for key in ("vector", "block", "vector_items")} == \
-        {"vector": 0, "block": 0, "vector_items": 0}
-    # Legacy pins REPRO_NO_FASTPATH, which also disables sync plans.
-    assert totals["legacy"]["sync_plan"]["resolved"] == 0
+    assert totals["legacy"] == {"vector": 0, "block": 0, "vector_items": 0}
     assert speedup_vector >= MIN_SWEEP_SPEEDUP, seconds
 
 

@@ -1,7 +1,8 @@
 """Observability overhead benchmark: what instrumentation costs.
 
 Quantifies the two-tier cost model of :mod:`repro.obs` on the sweep hot
-path, per replay tier:
+path, for the fast interpreter and the ``REPRO_NO_FASTPATH=1`` legacy
+one:
 
 * **off** — ``REPRO_OBS`` disabled: counters still tick (they are
   always-on by design) but :func:`repro.obs.metrics.timed` and
@@ -11,9 +12,9 @@ path, per replay tier:
 
 Both modes must produce byte-identical sweep rows (the invariance the
 obs test suite freezes against the pre-observability digest); the
-enabled-over-disabled wall-clock ratio is recorded per tier and gated
-by ``REPRO_OBS_MAX_OVERHEAD`` (default 0.25 — generous for shared CI
-runners; the local number is low single-digit percent).  Wall-clocks
+enabled-over-disabled wall-clock ratio is recorded per interpreter and
+gated by ``REPRO_OBS_MAX_OVERHEAD`` (default 0.25 — generous for shared
+CI runners; the local number is low single-digit percent).  Wall-clocks
 land in ``volatile``; the deterministic rows carry cell counts and
 identity bits so the digest gate stays meaningful.
 
@@ -39,26 +40,26 @@ from repro.obs import metrics, trace
 
 @contextlib.contextmanager
 def _tier_env(tier):
-    """Pin the replay tier for one timed sweep (same as bench_hotpath)."""
-    saved = {name: os.environ.pop(name, None)
-             for name in ("REPRO_NO_FASTPATH", "REPRO_REPLAY_TIER")}
-    os.environ["REPRO_REPLAY_TIER"] = tier
+    """Pin the interpreter for one timed sweep (same as bench_hotpath:
+    ``legacy`` sets ``REPRO_NO_FASTPATH=1``)."""
+    saved = os.environ.pop("REPRO_NO_FASTPATH", None)
+    if tier == "legacy":
+        os.environ["REPRO_NO_FASTPATH"] = "1"
     try:
         yield
     finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop("REPRO_NO_FASTPATH", None)
+        else:
+            os.environ["REPRO_NO_FASTPATH"] = saved
 
-#: Enabled-over-disabled overhead ceiling per tier (ratio - 1).
+#: Enabled-over-disabled overhead ceiling per interpreter (ratio - 1).
 MAX_OVERHEAD = float(os.environ.get("REPRO_OBS_MAX_OVERHEAD", "0.25"))
 
 #: min-of-N timing repeats per mode (first warm pass not counted).
 REPEATS = 3
 
-TIERS = ("legacy", "block", "vector")
+TIERS = ("legacy", "vector")
 
 
 def _sweep_spec(scale):

@@ -12,7 +12,7 @@ compile artifact itself durable:
   salt, circuit content, scheme name + origin module,
   ``SimulationConfig`` fingerprint, qubits-per-controller, mesh kind) —
   everything :func:`~repro.compiler.driver.compile_circuit` is a pure
-  function of.  Device seed, replay tier and noise model are
+  function of.  Device seed, fast-path switch and noise model are
   deliberately absent: compilation does not depend on them.
 * Storage is a :class:`repro.diskcache.PickleDirStore` — the exact
   directory discipline of the sweep result cache (atomic temp+rename
@@ -39,10 +39,9 @@ flat integer arrays:
   array into the pool (programs that assemble identical binaries store
   their decode once).
 * ``bheader`` + ``cols`` — every fast block's ``pos_cum``/``pushes``/
-  item templates concatenated into eight int64 columns; a warm load
+  item columns concatenated into eight int64 columns; a warm load
   slices them back and hands the columns straight to
-  :meth:`~repro.isa.decoded.FastBlock.from_columns` (no per-block
-  transpose).
+  :class:`~repro.isa.decoded.FastBlock` (no per-block array build).
 * ``meta`` — the small remaining ``CompilationResult`` fields, pickled
   as-is.  The circuit itself is **not stored**: the key guarantees the
   caller's circuit is content-identical, so :meth:`CompileCache.get`
@@ -253,7 +252,7 @@ def _encode(result: CompilationResult) -> dict:
             if block is None or id(block) in seen_blocks:
                 continue
             seen_blocks.add(id(block))
-            bheader.append((block.start, block.n, len(block.items),
+            bheader.append((block.start, block.n, len(block.item_kinds),
                             len(block.cw_idx)))
             pos_col.extend(block.pos_cum)
             push_col.extend(block.pushes)
@@ -317,15 +316,11 @@ def _decode(payload: dict, circuit) -> CompilationResult:
         p1 = p0 + n + 1
         k1 = k0 + n_items
         c1 = c0 + n_cw
-        kinds = kind_col[k0:k1]
-        offsets = off_col[k0:k1]
-        a_vals = a_col[k0:k1]
-        b_vals = b_col[k0:k1]
-        blocks.append(FastBlock.from_columns(
+        blocks.append(FastBlock(
             start, n, pos_col[p0:p1], push_col[p0:p1],
-            list(zip(kinds, offsets, a_vals, b_vals)),
-            cwi_col[c0:c1], cwp_col[c0:c1],
-            kinds, a_vals, b_vals, offsets, off_np[k0:k1].copy()))
+            cwi_col[c0:c1], cwp_col[c0:c1], kind_col[k0:k1],
+            a_col[k0:k1], b_col[k0:k1], off_col[k0:k1],
+            off_np[k0:k1].copy()))
         p0, k0, c0 = p1, k1, c1
 
     index_array = payload["idx"]

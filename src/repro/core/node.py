@@ -23,7 +23,8 @@ Fast path
 Programs are pre-decoded (:mod:`repro.isa.decoded`) into dense opcode
 tuples plus *fast blocks*: maximal straight-line runs of deterministic
 timeline instructions.  The pipeline replays a fast block's precompiled
-item templates in bulk — one Python loop over tuples instead of a
+item columns in bulk — an admitted slice of four or more items becomes
+one lazily-drained :class:`~repro.core.queues.ReplayBatch` instead of a
 per-instruction fetch/decode/dispatch — and falls back to stepwise
 execution at branches, feedback receives, device interactions and
 whenever the TCU queue could fill.  Replay is engineered to be *exactly*
@@ -40,7 +41,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import ExecutionError, TimingViolation
-from ..fastpath import fastpath_enabled, replay_tier
+from ..fastpath import fastpath_enabled
 from ..isa.decoded import REPLAY_BLOCK, REPLAY_VECTOR, REPLAY_VECTOR_ITEMS
 from ..isa.decoded import (CW_OPS, OP_ADD, OP_ADDI, OP_AND, OP_ANDI,
                            OP_AUIPC, OP_BEQ, OP_BGE, OP_BGEU, OP_BLT,
@@ -77,7 +78,7 @@ class HISQCore:
                  config: Optional[CoreConfig] = None,
                  program: Optional[Program] = None,
                  strict_timing: bool = False,
-                 tier: Optional[str] = None):
+                 fast: Optional[bool] = None):
         self.name = name
         self.address = address
         self.engine = engine
@@ -89,9 +90,9 @@ class HISQCore:
         self.config = config or CoreConfig()
         #: Raise TimingViolation instead of counting it (used in tests).
         self.strict_timing = strict_timing
-        #: Replay tier fixed by the owning system, which reads it once
-        #: for all its cores; None re-reads the environment per load.
-        self._tier = tier
+        #: Fast-path switch fixed by the owning system, which reads it
+        #: once for all its cores; None re-reads the environment per load.
+        self._fast = fast
 
         self.regs = RegisterFile()
         self.sync_unit = SyncUnit(name)
@@ -115,8 +116,7 @@ class HISQCore:
         self._fast_ctx = (
             decoded.steps, decoded.n, decoded.fast_block, _IS_CW,
             self.config.classical_cpi, self.config.batch_limit,
-            queue, queue._items.append, queue.push, queue.depth,
-            self._replay_tier == "vector", decoded)
+            queue, queue._items.append, queue.push, queue.depth, decoded)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -125,9 +125,8 @@ class HISQCore:
     def load(self, program: Program) -> None:
         """Install a program and reset execution state."""
         self.program = program
-        self._replay_tier = self._tier or replay_tier()
-        self._decoded = decode_program(program) \
-            if self._replay_tier != "legacy" else None
+        fast = self._fast if self._fast is not None else fastpath_enabled()
+        self._decoded = decode_program(program) if fast else None
         self._pipeline_entry = (self._pipeline_run_fast
                                 if self._decoded is not None
                                 else self._pipeline_run_legacy)
@@ -207,8 +206,9 @@ class HISQCore:
     @property
     def queue_high_water(self) -> int:
         """Peak logical TCU-queue depth (observability only — the exact
-        trajectory is tier-dependent, so this stays out of the
-        cross-tier-compared :meth:`counters` dict)."""
+        trajectory differs between the fast and legacy interpreters, so
+        this stays out of the differentially compared :meth:`counters`
+        dict)."""
         return self._queue.high_water
 
     # ------------------------------------------------------------------
@@ -280,8 +280,7 @@ class HISQCore:
         if self._halted or self._pipeline_blocked:
             return
         (steps, nsteps, fast_block, is_cw, cpi, budget,
-         queue, append_item, push_item, depth, use_vector,
-         decoded) = self._fast_ctx
+         queue, append_item, push_item, depth, decoded) = self._fast_ctx
         regs = self.regs
         engine = self.engine
         pc = self.pc
@@ -314,10 +313,10 @@ class HISQCore:
                     base = position - block.pos_cum[j]
                     k = hi - lo
                     if k:
-                        if use_vector and k >= 4:
-                            # Vector tier: resolve every position of the
-                            # slice in one bulk add and enqueue a single
-                            # lazily-drained batch (k logical items).
+                        if k >= 4:
+                            # Resolve every position of the slice in one
+                            # bulk add and enqueue a single lazily-drained
+                            # batch (k logical items).
                             if k >= 16:
                                 positions = (
                                     base + block.item_off_np[lo:hi]).tolist()
@@ -328,31 +327,34 @@ class HISQCore:
                             append_item(ReplayBatch(
                                 positions, block.item_kinds, block.item_a,
                                 block.item_b, lo, hi))
-                            queue._count += k
-                            if queue._count > queue.high_water:
-                                queue.high_water = queue._count
                             decoded.vector_replays += 1
                             decoded.vector_items += k
                             REPLAY_VECTOR.value += 1
                             REPLAY_VECTOR_ITEMS.value += k
                         else:
-                            for kind, off, a, b in block.items[lo:hi]:
+                            # Too short to batch: one NamedTuple per item.
+                            kinds = block.item_kinds
+                            offs = block.item_off
+                            a_col = block.item_a
+                            b_col = block.item_b
+                            for i in range(lo, hi):
+                                kind = kinds[i]
                                 if kind == 0:
-                                    append_item(EmitCodeword(base + off,
-                                                             a, b))
+                                    append_item(EmitCodeword(
+                                        base + offs[i], a_col[i], b_col[i]))
                                 elif kind == 1:
-                                    append_item(SyncNearby(base + off, a))
+                                    append_item(SyncNearby(base + offs[i],
+                                                           a_col[i]))
                                 elif kind == 2:
-                                    append_item(SyncRegion(base + off,
-                                                           a, b))
+                                    append_item(SyncRegion(
+                                        base + offs[i], a_col[i], b_col[i]))
                                 else:
-                                    append_item(SendMessage(base + off,
-                                                            a, b))
-                            queue._count += k
-                            if queue._count > queue.high_water:
-                                queue.high_water = queue._count
-                            decoded.block_replays += 1
+                                    append_item(SendMessage(
+                                        base + offs[i], a_col[i], b_col[i]))
                             REPLAY_BLOCK.value += 1
+                        queue._count += k
+                        if queue._count > queue.high_water:
+                            queue.high_water = queue._count
                     consumed = e - j
                     pc += consumed
                     position = base + block.pos_cum[e]
@@ -780,8 +782,8 @@ class HISQCore:
             item = items_dq[0]
             cls = item.__class__
             if cls is ReplayBatch:
-                # Head element of a vector-tier batch: same issue logic as
-                # a plain item, read straight from the block's SoA columns.
+                # Head element of a replay batch: same issue logic as a
+                # plain item, read straight from the block's SoA columns.
                 cur = item.cursor
                 position = item.positions[cur]
                 idx = item.lo + cur

@@ -70,7 +70,7 @@ class Resync(NamedTuple):
 
 
 class ReplayBatch:
-    """One fast-block slice admitted by the vector replay tier.
+    """One fast-block slice of four or more items admitted for replay.
 
     Instead of constructing one NamedTuple per item, the replay path
     enqueues a single batch that *references* the block's structure-of-
@@ -109,8 +109,9 @@ class ItemQueue:
     :class:`ReplayBatch` occupies as many slots as it has undrained
     elements, so queue-depth stalls behave exactly as if the batch had
     been pushed item by item.  The plain ``push``/``pop`` API never
-    creates batches — only the fast interpreter's vector tier does, via
-    direct ``_items`` access — so legacy semantics are unchanged.
+    creates batches — only the fast interpreter's block replay does, via
+    direct ``_items`` access — so the legacy interpreter
+    (``REPRO_NO_FASTPATH=1``) only ever sees plain items.
     """
 
     def __init__(self, depth: int):

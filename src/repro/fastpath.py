@@ -3,32 +3,25 @@
 ``REPRO_NO_FASTPATH=1`` (or ``true``/``yes``/``on``, any case, optional
 surrounding whitespace) reverts every component that has a
 fast/reference implementation pair to the reference side: the HISQ
-pre-decoded interpreter falls back to the per-instruction loop
-(:mod:`repro.core.node`) and the stabilizer tableau falls back to the
-byte-per-qubit layout (:mod:`repro.quantum.stabilizer`).  Results are
-bit-identical either way — the escape hatch exists for debugging and
-differential testing, and all consumers must parse the variable
-identically, which is why the helpers live in one place.
-
-``REPRO_REPLAY_TIER`` picks the fast interpreter's block-replay tier:
-``vector`` (default — admitted slices become one lazily-drained
-:class:`~repro.core.queues.ReplayBatch` built with bulk array ops),
-``block`` (PR-5's eager per-item replay loop) or ``legacy`` (no
-pre-decode at all, same as ``REPRO_NO_FASTPATH=1``).
+pre-decoded interpreter (whose admitted fast-block slices become
+lazily-drained :class:`~repro.core.queues.ReplayBatch` entries) falls
+back to the per-instruction loop (:mod:`repro.core.node`) and the
+stabilizer tableau falls back to the byte-per-qubit layout
+(:mod:`repro.quantum.stabilizer`).  Results are bit-identical either
+way — the escape hatch exists for debugging and differential testing,
+and all consumers must parse the variable identically, which is why the
+helpers live in one place.
 
 ``REPRO_NO_LANES=1`` disables lane-parallel multishot execution
 (:mod:`repro.sim.lanes`); every extra shot then replays through its own
 full simulation.
 
-``REPRO_NO_SYNC_PLAN=1`` disables compiled sync plans
-(:mod:`repro.network.sync_plan`); every region sync then books through
-the dynamic router cascade.  ``REPRO_NO_FASTPATH=1`` implies it, like
-every other fast path.
-
-Unrecognized values *raise* instead of silently picking a default: a
-typo in an escape hatch (``REPRO_NO_FASTPATH=on`` used to mean
-"fast path enabled") must never silently run the wrong path while a
-differential check claims otherwise.
+Both switches are read from the process environment when simulation
+objects are built, so sweep pool workers (fork or spawn) follow the
+environment they were started with.  Unrecognized values *raise*
+instead of silently picking a default: a typo in an escape hatch
+(``REPRO_NO_FASTPATH=on`` used to mean "fast path enabled") must never
+silently run the wrong path while a differential check claims otherwise.
 """
 
 from __future__ import annotations
@@ -40,9 +33,6 @@ from .errors import ReproError
 #: Spellings accepted for boolean fast-path environment switches.
 _TRUTHY = frozenset(("1", "true", "yes", "on", "y", "t", "enabled"))
 _FALSY = frozenset(("", "0", "false", "no", "off", "n", "f", "disabled"))
-
-#: Replay tiers of the fast interpreter, reference-most last.
-REPLAY_TIERS = ("vector", "block", "legacy")
 
 
 def env_flag(name: str) -> bool:
@@ -74,37 +64,6 @@ def fastpath_enabled() -> bool:
     return not env_flag("REPRO_NO_FASTPATH")
 
 
-def replay_tier() -> str:
-    """The fast interpreter's replay tier: ``vector``/``block``/``legacy``.
-
-    ``REPRO_NO_FASTPATH`` (truthy) forces ``legacy`` whatever
-    ``REPRO_REPLAY_TIER`` says — the escape hatch always wins.  Read at
-    program-load time, like :func:`fastpath_enabled`.
-    """
-    if not fastpath_enabled():
-        return "legacy"
-    raw = os.environ.get("REPRO_REPLAY_TIER", "")
-    value = raw.strip().lower()
-    if not value:
-        return "vector"
-    if value not in REPLAY_TIERS:
-        raise ReproError(
-            "unrecognized REPRO_REPLAY_TIER {!r} (known tiers: {})".format(
-                raw, ", ".join(REPLAY_TIERS)))
-    return value
-
-
 def lanes_enabled() -> bool:
     """Whether multishot runs may use lane-parallel execution."""
     return not env_flag("REPRO_NO_LANES")
-
-
-def sync_plan_enabled() -> bool:
-    """Whether region syncs may resolve through compiled sync plans.
-
-    The plan is its own axis (``REPRO_NO_SYNC_PLAN``), but the master
-    escape hatch wins: ``REPRO_NO_FASTPATH=1`` reverts region sync to
-    the dynamic router cascade along with everything else.  Read at
-    ``ControlSystem.start_all`` time, when every program is loaded.
-    """
-    return fastpath_enabled() and not env_flag("REPRO_NO_SYNC_PLAN")

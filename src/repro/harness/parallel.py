@@ -31,7 +31,6 @@ import os
 import sys
 import time
 import traceback
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from dataclasses import fields as dataclass_fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -41,7 +40,6 @@ from ..compiler import cache as compile_cache_mod
 from ..compiler import schemes as scheme_registry
 from ..compiler.driver import SCHEMES, compile_circuit, run_circuit
 from ..errors import ReproError
-from ..fastpath import fastpath_enabled, replay_tier
 from ..noise.model import NoiseModel, derive_seed
 from ..obs import log as obs_log
 from ..obs import metrics as _metrics
@@ -122,22 +120,11 @@ class SweepTask:
     #: Monte-Carlo noise model; None keeps the cell noiseless.
     noise: Optional[NoiseModel] = None
     noise_shots: int = 256
-    #: Fast-path escape hatch captured at task-build time.  Workers apply
-    #: it for the duration of the cell, so a differential sweep's mode
-    #: reaches every pool worker regardless of start method or pool
-    #: lifetime — ``fastpath_enabled()`` is read per process at object
-    #: creation, and an env var set after a long-lived pool was forked
-    #: would otherwise be silently ignored.  None inherits the worker's
-    #: ambient environment.  Deliberately *not* part of ``cache_key``:
-    #: results are bit-identical across modes by contract.
-    no_fastpath: Optional[bool] = None
-    #: Replay tier captured at task-build time (same contract).
-    replay_tier: Optional[str] = None
     #: Directory of the persistent compile cache
     #: (:class:`repro.compiler.cache.CompileCache`); None compiles
-    #: in-process only.  Like the fast-path flags, deliberately *not*
-    #: part of ``cache_key``: the cached compilation is bit-identical to
-    #: a fresh one by contract (and tested for).
+    #: in-process only.  Deliberately *not* part of ``cache_key``: the
+    #: cached compilation is bit-identical to a fresh one by contract
+    #: (and tested for).
     compile_cache_dir: Optional[str] = None
 
     def key(self) -> Tuple[str, str, float, int]:
@@ -187,8 +174,6 @@ class SweepTask:
             "noise": self.noise.to_dict() if self.noise is not None
                      else None,
             "noise_shots": self.noise_shots,
-            "no_fastpath": self.no_fastpath,
-            "replay_tier": self.replay_tier,
             "compile_cache_dir": self.compile_cache_dir,
         }
 
@@ -223,8 +208,6 @@ class SweepTask:
 def tasks_from_spec(spec: SweepSpec) -> List[SweepTask]:
     """The declarative grid of a :class:`~repro.harness.spec.SweepSpec`
     as picklable tasks, in the spec's deterministic cell order."""
-    no_fastpath = not fastpath_enabled()
-    tier = replay_tier()
     return [SweepTask(spec_name=cell.workload, scheme=cell.scheme,
                       scale=cell.scale,
                       substitution_fraction=spec.substitution_fraction,
@@ -233,8 +216,7 @@ def tasks_from_spec(spec: SweepSpec) -> List[SweepTask]:
                       scheme_module=scheme_registry.origin_module(
                           cell.scheme),
                       config=spec.config, noise=spec.noise,
-                      noise_shots=spec.noise_shots,
-                      no_fastpath=no_fastpath, replay_tier=tier)
+                      noise_shots=spec.noise_shots)
             for cell in spec.cells()]
 
 
@@ -336,21 +318,20 @@ def run_cell_timed(task: SweepTask
         workload = registry.get_workload(task.spec_name)
         spec = workload.spec(task.scale, task.substitution_fraction)
         circuit, mesh_kind = _cell_circuit(task, spec)
-        with _task_environment(task):
-            t0 = time.perf_counter()
-            with _trace.span("compile", cat="sweep"):
-                compilation = _cell_compilation(task, circuit, mesh_kind)
-            t1 = time.perf_counter()
-            with _trace.span("simulate", cat="sweep"):
-                result = run_circuit(circuit, scheme=task.scheme,
-                                     config=task.config, backend=None,
-                                     device_seed=task.device_seed,
-                                     mesh_kind=mesh_kind,
-                                     record_gate_log=False,
-                                     record_telf=tracing,
-                                     shots=task.shots,
-                                     compilation=compilation)
-            t2 = time.perf_counter()
+        t0 = time.perf_counter()
+        with _trace.span("compile", cat="sweep"):
+            compilation = _cell_compilation(task, circuit, mesh_kind)
+        t1 = time.perf_counter()
+        with _trace.span("simulate", cat="sweep"):
+            result = run_circuit(circuit, scheme=task.scheme,
+                                 config=task.config, backend=None,
+                                 device_seed=task.device_seed,
+                                 mesh_kind=mesh_kind,
+                                 record_gate_log=False,
+                                 record_telf=tracing,
+                                 shots=task.shots,
+                                 compilation=compilation)
+        t2 = time.perf_counter()
         if tracing:
             _trace.add_telf_events(result.system.telf.records,
                                    config=result.system.config)
@@ -412,7 +393,7 @@ def _cell_circuit(task: SweepTask, spec) -> tuple:
 
 
 #: Cell-identity -> CompilationResult.  Compilation is deterministic and
-#: independent of device seed, replay tier and noise model, so warm
+#: independent of device seed, fast-path switch and noise model, so warm
 #: repeats of a cell — ``--verify-parallel`` reruns, differential-mode
 #: sweeps, benchmark iterations — skip the lowering/emit pipeline (about
 #: a third of a cold sweep's wall-clock).  The compiled programs are
@@ -464,36 +445,6 @@ def clear_cell_caches() -> None:
     that want cold-start numbers, and tests)."""
     _CELL_CIRCUITS.clear()
     _CELL_COMPILATIONS.clear()
-
-
-@contextmanager
-def _task_environment(task: SweepTask):
-    """Apply the task's captured fast-path flags for the cell's duration.
-
-    Restores the previous environment afterwards, so in-process (serial)
-    sweeps leave the caller's environment untouched."""
-    updates = {}
-    if task.no_fastpath is not None:
-        updates["REPRO_NO_FASTPATH"] = "1" if task.no_fastpath else None
-    if task.replay_tier is not None:
-        updates["REPRO_REPLAY_TIER"] = task.replay_tier
-    if not updates:
-        yield
-        return
-    saved = {name: os.environ.get(name) for name in updates}
-    try:
-        for name, value in updates.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
 
 
 def _gc_batched(tasks: Sequence[SweepTask], every: int = 8):
@@ -591,15 +542,12 @@ def build_tasks(scale: float,
         names = list(dict.fromkeys(spec_names))
     else:
         names = registry.workload_names(tags=("paper",))
-    no_fastpath = not fastpath_enabled()
-    tier = replay_tier()
     return [SweepTask(spec_name=name, scheme=scheme, scale=scale,
                       substitution_fraction=substitution_fraction,
                       device_seed=device_seed, shots=shots,
                       module=registry.origin_module(name),
                       scheme_module=scheme_registry.origin_module(scheme),
-                      config=config,
-                      no_fastpath=no_fastpath, replay_tier=tier)
+                      config=config)
             for name in names for scheme in schemes]
 
 
@@ -677,6 +625,9 @@ def run_tasks(tasks: Sequence[SweepTask],
         if workers == 1:
             finished = map(_guarded_run_cell, _gc_batched(misses))
         else:
+            # A fresh pool per call: its workers start from the current
+            # environment, so the REPRO_NO_FASTPATH/REPRO_NO_LANES hatches
+            # reach them under fork and spawn alike.
             context = multiprocessing.get_context(start_method)
             # chunksize=1: cell runtimes vary by orders of magnitude
             # across workloads, so fine-grained dispatch load-balances.

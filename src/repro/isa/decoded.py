@@ -122,88 +122,50 @@ class FastBlock:
         Timeline-position advance accumulated *before* instruction ``i``
         (``pos_cum[n]`` is the whole block's advance).
     ``pushes[i]``
-        Number of TCU item templates among the first ``i`` instructions —
-        doubles as the index into ``items`` for slicing.
-    ``items``
-        One ``(kind, pos_offset, a, b)`` template per item-pushing
-        instruction, in program order.
+        Number of TCU items among the first ``i`` instructions — doubles
+        as the index into the item columns for slicing.
+    ``item_kinds`` / ``item_off`` / ``item_a`` / ``item_b``
+        One TCU item per item-pushing instruction, in program order, as
+        structure-of-arrays columns: its kind (``ITEM_*``), its position
+        offset inside the block and its two operands.
+    ``item_off_np``
+        ``item_off`` as a NumPy int64 array.  The executor admits a slice,
+        adds the entry position to ``item_off_np[lo:hi]`` in one array op,
+        and enqueues a single :class:`~repro.core.queues.ReplayBatch` that
+        the TCU drains straight from the columns — no per-item tuple is
+        ever built.
     ``cw_idx`` / ``cw_pushes``
         Offsets of codeword instructions and their ``pushes`` values, for
         the queue-space admission check (only ``cw.*`` stalls on a full
         queue; ``sync``/``send.i`` push unconditionally).
-    ``item_kinds`` / ``item_a`` / ``item_b`` / ``item_off`` / ``item_off_np``
-        The same item templates as ``items``, transposed into structure-of-
-        arrays columns (``item_off_np`` is the position-offset column as a
-        NumPy int64 array).  The vector replay tier admits a slice, adds
-        the entry position to ``item_off_np[lo:hi]`` in one array op, and
-        enqueues a single :class:`~repro.core.queues.ReplayBatch` that the
-        TCU drains straight from these columns — no per-item tuple is ever
-        built.
     """
 
-    __slots__ = ("start", "n", "pos_cum", "pushes", "items", "cw_idx",
-                 "cw_pushes", "cw_last", "item_kinds", "item_a", "item_b",
-                 "item_off", "item_off_np")
+    __slots__ = ("start", "n", "pos_cum", "pushes", "cw_idx", "cw_pushes",
+                 "cw_last", "item_kinds", "item_a", "item_b", "item_off",
+                 "item_off_np")
 
     def __init__(self, start: int, n: int, pos_cum: List[int],
-                 pushes: List[int],
-                 items: List[Tuple[int, int, int, int]], cw_idx: List[int],
-                 cw_pushes: List[int]):
+                 pushes: List[int], cw_idx: List[int], cw_pushes: List[int],
+                 item_kinds: List[int], item_a: List[int],
+                 item_b: List[int], item_off: List[int], item_off_np=None):
         self.start = start
         self.n = n
         self.pos_cum = pos_cum
         self.pushes = pushes
-        self.items = items
         self.cw_idx = cw_idx
         self.cw_pushes = cw_pushes
         #: Highest ``pushes`` value among codeword instructions (-1 if the
         #: block has none): lets the executor admit a whole block with one
         #: comparison instead of a bisect.
         self.cw_last = cw_pushes[-1] if cw_pushes else -1
-        if items:
-            kinds, offsets, a_col, b_col = zip(*items)
-            self.item_kinds = list(kinds)
-            self.item_a = list(a_col)
-            self.item_b = list(b_col)
-            self.item_off = list(offsets)
-            self.item_off_np = np.array(offsets, dtype=np.int64)
-        else:
-            self.item_kinds = []
-            self.item_a = []
-            self.item_b = []
-            self.item_off = []
-            self.item_off_np = np.empty(0, dtype=np.int64)
-
-    @classmethod
-    def from_columns(cls, start: int, n: int, pos_cum: List[int],
-                     pushes: List[int],
-                     items: List[Tuple[int, int, int, int]],
-                     cw_idx: List[int], cw_pushes: List[int],
-                     item_kinds: List[int], item_a: List[int],
-                     item_b: List[int], item_off: List[int],
-                     item_off_np) -> "FastBlock":
-        """Rebuild a block whose derived columns already exist.
-
-        The persistent compile cache stores blocks column-wise
-        (:mod:`repro.compiler.cache`), so a warm load can hand every
-        slot in directly instead of paying ``__init__``'s transpose +
-        array build per block.  Callers own the invariant that the
-        columns really are ``zip(*items)`` — nothing re-checks it."""
-        block = cls.__new__(cls)
-        block.start = start
-        block.n = n
-        block.pos_cum = pos_cum
-        block.pushes = pushes
-        block.items = items
-        block.cw_idx = cw_idx
-        block.cw_pushes = cw_pushes
-        block.cw_last = cw_pushes[-1] if cw_pushes else -1
-        block.item_kinds = item_kinds
-        block.item_a = item_a
-        block.item_b = item_b
-        block.item_off = item_off
-        block.item_off_np = item_off_np
-        return block
+        self.item_kinds = item_kinds
+        self.item_a = item_a
+        self.item_b = item_b
+        self.item_off = item_off
+        # The compile cache's warm load passes a slice of its stored
+        # column instead of paying one array build per block.
+        self.item_off_np = (np.array(item_off, dtype=np.int64)
+                            if item_off_np is None else item_off_np)
 
     def replay_end(self, start: int, budget: int, free: int) -> int:
         """Largest offset ``e`` such that replaying ``[start, e)`` is
@@ -256,16 +218,16 @@ def _step_of(instr) -> Tuple[int, int, int, int, int, int]:
 class DecodedProgram:
     """Dense decoded form of one HISQ program.
 
-    ``vector_replays``/``block_replays``/``vector_items`` count, per decoded
-    program, how many admitted fast-block slices went through the vector
-    tier (one :class:`~repro.core.queues.ReplayBatch`) vs the eager
-    per-item block tier, and how many items the batches carried.  The CI
-    perf-smoke gate reads these (via :func:`replay_totals`) to fail loudly
-    if the vector tier ever silently degrades to block replay.
+    ``vector_replays``/``vector_items`` count, per decoded program, how
+    many admitted fast-block slices became one
+    :class:`~repro.core.queues.ReplayBatch` and how many items those
+    batches carried.  The CI perf-smoke gate reads the process-wide
+    mirror (:func:`replay_totals`) to fail loudly if replay ever silently
+    stops batching.
     """
 
     __slots__ = ("instructions", "n", "steps", "fast_block", "has_recv",
-                 "vector_replays", "block_replays", "vector_items")
+                 "vector_replays", "vector_items")
 
     def __init__(self, instructions: Tuple):
         self.instructions = instructions  # strong ref (pins content ids)
@@ -304,7 +266,6 @@ class DecodedProgram:
         #: lane fast-forward (:mod:`repro.sim.lanes`) keys on.
         self.has_recv = any(step[0] == OP_RECV for step in steps)
         self.vector_replays = 0
-        self.block_replays = 0
         self.vector_items = 0
 
     @classmethod
@@ -324,7 +285,6 @@ class DecodedProgram:
         decoded.fast_block = fast_block
         decoded.has_recv = has_recv
         decoded.vector_replays = 0
-        decoded.block_replays = 0
         decoded.vector_items = 0
         return decoded
 
@@ -332,30 +292,33 @@ class DecodedProgram:
     def _build_block(steps, start: int, end: int) -> FastBlock:
         position = 0
         pos_cum = [0]
-        items: List[Tuple[int, int, int, int]] = []
         pushes = [0]
+        kinds: List[int] = []
+        offsets: List[int] = []
+        a_col: List[int] = []
+        b_col: List[int] = []
         cw_idx: List[int] = []
         cw_pushes: List[int] = []
         for offset, pc in enumerate(range(start, end)):
-            step = steps[pc]
-            op = step[0]
+            op, _, _, _, imm, imm2 = steps[pc]
             if op == OP_WAITI:
-                position += step[4]
-            elif op == OP_CW_II:
-                cw_idx.append(offset)
-                cw_pushes.append(len(items))
-                items.append((ITEM_CW, position, step[4], step[5]))
-            elif op == OP_SYNC:
-                imm2 = step[5]
-                items.append((ITEM_SYNC_R if imm2 else ITEM_SYNC_N,
-                              position, step[4], imm2))
-            elif op == OP_SEND_I:
-                items.append((ITEM_SEND, position, step[4], step[5]))
-            # OP_NOP: no effect
+                position += imm
+            elif op != OP_NOP:
+                if op == OP_CW_II:
+                    cw_idx.append(offset)
+                    cw_pushes.append(len(kinds))
+                    kinds.append(ITEM_CW)
+                elif op == OP_SYNC:
+                    kinds.append(ITEM_SYNC_R if imm2 else ITEM_SYNC_N)
+                else:  # OP_SEND_I
+                    kinds.append(ITEM_SEND)
+                offsets.append(position)
+                a_col.append(imm)
+                b_col.append(imm2)
             pos_cum.append(position)
-            pushes.append(len(items))
-        return FastBlock(start, end - start, pos_cum, pushes, items,
-                         cw_idx, cw_pushes)
+            pushes.append(len(kinds))
+        return FastBlock(start, end - start, pos_cum, pushes, cw_idx,
+                         cw_pushes, kinds, a_col, b_col, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +403,6 @@ def adopt_decoded(program, decoded: DecodedProgram) -> None:
         raise ValueError("decoded artifact does not alias the program's "
                          "instruction objects")
     decoded.vector_replays = 0
-    decoded.block_replays = 0
     decoded.vector_items = 0
     _prime_decoded(program, decoded, tuple(map(id, instructions)))
 
@@ -478,34 +440,35 @@ def decode_cache_stats() -> Dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Replay-tier accounting.
+# Replay accounting.
 # ---------------------------------------------------------------------------
 
 #: Process-wide replay counters, mirrored from the per-program ones as the
-#: executor increments them.  ``vector``/``block`` count admitted slices
-#: per tier; ``vector_items`` counts items carried by vector batches.
-#: These live in the observability registry (they used to be a module
-#: dict) but are always on: the perf-smoke digest gate and the replay-
-#: tier differential tests read them through :func:`replay_totals`.
+#: executor increments them.  ``vector`` counts admitted slices enqueued
+#: as one batch, ``block`` the short slices pushed item by item, and
+#: ``vector_items`` the items carried by batches.  These live in the
+#: observability registry but are always on: the perf-smoke digest gate,
+#: the benchmark ledger and the fast-forward tests read them through
+#: :func:`replay_totals`.
 REPLAY_VECTOR = _metrics.counter(
     "repro_replay_vector_batches_total",
-    "fast-block slices admitted as lazily-drained vector batches")
+    "fast-block slices admitted as lazily-drained batches")
 REPLAY_VECTOR_ITEMS = _metrics.counter(
     "repro_replay_vector_items_total",
-    "TCU items carried inside admitted vector batches")
+    "TCU items carried inside admitted batches")
 REPLAY_BLOCK = _metrics.counter(
     "repro_replay_block_batches_total",
-    "fast-block slices replayed with the eager per-item loop")
+    "fast-block slices under four items pushed item by item")
 
 
 def replay_totals() -> Dict[str, int]:
-    """Copy of the process-wide replay-tier counters."""
+    """Copy of the process-wide replay counters."""
     return {"vector": REPLAY_VECTOR.value, "block": REPLAY_BLOCK.value,
             "vector_items": REPLAY_VECTOR_ITEMS.value}
 
 
 def reset_replay_totals() -> None:
-    """Zero the process-wide replay-tier counters (benchmarks, tests)."""
+    """Zero the process-wide replay counters (benchmarks, tests)."""
     REPLAY_VECTOR.value = 0
     REPLAY_BLOCK.value = 0
     REPLAY_VECTOR_ITEMS.value = 0

@@ -1,141 +1,23 @@
-"""Compiled sync plans: table-lookup region sync for recv-free programs.
+"""Region-sync epoch counter read by the end-to-end benchmark ledger.
 
-The dynamic BISP rendezvous (:mod:`repro.network.router`, Figure 8) is a
-cascade of discrete events per epoch: each member's booking hops up the
-tree (one engine event + one lambda per hop), every router runs a
-partial-max and relays after its processing delay, and the destination
-broadcasts Tm back down the same way.  For a *static* tree with
-calibrated latencies, every one of those events is pure arithmetic on
-the booking wall-clocks:
-
-* booking arrival at the destination:
-  ``A = max_m (W_m + d_m*hop + (d_m - 1)*process)`` where ``W_m`` is
-  member *m*'s booking wall time and ``d_m`` its tree depth below the
-  destination;
-* the common start time:
-  ``Tm = max(max_m T_m, A + process + down_bound)`` with the
-  destination's preconfigured ``down_bound`` (unchanged from
-  :class:`~repro.network.router.SyncGroupInfo`);
-* delivery at member *m*: ``A + d_m*(process + hop)``.
-
-A :class:`SyncPlanGroup` precomputes the per-member delays and the
-per-depth delivery batches once per (system, group); each epoch then
-resolves in O(members) integer work plus one engine event per tree
-*depth* instead of O(members x depth) events and closures.  Cycle-level
-timing is identical by construction — the same Tm reaches the same
-member at the same cycle in the same relative order (depth levels fire
-in ascending time; within a level, members are ordered exactly like the
-dynamic cascade's sorted child broadcasts).
-
-The plan only activates for the provably safe class (decided once at
-``start_all``): every loaded program recv-free (the lane fast-forward
-class — no feedback can observe message interleaving), no quantum
-backend attached, gate log off, TELF off.  Everything else — and any
-run under ``REPRO_NO_SYNC_PLAN=1`` or ``REPRO_NO_FASTPATH=1`` — keeps
-the dynamic routers.  The ``sync_plan_{resolved,fallback}`` counters
-(mirroring ``decoded.replay_totals``) make silent fallback detectable:
-the perf-smoke digest rows include them.
+Every region sync books through the router cascade
+(:mod:`repro.network.router`): :meth:`Router.receive_booking` ticks
+``repro_sync_plan_fallback_total`` once per epoch, at the destination
+router.  :func:`sync_plan_totals` keeps the ``{"resolved", "fallback"}``
+shape ``benchmarks/e2e/layers.py`` imports; ``resolved`` is always 0.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from ..obs import metrics as _metrics
 
-SYNC_PLAN_RESOLVED = _metrics.counter(
-    "repro_sync_plan_resolved_total",
-    "region-sync epochs resolved by a compiled sync plan")
 SYNC_PLAN_FALLBACK = _metrics.counter(
     "repro_sync_plan_fallback_total",
-    "region-sync epochs completed through the dynamic router cascade")
+    "region-sync epochs completed through the router cascade")
 
 
 def sync_plan_totals() -> Dict[str, int]:
-    """Copy of the process-wide sync-plan counters."""
-    return {"resolved": SYNC_PLAN_RESOLVED.value,
-            "fallback": SYNC_PLAN_FALLBACK.value}
-
-
-def reset_sync_plan_totals() -> None:
-    """Zero the process-wide sync-plan counters (benchmarks, tests)."""
-    SYNC_PLAN_RESOLVED.value = 0
-    SYNC_PLAN_FALLBACK.value = 0
-
-
-class SyncPlanGroup:
-    """Precomputed rendezvous table for one sync group on one topology.
-
-    ``levels`` holds ``(delivery_delay, member_addresses)`` per tree
-    depth in ascending delay order, members within a level ordered by
-    their router path from the destination — the exact order the
-    dynamic cascade's sorted child broadcasts would deliver them in.
-    ``booking_counts``/``broadcast_routers`` let the plan keep every
-    involved router's diagnostic counters arithmetically in step with
-    what the cascade would have recorded.
-    """
-
-    __slots__ = ("group", "member_count", "up_delay", "down_bound",
-                 "process", "levels", "booking_counts", "broadcast_routers")
-
-    def __init__(self, group: int, member_count: int,
-                 up_delay: Dict[int, int], down_bound: int, process: int,
-                 levels: List[Tuple[int, Tuple[int, ...]]],
-                 booking_counts: List[Tuple[int, int]],
-                 broadcast_routers: List[int]):
-        self.group = group
-        self.member_count = member_count
-        self.up_delay = up_delay
-        self.down_bound = down_bound
-        self.process = process
-        self.levels = levels
-        self.booking_counts = booking_counts
-        self.broadcast_routers = broadcast_routers
-
-
-def build_sync_plan_group(group: int, members, target: int, topology,
-                          hop: int, process: int,
-                          down_bound: int) -> SyncPlanGroup:
-    """Compile the static rendezvous data for one registered group."""
-    up_delay: Dict[int, int] = {}
-    paths: Dict[int, Tuple[int, ...]] = {}
-    for member in members:
-        # path_to_ancestor returns [member, r1, ..., target]; depth is
-        # the hop count, the reversed tail is the broadcast route.
-        path = topology.path_to_ancestor(member, target)
-        depth = len(path) - 1
-        up_delay[member] = depth * hop + (depth - 1) * process
-        paths[member] = tuple(reversed(path))
-    by_depth: Dict[int, List[int]] = {}
-    for member in members:
-        by_depth.setdefault(len(paths[member]) - 1, []).append(member)
-    levels = []
-    for depth in sorted(by_depth):
-        ordered = sorted(by_depth[depth], key=lambda m: paths[m])
-        levels.append((depth * (process + hop), tuple(ordered)))
-    expected: Dict[int, set] = {}
-    for member in members:
-        path = topology.path_to_ancestor(member, target)
-        for child, parent in zip(path, path[1:]):
-            expected.setdefault(parent, set()).add(child)
-    booking_counts = sorted(
-        (router, len(children)) for router, children in expected.items())
-    return SyncPlanGroup(group, len(members), up_delay, down_bound,
-                         process, levels, booking_counts,
-                         sorted(expected))
-
-
-class PlanDelivery:
-    """One batched Tm delivery: every member at one tree depth, in the
-    dynamic cascade's order, through a single engine event."""
-
-    __slots__ = ("units", "tm")
-
-    def __init__(self, units, tm: int):
-        self.units = units
-        self.tm = tm
-
-    def __call__(self) -> None:
-        tm = self.tm
-        for unit in self.units:
-            unit.receive_time_point(tm)
+    """Region-sync epochs so far, in the benchmark ledger's shape."""
+    return {"resolved": 0, "fallback": SYNC_PLAN_FALLBACK.value}

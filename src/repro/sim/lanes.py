@@ -53,11 +53,10 @@ def static_timing(compilation) -> bool:
     """Whether ``compilation``'s timing is device-seed independent.
 
     True iff no compiled program contains a ``recv``
-    (:attr:`~repro.isa.decoded.DecodedProgram.has_recv`, the same rule
-    compiled sync plans use): measurement outcomes (the only
-    seed-dependent values) are then never read by any pipeline, so they
-    cannot steer control flow or timing.  The answer is memoized on the
-    compilation object.
+    (:attr:`~repro.isa.decoded.DecodedProgram.has_recv`): measurement
+    outcomes (the only seed-dependent values) are then never read by any
+    pipeline, so they cannot steer control flow or timing.  The answer
+    is memoized on the compilation object.
     """
     cached = getattr(compilation, "_lanes_static", None)
     if cached is not None:

@@ -16,13 +16,12 @@ from typing import Dict, Iterable, List, Optional
 from ..core.config import CENTRAL_ADDRESS, CoreConfig
 from ..core.node import HISQCore
 from ..errors import ExecutionError, SynchronizationError
-from ..fastpath import replay_tier, sync_plan_enabled
-from ..isa.decoded import decode_program
+from ..fastpath import fastpath_enabled
+# Unused here; benchmarks/e2e/layers.py wraps this binding.
+from ..isa.decoded import decode_program  # noqa: F401
 from ..isa.program import Program
 from ..network.messages import BookingMessage, TimePointMessage
-from ..network.router import ABANDONED_EPOCHS, Router, SyncGroupInfo
-from ..network.sync_plan import (SYNC_PLAN_RESOLVED, PlanDelivery,
-                                 SyncPlanGroup, build_sync_plan_group)
+from ..network.router import Router, SyncGroupInfo
 from ..network.topology import Topology, build_topology
 from .config import SimulationConfig
 from .device import QuantumDevice
@@ -88,11 +87,11 @@ class ControlSystem:
             neighbor_link_cycles=self.config.neighbor_link_cycles,
             router_hop_cycles=self.config.router_hop_cycles)
         self.cores: Dict[int, HISQCore] = {}
-        tier = replay_tier()
+        fast = fastpath_enabled()
         for address in range(self.topology.num_controllers):
             core = HISQCore("C{}".format(address), address, self.engine,
                             self.telf, config=self.core_config,
-                            strict_timing=strict_timing, tier=tier)
+                            strict_timing=strict_timing, fast=fast)
             core.fabric = self
             self.cores[address] = core
         self.routers: Dict[int, Router] = {}
@@ -111,22 +110,11 @@ class ControlSystem:
         self.codeword_tables: Dict[int, dict] = {a: {} for a in self.cores}
         self.sync_groups: Dict[int, List[int]] = {}
         self._group_target: Dict[int, int] = {}
-        #: Compiled sync plans (:mod:`repro.network.sync_plan`), one per
-        #: registered group, plus their per-level sync-unit fan-out lists
-        #: resolved once at registration time.
-        self._sync_plans: Dict[int, SyncPlanGroup] = {}
-        self._sync_plan_levels: Dict[int, list] = {}
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
         self._epochs: Dict[tuple, int] = {}
         self.unmapped_codewords = 0
-        #: (group, epoch) -> [bookings seen, max T, max dest arrival].
-        self._sync_plan_state: Dict[tuple, list] = {}
-        #: Decided once per run at :meth:`start_all` (all programs
-        #: loaded by then); None = not decided yet.
-        self._sync_plan_active: Optional[bool] = None
-        self.sync_plan_resolved = 0
         self.abandoned_sync_epochs = 0
 
     def reset(self, device_seed: int) -> None:
@@ -135,10 +123,10 @@ class ControlSystem:
         Every piece of run state returns to its initial value in place —
         engine, cores (with their TCU queues, SyncUs and MsgUs), routers,
         the device (reseeded with ``device_seed``) and the system's epoch
-        and sync-plan bookkeeping — so the next :meth:`run` matches a
-        freshly built system with that seed exactly.  The static wiring
-        stays: topology, loaded and decoded programs, codeword tables,
-        sync groups and the prebound sync-plan levels.
+        bookkeeping — so the next :meth:`run` matches a freshly built
+        system with that seed exactly.  The static wiring stays:
+        topology, loaded and decoded programs, codeword tables and sync
+        groups.
 
         Only timing-only systems can be rewound: a quantum backend, gate
         log or TELF record would carry the previous shot's state, so they
@@ -195,7 +183,6 @@ class ControlSystem:
             path = self.topology.path_to_ancestor(member, target)
             for child, parent in zip(path, path[1:]):
                 expected.setdefault(parent, set()).add(child)
-        target_down_bound = 0
         for router_addr, children in expected.items():
             member_hops = [
                 len(self.topology.path_to_ancestor(m, router_addr)) - 1
@@ -203,21 +190,12 @@ class ControlSystem:
                 if router_addr in self.topology.path_to_ancestor(m, target)]
             down_bound = max(h * hop + max(0, h - 1) * process
                              for h in member_hops)
-            if router_addr == target:
-                target_down_bound = down_bound
             self.routers[router_addr].configure_group(SyncGroupInfo(
                 group=group_id,
                 expected=sorted(children),
                 member_children=sorted(children),
                 is_destination=(router_addr == target),
                 down_bound=down_bound))
-        plan = build_sync_plan_group(group_id, members, target,
-                                     self.topology, hop, process,
-                                     target_down_bound)
-        self._sync_plans[group_id] = plan
-        self._sync_plan_levels[group_id] = [
-            (delay, tuple(self.cores[m].sync_unit for m in addrs))
-            for delay, addrs in plan.levels]
         return target
 
     # ------------------------------------------------------------------
@@ -256,55 +234,12 @@ class ControlSystem:
         key = (core.address, group)
         epoch = self._epochs.get(key, 0)
         self._epochs[key] = epoch + 1
-        if self._sync_plan_active:
-            self._plan_booking(group, epoch, core.address, time_point)
-            return
         parent = self.topology.parent[core.address]
         router = self.routers[parent]
         router.enqueue_booking(
             BookingMessage(group, epoch, core.address, time_point))
         self.engine.after(self.config.router_hop_cycles,
                           router.deliver_booking)
-
-    def _plan_booking(self, group: int, epoch: int, member: int,
-                      time_point: int) -> None:
-        """Fold one booking into the compiled plan; resolve on the last.
-
-        Mirrors the cascade arithmetically (see
-        :mod:`repro.network.sync_plan` for the derivation): the epoch
-        resolves the moment its last member books, scheduling one
-        batched delivery event per tree depth at the exact cycles the
-        router broadcasts would have reached those members — and keeps
-        the involved routers' diagnostic counters in step.
-        """
-        plan = self._sync_plans[group]
-        arrival = self.engine.now + plan.up_delay[member]
-        state_key = (group, epoch)
-        entry = self._sync_plan_state.get(state_key)
-        if entry is None:
-            entry = self._sync_plan_state[state_key] = [0, time_point,
-                                                        arrival]
-        else:
-            if time_point > entry[1]:
-                entry[1] = time_point
-            if arrival > entry[2]:
-                entry[2] = arrival
-        entry[0] += 1
-        if entry[0] < plan.member_count:
-            return
-        del self._sync_plan_state[state_key]
-        partial_max, dest_arrival = entry[1], entry[2]
-        tm = max(partial_max, dest_arrival + plan.process + plan.down_bound)
-        self.sync_plan_resolved += 1
-        SYNC_PLAN_RESOLVED.value += 1
-        routers = self.routers
-        for address, count in plan.booking_counts:
-            routers[address].bookings_handled += count
-        for address in plan.broadcast_routers:
-            routers[address].broadcasts_sent += 1
-        at = self.engine.at
-        for delay, units in self._sync_plan_levels[group]:
-            at(dest_arrival + delay, PlanDelivery(units, tm))
 
     def router_to_parent(self, router: Router, message: BookingMessage
                          ) -> None:
@@ -367,33 +302,8 @@ class ControlSystem:
     # Execution
     # ------------------------------------------------------------------
 
-    def _sync_plans_applicable(self) -> bool:
-        """Whether compiled sync plans may replace the router cascade.
-
-        The provably safe class only: every loaded program recv-free
-        (no feedback can observe message interleaving — the lane
-        fast-forward class), no quantum backend, gate log off, TELF off
-        (so nothing order- or record-sensitive watches the fabric), and
-        the escape hatches (``REPRO_NO_SYNC_PLAN``,
-        ``REPRO_NO_FASTPATH``) unset.  A program that fails to decode
-        falls back to the cascade rather than erroring.
-        """
-        if not self._sync_plans or not sync_plan_enabled():
-            return False
-        if self.device.backend is not None or self.device.record_gate_log \
-                or self.telf.enabled:
-            return False
-        try:
-            return all(not decode_program(core.program).has_recv
-                       for core in self.cores.values()
-                       if len(core.program.instructions))
-        except Exception:
-            return False
-
     def start_all(self, at: int = 0) -> None:
         """Start every controller that has a program loaded."""
-        if self._sync_plan_active is None:
-            self._sync_plan_active = self._sync_plans_applicable()
         for core in self.cores.values():
             if len(core.program.instructions):
                 core.start(at)
@@ -402,21 +312,13 @@ class ControlSystem:
         """Drop rendezvous state nothing can complete; return the count.
 
         Engine-teardown hook: once the event queue has drained, any
-        booking bucket still sitting in a router — or any partially
-        booked plan epoch — belongs to a crashed/aborted member and
-        would otherwise leak for the system's lifetime.  (A rendezvous
-        spanning several routers counts once per partial bucket; the
-        number is a leak diagnostic, not an epoch census.)
+        booking bucket still sitting in a router belongs to a
+        crashed/aborted member and would otherwise leak for the system's
+        lifetime.  (A rendezvous spanning several routers counts once
+        per partial bucket; the number is a leak diagnostic, not an
+        epoch census.)
         """
-        abandoned = 0
-        for router in self.routers.values():
-            abandoned += router.abandon()
-        stranded = len(self._sync_plan_state)
-        if stranded:
-            self._sync_plan_state.clear()
-            ABANDONED_EPOCHS.value += stranded
-            abandoned += stranded
-        return abandoned
+        return sum(router.abandon() for router in self.routers.values())
 
     def run(self, until: Optional[int] = None,
             allow_blocked: bool = False) -> ExecutionStats:

@@ -4,13 +4,18 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 from repro.circuits import build_ghz
 from repro.compiler import cache as compile_cache
 from repro.compiler import compile_circuit, run_circuit
+from repro.compiler import schemes as scheme_registry
 from repro.compiler.cache import (COMPILE_CACHE_VERSION, CompileCache,
                                   cached_compile, compile_cache_totals,
                                   compile_key)
 from repro.diskcache import PickleDirStore
+from repro.harness import registry
 from repro.isa import decoded
 from repro.sim.config import SimulationConfig
 
@@ -92,6 +97,50 @@ class TestRoundTrip:
             assert dec.vector_replays == 0
         assert decoded.decode_cache_stats()["misses"] == \
             misses_after_load  # pins served every lookup
+
+
+#: Every FastBlock slot the executor reads.
+_BLOCK_SLOTS = ("start", "n", "pos_cum", "pushes", "cw_idx", "cw_pushes",
+                "cw_last", "item_kinds", "item_a", "item_b", "item_off")
+
+
+class TestWarmBlocks:
+    """A warm load rebuilds every fast block from the stored columns; it
+    must equal a fresh decode of the same instructions slot for slot."""
+
+    @pytest.mark.parametrize("scheme", scheme_registry.scheme_names())
+    @pytest.mark.parametrize("workload", ("bv_n400", "repetition_d25"))
+    def test_blocks_match_fresh_decode(self, workload, scheme, tmp_path):
+        spec = registry.get_workload(workload).spec(0.04, 0.25)
+        circuit = spec.circuit()
+        cache = CompileCache(str(tmp_path))
+        cached_compile(circuit, scheme=scheme, mesh_kind=spec.mesh_kind,
+                       cache=cache)
+        decoded.clear_decode_caches()
+        before = compile_cache_totals()
+        warm = cached_compile(circuit, scheme=scheme,
+                              mesh_kind=spec.mesh_kind, cache=cache)
+        assert _delta(before) == {"hits": 1, "misses": 0}
+        blocks = 0
+        for program in warm.programs.values():
+            loaded = decoded.decode_program(program)
+            fresh = decoded.DecodedProgram(tuple(program.instructions))
+            assert loaded is not fresh
+            assert (loaded.steps, loaded.has_recv) == \
+                (fresh.steps, fresh.has_recv)
+            for pc, (got, want) in enumerate(zip(loaded.fast_block,
+                                                 fresh.fast_block)):
+                assert (got is None) == (want is None), pc
+                if got is None or got.start != pc:
+                    continue
+                blocks += 1
+                for slot in _BLOCK_SLOTS:
+                    assert getattr(got, slot) == getattr(want, slot), slot
+                assert got.item_off_np.dtype == np.int64
+                assert got.item_off_np.tolist() == want.item_off
+                # An owned copy, not a view pinning the stored column.
+                assert got.item_off_np.base is None
+        assert blocks > 0
 
 
 class TestIntegrity:

@@ -1,12 +1,15 @@
 """Fast-forward vs stepwise differential suite.
 
 The pre-decoded fast path (basic-block replay in
-:meth:`repro.core.node.HISQCore._pipeline_run_fast`) must be *exactly*
-equivalent to the original per-instruction interpreter: same makespans,
-same per-core counters, same TELF traces, same stall accounting — across
-every registered synchronization scheme, a sample of registry workloads,
-and randomized ISA programs.  ``REPRO_NO_FASTPATH=1`` selects the legacy
-interpreter, which is the reference behavior here.
+:meth:`repro.core.node.HISQCore._pipeline_run_fast`, which enqueues
+admitted slices of four or more items as one
+:class:`~repro.core.queues.ReplayBatch`) must be *exactly* equivalent to
+the original per-instruction interpreter: same makespans, same per-core
+counters, same TELF traces, same stall accounting — across every
+registered synchronization scheme, a sample of registry workloads, and
+randomized ISA programs.  ``REPRO_NO_FASTPATH=1`` selects the legacy
+interpreter, which is the reference behavior here.  Lane-parallel
+multishot is checked against per-lane replay at the end.
 """
 
 import random
@@ -18,8 +21,10 @@ from repro.compiler.driver import run_circuit
 from repro.core.config import CoreConfig
 from repro.core.node import HISQCore, fastpath_enabled
 from repro.harness import registry
+from repro.isa import decoded
 from repro.isa.assembler import assemble
 from repro.isa.decoded import decode_program
+from repro.sim import lanes
 from repro.sim.engine import Engine
 from repro.sim.telf import TelfLog
 from repro.testing import random_clifford_circuit
@@ -67,8 +72,12 @@ class TestWorkloadDifferential:
                     mesh_kind=spec.mesh_kind)
         assert fast == slow
 
-    def test_random_dynamic_circuit_all_schemes(self, monkeypatch):
-        circuit = random_clifford_circuit(8, 60, seed=20260730,
+    @pytest.mark.parametrize("qubits,depth,seed",
+                             [(8, 60, 20260730), (8, 60, 20260808),
+                              (12, 40, 20261016)])
+    def test_random_dynamic_circuit_all_schemes(self, qubits, depth, seed,
+                                                monkeypatch):
+        circuit = random_clifford_circuit(qubits, depth, seed=seed,
                                           feedback=True)
         for scheme in scheme_registry.scheme_names():
             fast = _run(circuit, scheme, monkeypatch, legacy=False)
@@ -132,10 +141,61 @@ def _run_bare(source: str, legacy: bool, monkeypatch, depth: int = 1024):
         "memory": dict(core.memory),
         "pc": core.pc,
         "position": core.position,
+        "queue_len": len(core._queue),
         "telf": list(telf._raw),
         "events": engine.events_processed,
         "now": engine.now,
     }
+
+
+def _emission_program(seed: int) -> str:
+    """Randomized program biased toward long emission runs, so replay
+    batches actually form (and tiny queues must split them)."""
+    rng = random.Random(seed)
+    lines = []
+    lines.append("addi $1,$0,{}".format(rng.randint(1, 5)))
+    for _ in range(rng.randint(8, 50)):
+        roll = rng.random()
+        if roll < 0.3:
+            lines.append("waiti {}".format(rng.randint(1, 50)))
+        elif roll < 0.75:
+            lines.append("cw.i.i {},{}".format(rng.randint(0, 3),
+                                               rng.randint(1, 200)))
+        elif roll < 0.82:
+            lines.append("cw.i.i {},{}".format(rng.randint(4, 7),
+                                               rng.randint(1, 200)))
+        elif roll < 0.88:
+            lines.append("addi $2,$2,{}".format(rng.randint(-4, 9)))
+        else:
+            lines.append("nop")
+    body_len = min(rng.randint(2, 6), len(lines) - 1)
+    lines.append("addi $1,$1,-1")
+    lines.append("bne $1,$0,-{}".format(4 * body_len))
+    lines.append("halt")
+    return "\n".join(lines)
+
+
+def _short_slice_program(seed: int) -> str:
+    """Randomized program whose fast blocks carry one to three codewords
+    each (padded to block length with waits and nops, and split by ALU
+    work), so every admitted slice takes the per-item path."""
+    rng = random.Random(seed)
+    lines = ["addi $1,$0,{}".format(rng.randint(1, 4))]
+    for _ in range(rng.randint(3, 12)):
+        run = ["cw.i.i {},{}".format(rng.randint(0, 7), rng.randint(1, 200))
+               for _ in range(rng.randint(1, 3))]
+        length = rng.randint(4, 7)
+        while len(run) < length:
+            run.append("waiti {}".format(rng.randint(1, 40))
+                       if rng.random() < 0.7 else "nop")
+        rng.shuffle(run)
+        lines.extend(run)
+        lines.append("addi $2,$2,{}".format(rng.randint(-4, 9)))
+    body_len = min(rng.randint(2, 9), len(lines) - 1)
+    lines.append("addi $1,$1,-1")
+    lines.append("bne $1,$0,-{}".format(4 * body_len))
+    lines.append("halt")
+    return "\n".join(lines)
 
 
 class TestRandomProgramProperty:
@@ -174,6 +234,144 @@ class TestRandomProgramProperty:
                          depth=2)
         assert fast == slow
         assert fast["counters"]["pipeline_stall"] > 0
+
+    @pytest.mark.parametrize("depth", (2, 1024))
+    @pytest.mark.parametrize("seed", range(15))
+    def test_emission_runs(self, seed, depth, monkeypatch):
+        """Long emission runs replay as batches; depth-2 queues force
+        replay admission to split them and the pipeline to stall, and
+        accounting must still agree."""
+        source = _emission_program(2000 + seed)
+        fast = _run_bare(source, legacy=False, monkeypatch=monkeypatch,
+                         depth=depth)
+        slow = _run_bare(source, legacy=True, monkeypatch=monkeypatch,
+                         depth=depth)
+        assert fast == slow
+
+    @pytest.mark.parametrize("depth", (2, 1024))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_short_slices(self, seed, depth, monkeypatch):
+        """Slices of under four items never batch: they are pushed item
+        by item straight from the block's item columns."""
+        source = _short_slice_program(3000 + seed)
+        decoded.reset_replay_totals()
+        fast = _run_bare(source, legacy=False, monkeypatch=monkeypatch,
+                         depth=depth)
+        totals = decoded.replay_totals()
+        assert totals["block"] > 0
+        assert totals["vector"] == totals["vector_items"] == 0
+        slow = _run_bare(source, legacy=True, monkeypatch=monkeypatch,
+                         depth=depth)
+        assert fast == slow
+
+
+class TestBatchedReplay:
+    """The fast path must really batch, not quietly push item by item."""
+
+    def test_workload_replay_batches(self, monkeypatch):
+        """The CI perf-smoke assertion, in miniature."""
+        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+        spec = registry.get_workload("bv_n400").spec(0.04, 0.25)
+        decoded.clear_decode_caches()
+        decoded.reset_replay_totals()
+        run_circuit(spec.circuit(), scheme="bisp", backend=None,
+                    record_gate_log=False, mesh_kind=spec.mesh_kind)
+        totals = decoded.replay_totals()
+        assert totals["vector"] > 0
+        assert totals["vector_items"] >= 4 * totals["vector"]
+
+    def test_deep_queue_forms_batches(self, monkeypatch):
+        """With a roomy queue the emission programs take the batch path
+        (otherwise the tiny-queue differential proves nothing)."""
+        decoded.reset_replay_totals()
+        _run_bare(_emission_program(3), legacy=False,
+                  monkeypatch=monkeypatch)
+        assert decoded.replay_totals()["vector"] > 0
+
+    def test_per_program_counters(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+        decoded.clear_decode_caches()
+        source = "\n".join(["waiti 3\ncw.i.i 0,{}".format(i + 1)
+                            for i in range(8)]) + "\nhalt"
+        engine = Engine()
+        core = HISQCore("c0", 0, engine, TelfLog())
+        core.load(assemble(source))
+        core.start()
+        engine.run(until=100_000)
+        assert core._decoded.vector_replays > 0
+        assert core._decoded.vector_items > 0
+        assert core.counters()["codewords"] == 8
+
+    def test_short_slice_pushes_items(self, monkeypatch):
+        """A slice of under four items is pushed item by item and counted
+        under ``replay_totals()["block"]``, matching the legacy loop."""
+        source = "waiti 1\ncw.i.i 0,1\nwaiti 2\ncw.i.i 0,2\nhalt"
+        decoded.clear_decode_caches()
+        decoded.reset_replay_totals()
+        fast = _run_bare(source, legacy=False, monkeypatch=monkeypatch)
+        assert decoded.replay_totals() == {"vector": 0, "block": 1,
+                                           "vector_items": 0}
+        assert fast == _run_bare(source, legacy=True,
+                                 monkeypatch=monkeypatch)
+
+
+class TestLaneDifferential:
+    """Lane fast-forward vs per-lane replay, static and dynamic."""
+
+    @pytest.mark.parametrize("workload", ("qft_n300", "bv_n400"))
+    @pytest.mark.parametrize("subst", (0.0, 0.25))
+    def test_lanes_match_replay(self, workload, subst, monkeypatch):
+        spec = registry.get_workload(workload).spec(0.04, subst)
+        circuit = spec.circuit()
+        for scheme in scheme_registry.scheme_names():
+            monkeypatch.delenv("REPRO_NO_LANES", raising=False)
+            on = run_circuit(circuit, scheme=scheme, backend=None,
+                             record_gate_log=False, shots=4,
+                             mesh_kind=spec.mesh_kind)
+            monkeypatch.setenv("REPRO_NO_LANES", "1")
+            off = run_circuit(circuit, scheme=scheme, backend=None,
+                              record_gate_log=False, shots=4,
+                              mesh_kind=spec.mesh_kind)
+            assert on.shot_stats == off.shot_stats, (scheme, workload)
+            assert off.lane_mode == "replay"
+            expected = ("fastforward"
+                        if lanes.static_timing(on.compilation) else "replay")
+            assert on.lane_mode == expected, (scheme, workload)
+
+    def test_static_detection(self):
+        static_spec = registry.get_workload("qft_n300").spec(0.04, 0.0)
+        dynamic_spec = registry.get_workload("qft_n300").spec(0.04, 0.25)
+        static = run_circuit(static_spec.circuit(), scheme="bisp",
+                             backend=None, record_gate_log=False)
+        dynamic = run_circuit(dynamic_spec.circuit(), scheme="bisp",
+                              backend=None, record_gate_log=False)
+        assert lanes.static_timing(static.compilation)
+        assert not lanes.static_timing(dynamic.compilation)
+
+    def test_fastforward_engages_on_static_set(self, monkeypatch):
+        """qft at zero substitution compiles recv-free under bisp — the
+        lane engine must actually fan it out, not fall back to replay."""
+        monkeypatch.delenv("REPRO_NO_LANES", raising=False)
+        lanes.reset_lane_totals()
+        spec = registry.get_workload("qft_n300").spec(0.04, 0.0)
+        result = run_circuit(spec.circuit(), scheme="bisp", backend=None,
+                             record_gate_log=False, shots=5,
+                             mesh_kind=spec.mesh_kind)
+        assert result.lane_mode == "fastforward"
+        assert lanes.lane_totals()["fastforward"] == 4
+        assert len(result.shot_stats) == 5
+        seeds = {s["device_seed"] for s in result.shot_stats}
+        assert len(seeds) == 5
+
+    def test_no_lanes_env_forces_replay(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_LANES", "1")
+        lanes.reset_lane_totals()
+        spec = registry.get_workload("qft_n300").spec(0.04, 0.0)
+        result = run_circuit(spec.circuit(), scheme="bisp", backend=None,
+                             record_gate_log=False, shots=3,
+                             mesh_kind=spec.mesh_kind)
+        assert result.lane_mode == "replay"
+        assert lanes.lane_totals() == {"fastforward": 0, "replayed": 2}
 
 
 class TestFastpathToggle:

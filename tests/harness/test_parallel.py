@@ -11,7 +11,8 @@ import pytest
 
 from repro.errors import ReproError
 from repro.harness.parallel import (ORPHAN_TMP_SECONDS, CellResult,
-                                    SweepCache, SweepTask, build_tasks,
+                                    SweepCache, SweepExecutionError,
+                                    SweepTask, build_tasks,
                                     clear_cell_caches, run_cell,
                                     run_suite_parallel)
 from repro.isa import decoded
@@ -219,70 +220,58 @@ class TestOrphanTmpSweep:
         assert orphan.exists()
 
 
-class TestFastpathFlagPropagation:
-    """REPRO_NO_FASTPATH / REPRO_REPLAY_TIER must reach workers through
-    the task record — a spawn pool's fresh interpreter does not inherit
-    the parent's environment mutations made after pool creation."""
+class TestAmbientFastpathFlag:
+    """``REPRO_NO_FASTPATH`` is read from the running process's
+    environment, never captured into the task record."""
 
-    def test_build_tasks_capture_flags(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
-        assert task.no_fastpath is True
-        assert task.replay_tier == "legacy"
-        monkeypatch.delenv("REPRO_NO_FASTPATH")
-        monkeypatch.setenv("REPRO_REPLAY_TIER", "block")
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
-        assert task.no_fastpath is False
-        assert task.replay_tier == "block"
-
-    def test_flags_not_in_cache_key(self):
-        """Tier flags deliberately do NOT key the cache: results are
-        bit-identical across tiers by contract, so entries are shared."""
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
-        fast_key = task.cache_key()
-        legacy = replace(task, no_fastpath=True, replay_tier="legacy")
-        assert legacy.cache_key() == fast_key
-
-    def test_run_cell_applies_task_flags(self, monkeypatch):
-        """With ambient env unset, a no_fastpath task still runs the
-        legacy interpreter — observable because legacy never decodes."""
+    def test_flag_not_in_tasks_or_cache_key(self, monkeypatch):
+        """Both interpreters are bit-identical by contract, so the tasks
+        (and the cache entries they key) are shared between them."""
         monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-        monkeypatch.delenv("REPRO_REPLAY_TIER", raising=False)
+        fast_task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        legacy_task, = build_tasks(SCALE, ("bisp",),
+                                   spec_names=["bv_n400"])
+        assert legacy_task == fast_task
+        assert legacy_task.cache_key() == fast_task.cache_key()
+
+    def test_run_cell_reads_ambient_flag(self, monkeypatch):
+        """The same task runs the legacy interpreter under the flag —
+        observable because legacy never decodes — and yields the same
+        cell."""
         task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
-        legacy_task = replace(task, no_fastpath=True, replay_tier="legacy")
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
         clear_cell_caches()
         decoded.clear_decode_caches()
-        legacy_cell = run_cell(legacy_task)
+        legacy_cell = run_cell(task)
         assert decoded.decode_cache_stats()["by_content"] == 0
+        monkeypatch.delenv("REPRO_NO_FASTPATH")
         clear_cell_caches()
         fast_cell = run_cell(task)
         assert decoded.decode_cache_stats()["by_content"] > 0
-        assert os.environ.get("REPRO_NO_FASTPATH") is None  # restored
-        assert legacy_cell == fast_cell  # tier contract: bit-identical
-
-    def test_task_environment_restores_prior_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "0")
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
-        legacy_task = replace(task, no_fastpath=True)
-        run_cell(legacy_task)
-        assert os.environ["REPRO_NO_FASTPATH"] == "0"
+        assert legacy_cell == fast_cell
 
 
 @pytest.mark.parallel
 class TestSpawnFlagPropagation:
     def test_no_fastpath_reaches_spawn_workers(self, monkeypatch):
-        """--verify-parallel style run: spawn workers honor the flag and
-        produce the same numbers as the fast serial path."""
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-        fast = run_suite_parallel(scale=SCALE, processes=1,
-                                  spec_names=["bv_n400"],
-                                  schemes=("bisp",))
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        legacy = run_suite_parallel(scale=SCALE, processes=2,
-                                    start_method="spawn",
-                                    spec_names=["bv_n400"],
-                                    schemes=("bisp",))
-        assert_outcomes_equal(fast, legacy)
+        """The hatch is read from each worker's own environment, which a
+        spawn pool inherits at creation.  A value the strict parser
+        rejects proves it: grid building in the parent never reads the
+        flag, so every cell must fail inside its worker, naming it."""
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "bogus")
+        with pytest.raises(SweepExecutionError) as caught:
+            run_suite_parallel(scale=SCALE, processes=2,
+                               start_method="spawn",
+                               spec_names=["bv_n400"],
+                               schemes=("bisp", "lockstep"))
+        failures = caught.value.failures
+        assert sorted(task.scheme for task, _ in failures) == \
+            ["bisp", "lockstep"]
+        for _, error in failures:
+            assert "_guarded_run_cell" in error, error
+            assert "ReproError" in error, error
+            assert "'bogus' for REPRO_NO_FASTPATH" in error, error
 
 
 class TestReclaimLock:

@@ -3,10 +3,11 @@
 ``FROZEN_DIGEST`` is the sweep ``results_sha256`` captured on the build
 *before* the observability layer existed (``repro.obs`` never imported,
 no counters in the hot path) — the strongest form of the "obs never
-imported" reference, frozen as a constant.  Every combination of replay
-tier x instrumentation state must still produce it bit-for-bit: the
-counters are pure additions, the timing histograms only read clocks,
-and neither may perturb simulated time, fidelity, or row ordering.
+imported" reference, frozen as a constant.  Both interpreters (the fast
+path and the ``REPRO_NO_FASTPATH=1`` reference) x instrumentation state
+must still produce it bit-for-bit: the counters are pure additions, the
+timing histograms only read clocks, and neither may perturb simulated
+time, fidelity, or row ordering.
 """
 
 import pytest
@@ -16,7 +17,7 @@ from repro.harness.spec import SweepSpec
 from repro.harness.sweep import run_sweep
 from repro.obs import metrics
 
-#: results_sha256 of SPEC on the pre-observability build (all tiers).
+#: results_sha256 of SPEC on the pre-observability build (all paths).
 FROZEN_DIGEST = \
     "4edc5b650a7c3f827a8210eb4b2eb145a7a2ad0b16fc34f815a0397f949826ea"
 
@@ -24,7 +25,8 @@ SPEC = SweepSpec(workloads=("bv_n400", "repetition_d25"),
                  schemes=("bisp", "lockstep"),
                  scales=(0.05,), shots=(1, 2))
 
-TIERS = ("vector", "block", "legacy")
+#: ``REPRO_NO_FASTPATH`` value per interpreter.
+INTERPRETERS = {"fast": "0", "legacy": "1"}
 
 
 def _digest():
@@ -40,17 +42,15 @@ def _obs_reset():
     metrics.set_enabled(None)
 
 
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("interpreter", sorted(INTERPRETERS))
 class TestDigestInvariance:
-    def test_disabled_matches_pre_obs_build(self, tier, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-        monkeypatch.setenv("REPRO_REPLAY_TIER", tier)
+    def test_disabled_matches_pre_obs_build(self, interpreter, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_FASTPATH", INTERPRETERS[interpreter])
         metrics.set_enabled(False)
         assert _digest() == FROZEN_DIGEST
 
-    def test_enabled_matches_pre_obs_build(self, tier, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-        monkeypatch.setenv("REPRO_REPLAY_TIER", tier)
+    def test_enabled_matches_pre_obs_build(self, interpreter, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_FASTPATH", INTERPRETERS[interpreter])
         metrics.set_enabled(True)
         assert _digest() == FROZEN_DIGEST
 
@@ -71,7 +71,6 @@ def test_counters_move_with_obs_disabled(monkeypatch):
     """Counters are the always-on tier: they advance even with timing
     instrumentation off (CI gates read them)."""
     monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    monkeypatch.setenv("REPRO_REPLAY_TIER", "vector")
     metrics.set_enabled(False)
     cells = metrics.counter("repro_sweep_cells_run_total")
     sims = metrics.counter("repro_simulations_total")

@@ -1,7 +1,7 @@
 """Unit tests for the lane engine (:mod:`repro.sim.lanes`).
 
 End-to-end lane/replay equivalence lives in
-tests/core/test_replay_tiers.py; this file covers the building blocks:
+tests/core/test_fastforward.py; this file covers the building blocks:
 static-timing detection, memoization, fast-forward stat fan-out, seed
 derivation, the counters, and the in-place ``ControlSystem.reset`` that
 replayed lanes run on (differential against a fresh build per shot).
@@ -156,7 +156,7 @@ def _fingerprint(system, stats):
             {address: (router.bookings_handled, router.broadcasts_sent,
                        router.abandoned_epochs)
              for address, router in system.routers.items()},
-            system.sync_plan_resolved, system.abandoned_sync_epochs)
+            system.abandoned_sync_epochs)
 
 
 def _fresh_fingerprint(compilation, seed):
@@ -166,7 +166,7 @@ def _fresh_fingerprint(compilation, seed):
 
 #: Run-state objects a component owns outright; their state is compared
 #: attribute by attribute.  Any other object is wiring (engine, fabric,
-#: programs, plans) and compares by type only.
+#: programs) and compares by type only.
 _OWNED = (ItemQueue, SyncUnit, MessageUnit, AbsoluteTimer, QubitActivity)
 
 
@@ -265,19 +265,22 @@ class TestReusedLanesMatchFreshBuilds:
             simulate_shot(compilation, shot_device_seed(1234, s), until=150)
             for s in range(1, 3)]
 
-    def test_sync_plan_state_crosses_reset(self, monkeypatch):
-        """Recv-free programs resolve region syncs through compiled
-        plans; a reset mid-epoch must drop the partial plan state."""
+    def test_recv_free_router_state_crosses_reset(self, monkeypatch):
+        """Recv-free programs (the lane fast-forward class) book region
+        syncs through the router cascade too; a reset mid-epoch must drop
+        the partial booking buckets."""
         monkeypatch.setenv("REPRO_NO_LANES", "1")
         compilation = _compile("qft_n300", "bisp", substitution=0.0)
         assert lanes.static_timing(compilation)
         system = _timing_only(compilation, 3)
         system.run(until=100)
-        assert system._sync_plan_state
+        assert any(router._pending for router in system.routers.values())
         system.reset(4)
+        _assert_fresh_components(system, _timing_only(compilation, 4))
         reused = _fingerprint(system, system.run())
         assert reused == _fresh_fingerprint(compilation, 4)
-        assert system.sync_plan_resolved > 0
+        assert any(router.broadcasts_sent
+                   for router in system.routers.values())
         rest, mode = lanes.run_extra_shots(compilation, 1234, 4)
         assert mode == "replay"
         assert rest == [simulate_shot(compilation, shot_device_seed(1234, s))

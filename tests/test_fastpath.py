@@ -10,8 +10,7 @@ recognized spelling is enumerated here, and anything else must raise.
 import pytest
 
 from repro.errors import ReproError
-from repro.fastpath import (env_flag, fastpath_enabled, lanes_enabled,
-                            replay_tier)
+from repro.fastpath import env_flag, fastpath_enabled, lanes_enabled
 
 DISABLING = ["1", "true", "yes", "on", "y", "t", "enabled",
              "TRUE", "Yes", "ON", "EnAbLeD", " 1 ", "\ttrue\n", "1 "]
@@ -25,7 +24,6 @@ class TestNoFastpathParsing:
     def test_truthy_spellings_disable(self, value, monkeypatch):
         monkeypatch.setenv("REPRO_NO_FASTPATH", value)
         assert not fastpath_enabled()
-        assert replay_tier() == "legacy"
 
     @pytest.mark.parametrize("value", ENABLING)
     def test_falsy_spellings_enable(self, value, monkeypatch):
@@ -46,33 +44,6 @@ class TestNoFastpathParsing:
         monkeypatch.setenv("REPRO_NO_FASTPATH", "bogus")
         with pytest.raises(ReproError, match="bogus"):
             env_flag("REPRO_NO_FASTPATH")
-
-
-class TestReplayTier:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-        monkeypatch.delenv("REPRO_REPLAY_TIER", raising=False)
-        assert replay_tier() == "vector"
-
-    @pytest.mark.parametrize("value,tier", [
-        ("vector", "vector"), ("block", "block"), ("legacy", "legacy"),
-        ("VECTOR", "vector"), (" block ", "block"), ("", "vector"),
-    ])
-    def test_explicit_tiers(self, value, tier, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-        monkeypatch.setenv("REPRO_REPLAY_TIER", value)
-        assert replay_tier() == tier
-
-    def test_no_fastpath_overrides_tier(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "yes")
-        monkeypatch.setenv("REPRO_REPLAY_TIER", "vector")
-        assert replay_tier() == "legacy"
-
-    def test_unknown_tier_raises(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-        monkeypatch.setenv("REPRO_REPLAY_TIER", "simd")
-        with pytest.raises(ReproError, match="REPRO_REPLAY_TIER"):
-            replay_tier()
 
 
 class TestLanesFlag:
