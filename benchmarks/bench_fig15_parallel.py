@@ -1,11 +1,11 @@
-"""Figure 15 through the parallel harness: serial parity + wall-clock.
+"""Figure 15 through the sweep executor: serial parity + wall-clock.
 
-Runs the scaled suite twice — serial ``run_suite`` and the
-multiprocessing ``run_suite_parallel`` — checks the outcomes (and hence
-the scheme rankings) are identical, and reports the speedup.  On a
-multi-core runner the parallel path must be at least 2x faster; on
-boxes with fewer than four cores the speedup is only reported (there is
-nothing to fan out over).
+Runs the scaled Figure-15 grid twice through ``run_sweep`` — in-process
+(``processes=1``) and over a process pool — checks the outcomes (and
+hence the scheme rankings) are identical, and reports the speedup.  On a
+multi-core runner the pool must be at least 2x faster; on boxes with
+fewer than four cores the speedup is only reported (there is nothing to
+fan out over).
 """
 
 import os
@@ -13,10 +13,10 @@ import time
 
 import pytest
 
-from repro.harness import fig15_suite, render_figure15, run_suite
-from repro.harness.parallel import run_suite_parallel
+from repro.harness import render_figure15
+from repro.harness.parallel import clear_cell_caches
 
-from .conftest import repro_processes, repro_scale
+from .conftest import fig15_outcomes, repro_processes, repro_scale
 
 
 @pytest.mark.parallel
@@ -25,11 +25,14 @@ def test_fig15_parallel_matches_serial_and_speeds_up(benchmark,
     scale = repro_scale()
 
     def timed():
+        # Both sides start cold: without the clear, the pool's forked
+        # workers would inherit the serial run's compile memo.
+        clear_cell_caches()
         t0 = time.perf_counter()
-        serial = run_suite(fig15_suite(scale=scale))
+        serial = fig15_outcomes(scale, processes=1)
         t1 = time.perf_counter()
-        parallel = run_suite_parallel(scale=scale,
-                                      processes=repro_processes())
+        clear_cell_caches()
+        parallel = fig15_outcomes(scale, processes=repro_processes())
         t2 = time.perf_counter()
         return serial, parallel, t1 - t0, t2 - t1
 
@@ -76,12 +79,11 @@ def test_fig15_cache_resume(benchmark, tmp_path, bench_recorder):
     """A warm cache answers the whole sweep without recomputing."""
     scale = min(repro_scale(), 0.05)
     cache_dir = str(tmp_path / "sweep-cache")
-    run_suite_parallel(scale=scale, processes=repro_processes(),
-                       cache_dir=cache_dir)
+    fig15_outcomes(scale, processes=repro_processes(), cache_dir=cache_dir)
 
     def warm():
-        return run_suite_parallel(scale=scale, processes=repro_processes(),
-                                  cache_dir=cache_dir)
+        return fig15_outcomes(scale, processes=repro_processes(),
+                              cache_dir=cache_dir)
 
     t0 = time.perf_counter()
     outcomes = benchmark.pedantic(warm, rounds=1, iterations=1)

@@ -7,20 +7,18 @@ EXPERIMENTS.md: avg normalized 0.692 vs the paper's 0.772).
 
 
 from repro.fidelity import arithmetic_mean
-from repro.harness import fig15_suite, render_figure15, run_suite
-from repro.harness.parallel import run_suite_parallel
+from repro.harness import render_figure15
 from repro.harness.tables import ascii_bar_chart
 
-from .conftest import repro_parallel, repro_processes, repro_scale
+from .conftest import (fig15_outcomes, repro_parallel, repro_processes,
+                       repro_scale)
 
 
 def _sweep():
     # REPRO_PARALLEL=1 fans the grid over a process pool; outcomes are
     # bit-identical to the serial walk either way.
-    if repro_parallel():
-        return run_suite_parallel(scale=repro_scale(),
-                                  processes=repro_processes())
-    return run_suite(specs=fig15_suite(scale=repro_scale()))
+    return fig15_outcomes(repro_scale(), processes=repro_processes()
+                          if repro_parallel() else 1)
 
 
 def test_fig15_normalized_runtime(benchmark, bench_recorder):

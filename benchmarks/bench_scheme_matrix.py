@@ -14,8 +14,7 @@ latency, lock-step stacks feedback) at a fixed device seed.
 """
 
 from repro.compiler.schemes import scheme_names
-from repro.harness import suite
-from repro.harness.runner import run_spec
+from repro.harness import SweepSpec, outcomes_from_rows, run_sweep
 from repro.harness.tables import render_scheme_matrix
 
 from .conftest import repro_scale
@@ -24,15 +23,20 @@ WORKLOADS = ("bv_n400", "logical_t_n432")
 DEVICE_SEED = 1234
 
 
+def sweep_outcomes(workloads, schemes):
+    """Serial sweep of ``workloads`` x ``schemes``, one outcome per
+    workload."""
+    spec = SweepSpec(workloads=workloads, schemes=tuple(schemes),
+                     scales=(repro_scale(),), device_seed=DEVICE_SEED)
+    rows, _ = run_sweep(spec, processes=1)
+    return outcomes_from_rows(rows, schemes)
+
+
 def test_scheme_matrix_ordering(benchmark, bench_recorder):
     schemes = scheme_names()
 
     def run():
-        outcomes = []
-        for spec in suite(repro_scale(), names=WORKLOADS):
-            outcomes.append(run_spec(spec, schemes=schemes,
-                                     device_seed=DEVICE_SEED))
-        return outcomes
+        return sweep_outcomes(WORKLOADS, schemes)
 
     outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
     print("\n=== Scheme matrix ({} schemes, scale {}) ===".format(
@@ -53,10 +57,9 @@ def test_oracle_normalization_anchor(benchmark, bench_recorder):
     """Figure-15-style normalization against the zero-latency anchor:
     every real scheme's makespan normalized to oracle is >= 1, and the
     overhead ranking matches the schemes' design intent."""
-    spec, = suite(repro_scale(), names=("bv_n400",))
-
     def run():
-        return run_spec(spec, schemes=None, device_seed=DEVICE_SEED)
+        outcome, = sweep_outcomes(("bv_n400",), scheme_names())
+        return outcome
 
     outcome = benchmark.pedantic(run, rounds=1, iterations=1)
     overheads = {scheme: outcome.normalized(scheme, baseline="oracle")

@@ -6,9 +6,9 @@ paper's full sizes (adder_n1153, qft_n300, ... — a few minutes per
 workload).  Results are printed so the regenerated tables/figures appear
 in the benchmark log.
 
-``REPRO_PROCESSES`` caps the worker count of the parallel-harness
+``REPRO_PROCESSES`` caps the worker count of the process-pool
 benchmarks (default: every core); ``REPRO_PARALLEL=1`` routes the
-serial Figure-15 benchmark through the parallel harness too.
+serial Figure-15 benchmark through the process pool too.
 
 Every benchmark module records its headline numbers through the
 ``bench_recorder`` fixture, which writes a schema-validated
@@ -76,6 +76,18 @@ def repro_processes() -> Optional[int]:
 
 def repro_parallel() -> bool:
     return os.environ.get("REPRO_PARALLEL", "") == "1"
+
+
+def fig15_outcomes(scale: float, processes: Optional[int] = None,
+                   cache_dir: Optional[str] = None):
+    """Figure-15 outcomes (paper workloads x {bisp, lockstep} at
+    ``scale``) through ``run_sweep``, one per workload."""
+    from repro.harness import SweepSpec, outcomes_from_rows, run_sweep
+
+    schemes = ("bisp", "lockstep")
+    spec = SweepSpec(tags=("paper",), schemes=schemes, scales=(scale,))
+    rows, _ = run_sweep(spec, processes=processes, cache_dir=cache_dir)
+    return outcomes_from_rows(rows, schemes)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ any scheme registered since).  The core trio:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import CompilationError
@@ -176,8 +176,8 @@ class RunResult:
     shot_stats: Optional[List[Dict[str, int]]] = None
     #: How extra shots were produced: ``"fastforward"`` (lane engine
     #: fanned one reference lane across all shots — static program set),
-    #: ``"replay"`` (one simulation per lane), or None for shots == 1 /
-    #: executor dispatch.  See :mod:`repro.sim.lanes`.
+    #: ``"replay"`` (one simulation per lane), or None for shots == 1.
+    #: See :mod:`repro.sim.lanes`.
     lane_mode: Optional[str] = None
 
     @property
@@ -215,7 +215,7 @@ def shot_summary(device_seed: int, stats: ExecutionStats) -> Dict[str, int]:
 def simulate_shot(compilation: CompilationResult, device_seed: int,
                   until: Optional[int] = None) -> Dict[str, int]:
     """Run one timing-only shot of a compiled circuit on a freshly built
-    system (picklable worker).
+    system.
 
     Measurement outcomes are sampled from ``device_seed``, so dynamic
     branches — and therefore makespans — vary shot to shot.
@@ -224,32 +224,6 @@ def simulate_shot(compilation: CompilationResult, device_seed: int,
                                       record_gate_log=False,
                                       record_telf=False)
     return shot_summary(device_seed, system.run(until=until))
-
-
-#: Per-process memo for executor-dispatched shots: each worker compiles a
-#: circuit once and reuses the result for all its shots, instead of the
-#: parent pickling the (much larger) CompilationResult into every task.
-_WORKER_COMPILATIONS: Dict[tuple, CompilationResult] = {}
-_WORKER_COMPILATIONS_LIMIT = 8
-
-
-def _shot_task(args) -> Dict[str, int]:
-    """Executor adapter: (circuit, compile kwargs, seed, until) -> stats."""
-    circuit, scheme, config, qubits_per_controller, mesh_kind, seed, until = \
-        args
-    key = (scheme, qubits_per_controller, mesh_kind,
-           tuple(sorted(asdict(config or SimulationConfig()).items())),
-           circuit.num_qubits, circuit.num_clbits,
-           tuple(circuit.operations))
-    compilation = _WORKER_COMPILATIONS.get(key)
-    if compilation is None:
-        if len(_WORKER_COMPILATIONS) >= _WORKER_COMPILATIONS_LIMIT:
-            _WORKER_COMPILATIONS.clear()
-        compilation = compile_circuit(
-            circuit, scheme=scheme, config=config,
-            qubits_per_controller=qubits_per_controller, mesh_kind=mesh_kind)
-        _WORKER_COMPILATIONS[key] = compilation
-    return simulate_shot(compilation, seed, until)
 
 
 def run_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
@@ -261,7 +235,6 @@ def run_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
                 record_gate_log: bool = True,
                 record_telf: bool = True,
                 shots: int = 1,
-                executor=None,
                 noise_model=None,
                 noise_seed: int = 0x5EED,
                 compilation: Optional[CompilationResult] = None
@@ -270,23 +243,20 @@ def run_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
 
     ``shots`` > 1 reruns the compiled system with deterministic per-shot
     device seeds (``shot_device_seed``) and collects per-shot summaries in
-    ``RunResult.shot_stats``; ``executor`` (anything with a ``map`` method —
-    ``concurrent.futures`` executors, ``multiprocessing.Pool``) fans the
-    extra shots out in parallel.  Without an executor, extra shots run
-    through the lane engine (:mod:`repro.sim.lanes`): when no compiled
-    program contains a ``recv``, all timing-only lanes are provably
-    identical and shot 0 is fanned out across them at zero simulation
-    cost (``RunResult.lane_mode == "fastforward"``); otherwise every lane
+    ``RunResult.shot_stats``.  Extra shots run through the lane engine
+    (:mod:`repro.sim.lanes`): when no compiled program contains a
+    ``recv``, all timing-only lanes are provably identical and shot 0 is
+    fanned out across them at zero simulation cost
+    (``RunResult.lane_mode == "fastforward"``); otherwise every lane
     replays on one timing-only system rewound between shots
-    (``"replay"``).  The quantum-state
-    ``backend``, if any, is attached to shot 0 only; extra shots are
-    timing-only.  ``noise_model`` arms the device's error-injection hooks
-    for shot 0 (see :meth:`CompilationResult.build_system`).
+    (``"replay"``).  The quantum-state ``backend``, if any, is attached
+    to shot 0 only; extra shots are timing-only.  ``noise_model`` arms
+    the device's error-injection hooks for shot 0 (see
+    :meth:`CompilationResult.build_system`).
 
     A pre-built ``compilation`` (from :func:`compile_circuit`, e.g. the
     sweep harness's per-process memo) skips the compile step; the
-    compile-side keyword arguments are then ignored, except for executor
-    shot dispatch, which re-derives the compilation per worker.
+    compile-side keyword arguments are then ignored.
     """
     if shots < 1:
         raise CompilationError("shots must be >= 1, got {}".format(shots))
@@ -311,15 +281,9 @@ def run_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
     _QUEUE_HIGH_WATER.track_max(stats.max_queue_depth)
     result = RunResult(compilation=compilation, system=system, stats=stats)
     if shots > 1:
+        from ..sim.lanes import run_extra_shots
         first = shot_summary(device_seed, stats)
-        if executor is None:
-            from ..sim.lanes import run_extra_shots
-            rest, result.lane_mode = run_extra_shots(
-                compilation, device_seed, shots, until=until, first=first)
-        else:
-            tasks = [(circuit, scheme, config, qubits_per_controller,
-                      mesh_kind, shot_device_seed(device_seed, s), until)
-                     for s in range(1, shots)]
-            rest = list(executor.map(_shot_task, tasks))
+        rest, result.lane_mode = run_extra_shots(
+            compilation, device_seed, shots, until=until, first=first)
         result.shot_stats = [first] + rest
     return result

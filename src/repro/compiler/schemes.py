@@ -16,7 +16,7 @@ module turns the scheme axis into the repo's second extension axis
   descriptions and tags are validated at registration time.
 * :func:`repro.compiler.driver.compile_circuit` dispatches through
   :func:`get_scheme`, and every harness consumer (sweep specs, the
-  sweep/parallel CLIs, tables, figures) resolves schemes dynamically —
+  sweep CLI, tables, figures) resolves schemes dynamically —
   a scheme registered at import time flows end-to-end into sweeps,
   BENCH artifacts and figures with zero harness edits.
 * ``SCHEMES`` is a *live registry view* (iteration, ``in``, indexing,

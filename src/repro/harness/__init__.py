@@ -4,18 +4,17 @@ from .figures import (T1_SWEEP_US, figure5_nearby, figure7_overhead_sweep,
                       figure13_waveforms, figure14_depths, figure16_sweep)
 from .registry import (Workload, WorkloadRegistryError, all_workloads,
                        get_workload, register_workload, workload_names)
-from .runner import (BenchmarkOutcome, BenchmarkSpec, fig15_suite, run_spec,
-                     run_suite, suite)
+from .runner import (BenchmarkOutcome, BenchmarkSpec, fig15_suite,
+                     outcomes_from_rows, suite)
 from .spec import SweepCell, SweepSpec, SweepSpecError
 
-#: Lazily re-exported (PEP 562) so that ``python -m repro.harness.parallel``
-#: / ``...sweep`` do not import their module twice, and so the base
-#: harness import stays light.
+#: Lazily re-exported (PEP 562) so that ``python -m repro.harness.sweep``
+#: does not import its module twice, and so the base harness import
+#: stays light.
 _LAZY_EXPORTS = {
     "CacheStats": "parallel", "CellResult": "parallel",
     "SweepCache": "parallel", "SweepExecutionError": "parallel",
-    "SweepTask": "parallel", "build_tasks": "parallel",
-    "run_cell": "parallel", "run_suite_parallel": "parallel",
+    "SweepTask": "parallel", "run_cell": "parallel",
     "run_tasks": "parallel", "tasks_from_spec": "parallel",
     "run_sweep": "sweep", "sweep_rows": "sweep",
     "BenchSchemaError": "benchjson", "compare_benches": "benchjson",
@@ -40,12 +39,12 @@ __all__ = [
     "CellResult", "SweepCache", "SweepCell", "SweepExecutionError",
     "SweepSpec", "SweepSpecError", "SweepTask", "T1_SWEEP_US", "Workload",
     "WorkloadRegistryError", "all_workloads", "ascii_bar_chart",
-    "build_tasks", "compare_benches", "fig15_suite", "figure13_waveforms",
+    "compare_benches", "fig15_suite", "figure13_waveforms",
     "figure14_depths", "figure16_sweep", "figure5_nearby",
     "figure7_overhead_sweep", "format_table", "get_workload", "load_bench",
-    "make_bench", "register_workload", "render_figure15", "render_figure16",
-    "render_scheme_matrix", "render_table1", "run_cell", "run_spec",
-    "run_suite", "run_suite_parallel", "run_sweep", "run_tasks", "suite",
+    "make_bench", "outcomes_from_rows", "register_workload",
+    "render_figure15", "render_figure16", "render_scheme_matrix",
+    "render_table1", "run_cell", "run_sweep", "run_tasks", "suite",
     "sweep_rows", "tasks_from_spec", "validate_bench", "workload_names",
     "write_bench",
 ]

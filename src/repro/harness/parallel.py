@@ -1,34 +1,29 @@
-"""Parallel evaluation harness: fan the Figure-15 grid across processes.
+"""Sweep execution core: the only code that runs a sweep grid.
 
-The serial harness (:func:`repro.harness.runner.run_suite`) walks the
-(workload x scheme) grid one ``run_circuit`` at a time.  Each cell is
-independent, so this module turns the grid into picklable
-:class:`SweepTask` records and maps them over a ``multiprocessing`` pool:
+:func:`tasks_from_spec` expands a :class:`~repro.harness.spec.SweepSpec`
+into picklable :class:`SweepTask` records and :func:`run_tasks` runs them
+in-process (``processes=1``) or over a ``multiprocessing`` pool, behind
+:func:`repro.harness.sweep.run_sweep`; service workers run the same
+:func:`run_cell_timed` per leased cell.
 
 * **Deterministic seeding** — every task carries its device seed
-  explicitly (default: the serial harness's seed for every cell), so a
-  parallel sweep reproduces the serial outcomes bit for bit regardless of
-  scheduling order or worker count.
+  explicitly, so serial, pool and served sweeps produce bit-identical
+  cells regardless of scheduling order or worker count.
 * **Result caching** — with ``cache_dir`` set, each finished cell is
   pickled under a SHA-256 key derived from (spec, scheme, config, seed);
   repeated sweeps skip completed cells, so an interrupted full-scale run
   resumes where it stopped.
-* **Spawn safety** — workers rebuild their workload from the suite
-  parameters (``fig15_suite`` is deterministic), so the tasks stay tiny
-  and the module works under both ``fork`` and ``spawn`` start methods.
-
-Run a sweep from the command line::
-
-    python -m repro.harness.parallel --scale 0.1 --processes 8
+* **Spawn safety** — workers rebuild their workload from the registry
+  by name (importing the registering module first), so the tasks stay
+  tiny and the module works under both ``fork`` and ``spawn`` start
+  methods.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import multiprocessing
 import os
-import sys
 import time
 import traceback
 from dataclasses import asdict, dataclass, replace
@@ -38,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import diskcache as _diskcache
 from ..compiler import cache as compile_cache_mod
 from ..compiler import schemes as scheme_registry
-from ..compiler.driver import SCHEMES, compile_circuit, run_circuit
+from ..compiler.driver import compile_circuit, run_circuit
 from ..errors import ReproError
 from ..noise.model import NoiseModel, derive_seed
 from ..obs import log as obs_log
@@ -46,9 +41,7 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..sim.config import SimulationConfig
 from . import registry
-from .runner import BenchmarkOutcome
 from .spec import SweepSpec
-from .tables import render_figure15
 
 _log = obs_log.get_logger("repro.harness")
 
@@ -86,8 +79,8 @@ class SweepExecutionError(ReproError):
             len(failures), names))
 
     def render(self, stream) -> None:
-        """Write every failing cell's traceback to ``stream`` (the shared
-        CLI error report of both ``parallel`` and ``sweep``)."""
+        """Write every failing cell's traceback to ``stream`` (the sweep
+        CLI's error report)."""
         for task, error in self.failures:
             stream.write("--- {}/{} (scale={}, shots={}) failed ---\n{}\n"
                          .format(task.spec_name, task.scheme, task.scale,
@@ -255,7 +248,9 @@ class CellResult:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CellResult":
-        """Rebuild a cell result from :meth:`to_dict` output."""
+        """Rebuild a cell result from :meth:`to_dict` output, type-checking
+        every field: worker payloads are stored as-is, so a malformed one
+        must fail here, not at every later fetch."""
         if not isinstance(data, dict):
             raise ReproError("cell result must be a JSON object, got "
                              "{}".format(type(data).__name__))
@@ -265,15 +260,52 @@ class CellResult:
             raise ReproError(
                 "unknown cell-result fields {}; known: {}".format(
                     sorted(unknown), sorted(known)))
+        problems = [name for name, ok in _cell_field_checks(data) if not ok]
+        if problems:
+            raise ReproError("bad cell result: malformed {}".format(
+                ", ".join("{}={!r}".format(name, data.get(name))[:120]
+                          for name in problems)))
         kwargs = dict(data)
         kwargs["lifetimes_ns"] = {int(qubit): ns for qubit, ns
-                                  in kwargs.get("lifetimes_ns", {}).items()}
+                                  in data["lifetimes_ns"].items()}
         kwargs["shot_makespan_cycles"] = tuple(
-            kwargs.get("shot_makespan_cycles", ()))
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ReproError("bad cell result: {}".format(exc)) from None
+            data.get("shot_makespan_cycles", ()))
+        return cls(**kwargs)
+
+
+def _is_int(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= minimum
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _cell_field_checks(data: Dict[str, object]):
+    """(field, well-formed?) for every :class:`CellResult` wire field."""
+    for name in ("spec_name", "scheme"):
+        yield name, isinstance(data.get(name), str)
+    for name in ("num_qubits", "num_ops", "feedback_ops", "makespan_cycles",
+                 "sync_stall_cycles"):
+        yield name, _is_int(data.get(name), 0)
+    lifetimes = data.get("lifetimes_ns")
+    yield "lifetimes_ns", isinstance(lifetimes, dict) and all(
+        isinstance(qubit, str) and qubit.isdecimal() and _is_number(ns)
+        for qubit, ns in lifetimes.items())
+    yield "shots", _is_int(data.get("shots", 1), 1)
+    shot_makespans = data.get("shot_makespan_cycles", ())
+    yield "shot_makespan_cycles", isinstance(shot_makespans, (list, tuple)) \
+        and all(_is_int(cycles, 0) for cycles in shot_makespans)
+    for name in ("fidelity_empirical", "fidelity_ci_low",
+                 "fidelity_ci_high"):
+        yield name, data.get(name) is None or _is_number(data[name])
+    yield "noise_method", data.get("noise_method") is None or \
+        isinstance(data["noise_method"], str)
+    yield "noise_shots", data.get("noise_shots") is None or \
+        _is_int(data["noise_shots"], 1)
+    yield "noise_seed", data.get("noise_seed") is None or \
+        _is_int(data["noise_seed"], 0)
 
 
 def run_cell(task: SweepTask) -> CellResult:
@@ -482,22 +514,19 @@ def _gc_batched(tasks: Sequence[SweepTask], every: int = 8):
 
 
 def _guarded_run_cell(task: SweepTask):
-    """Pool adapter: never raises, returns (task, result|None, error|None).
+    """Pool adapter: never raises, returns (task, result|None, error|None,
+    the cell's compile-cache (hits, misses) in the process that ran it).
 
     Exceptions are rendered to tracebacks in the worker — exception
     objects are not reliably picklable, strings always are."""
+    before = compile_cache_mod.compile_cache_totals()
     try:
-        return task, run_cell(task), None
+        cell, error = run_cell(task), None
     except Exception:
-        return task, None, traceback.format_exc()
-
-
-#: Re-exported from :mod:`repro.diskcache` (the store machinery moved
-#: there so the compile cache shares it); kept importable from here —
-#: tests and the service store address them through this module.
-ORPHAN_TMP_SECONDS = _diskcache.ORPHAN_TMP_SECONDS
-_pid_of_tmp = _diskcache._pid_of_tmp
-_pid_alive = _diskcache._pid_alive
+        cell, error = None, traceback.format_exc()
+    after = compile_cache_mod.compile_cache_totals()
+    return task, cell, error, (after["hits"] - before["hits"],
+                               after["misses"] - before["misses"])
 
 
 class SweepCache(_diskcache.PickleDirStore):
@@ -519,47 +548,13 @@ class SweepCache(_diskcache.PickleDirStore):
         super().put(key, value)
 
 
-def build_tasks(scale: float,
-                schemes: Sequence[str],
-                substitution_fraction: float = 0.25,
-                config: Optional[SimulationConfig] = None,
-                device_seed: int = 1234,
-                spec_names: Optional[Sequence[str]] = None,
-                shots: int = 1) -> List[SweepTask]:
-    """The (workload x scheme) grid as picklable tasks, in suite order.
-
-    Defaults to the paper's Figure-15 workloads (registry tag
-    ``"paper"``); ``spec_names`` selects any registered workloads —
-    including the extra families — in registry order.
-    """
-    if spec_names is not None:
-        known = registry.workload_names()
-        unknown = set(spec_names) - set(known)
-        if unknown:
-            raise ValueError("unknown workloads: {} (registered: {})".format(
-                sorted(unknown), known))
-        # Caller order wins, matching runner.suite(names=...).
-        names = list(dict.fromkeys(spec_names))
-    else:
-        names = registry.workload_names(tags=("paper",))
-    return [SweepTask(spec_name=name, scheme=scheme, scale=scale,
-                      substitution_fraction=substitution_fraction,
-                      device_seed=device_seed, shots=shots,
-                      module=registry.origin_module(name),
-                      scheme_module=scheme_registry.origin_module(scheme),
-                      config=config)
-            for name in names for scheme in schemes]
-
-
 @dataclass(frozen=True)
 class CacheStats:
     """Hit/miss tally of one sweep's cache lookups.
 
-    ``compile_hits``/``compile_misses`` count persistent compile-cache
-    lookups *in this process* — exact for in-process (``processes=1``)
-    sweeps, zero for pool workers (their counters live in the worker
-    processes; use the cache line in each worker's log, or run the
-    gate serially, when the exact tally matters).
+    ``hits``/``misses`` count result-cache lookups; ``compile_hits``/
+    ``compile_misses`` count persistent compile-cache lookups of the
+    executed cells, summed across pool workers.
     """
 
     hits: int = 0
@@ -579,13 +574,12 @@ def run_tasks(tasks: Sequence[SweepTask],
     """Execute sweep cells, returning ``{task.key(): CellResult}`` + cache
     stats.
 
-    This is the single execution core behind the serial runner path
-    (``processes=1`` runs in-process), :func:`run_suite_parallel` and the
-    ``repro.harness.sweep`` CLI — one code path is what makes the
-    serial/parallel bit-identity guarantee structural rather than tested-
-    for.  Failing cells do not abort the sweep: every healthy cell runs
-    (and is cached) first, then a :class:`SweepExecutionError` carrying
-    all failures is raised.
+    This is the one executor behind :func:`repro.harness.sweep.run_sweep`:
+    ``processes=1`` runs in-process, anything else a fresh pool.  One
+    code path is what makes the serial/parallel bit-identity guarantee
+    structural rather than tested-for.  Failing cells do not abort the
+    sweep: every healthy cell runs (and is cached) first, then a
+    :class:`SweepExecutionError` carrying all failures is raised.
     """
     cache = SweepCache(cache_dir) if cache_dir else None
     if compile_cache_dir:
@@ -594,7 +588,6 @@ def run_tasks(tasks: Sequence[SweepTask],
         tasks = [replace(task, compile_cache_dir=compile_cache_dir)
                  if task.compile_cache_dir is None else task
                  for task in tasks]
-    compile_before = compile_cache_mod.compile_cache_totals()
     results: Dict[Tuple[str, str, float, int], CellResult] = {}
     misses: List[SweepTask] = []
     for task in tasks:
@@ -610,6 +603,7 @@ def run_tasks(tasks: Sequence[SweepTask],
         (_log.info if verbose else _log.debug)(
             "sweep_cache", hits=stats.hits, misses=stats.misses)
     failures: List[Tuple[SweepTask, str]] = []
+    compile_hits = compile_misses = 0
     if misses:
         workers = processes if processes is not None else (
             os.cpu_count() or 1)
@@ -634,7 +628,9 @@ def run_tasks(tasks: Sequence[SweepTask],
             pool = context.Pool(workers)
             finished = pool.imap(_guarded_run_cell, misses, chunksize=1)
         try:
-            for task, cell, error in finished:
+            for task, cell, error, compile_delta in finished:
+                compile_hits += compile_delta[0]
+                compile_misses += compile_delta[1]
                 if error is not None:
                     failures.append((task, error))
                 else:
@@ -645,117 +641,9 @@ def run_tasks(tasks: Sequence[SweepTask],
                 pool.join()
     if failures:
         raise SweepExecutionError(failures)
-    compile_after = compile_cache_mod.compile_cache_totals()
-    compile_hits = compile_after["hits"] - compile_before["hits"]
-    compile_misses = compile_after["misses"] - compile_before["misses"]
     if compile_hits or compile_misses:
         stats = replace(stats, compile_hits=compile_hits,
                         compile_misses=compile_misses)
         (_log.info if verbose else _log.debug)(
             "compile_cache", hits=compile_hits, misses=compile_misses)
     return results, stats
-
-
-def run_suite_parallel(scale: float = 1.0,
-                       schemes: Sequence[str] = ("bisp", "lockstep"),
-                       substitution_fraction: float = 0.25,
-                       config: Optional[SimulationConfig] = None,
-                       device_seed: int = 1234,
-                       processes: Optional[int] = None,
-                       start_method: Optional[str] = None,
-                       cache_dir: Optional[str] = None,
-                       compile_cache_dir: Optional[str] = None,
-                       spec_names: Optional[Sequence[str]] = None,
-                       verbose: bool = False) -> List[BenchmarkOutcome]:
-    """Run the Figure-15 sweep with cells fanned out across processes.
-
-    Returns one :class:`BenchmarkOutcome` per workload, in suite order —
-    the same list (same seeds, same numbers) the serial
-    :func:`~repro.harness.runner.run_suite` produces.
-
-    ``processes=None`` uses every core; ``processes=1`` (or a single-cell
-    grid) runs in-process, which is handy under debuggers.  ``cache_dir``
-    enables the on-disk result cache; ``start_method`` picks the
-    multiprocessing context (``"fork"``, ``"spawn"``, ...).
-    """
-    tasks = build_tasks(scale, schemes,
-                        substitution_fraction=substitution_fraction,
-                        config=config, device_seed=device_seed,
-                        spec_names=spec_names)
-    results, _ = run_tasks(tasks, processes=processes,
-                           start_method=start_method, cache_dir=cache_dir,
-                           compile_cache_dir=compile_cache_dir,
-                           verbose=verbose)
-    ordered_names = []
-    for task in tasks:
-        if task.spec_name not in ordered_names:
-            ordered_names.append(task.spec_name)
-    outcomes = []
-    for name in ordered_names:
-        cells = [results[(name, scheme, scale, 1)] for scheme in schemes]
-        outcome = BenchmarkOutcome(
-            name=name, num_qubits=cells[0].num_qubits,
-            num_ops=cells[0].num_ops, feedback_ops=cells[0].feedback_ops)
-        for scheme, cell in zip(schemes, cells):
-            outcome.makespan_cycles[scheme] = cell.makespan_cycles
-            outcome.stall_cycles[scheme] = cell.sync_stall_cycles
-            outcome.lifetimes_ns[scheme] = cell.lifetimes_ns
-        if verbose:
-            print("{:>16s}: ".format(name) + "  ".join(
-                "{}={}".format(s, outcome.makespan_cycles[s])
-                for s in schemes))
-        outcomes.append(outcome)
-    return outcomes
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: run a (possibly scaled) Figure-15 sweep in parallel."""
-    parser = argparse.ArgumentParser(
-        description="Parallel Figure-15 sweep over (workload x scheme)")
-    parser.add_argument("--scale", type=float, default=0.1,
-                        help="workload scale factor (1.0 = paper sizes)")
-    parser.add_argument("--schemes", nargs="+",
-                        default=["bisp", "lockstep"],
-                        choices=SCHEMES,
-                        help="synchronization schemes to sweep")
-    parser.add_argument("--processes", type=int, default=None,
-                        help="worker processes (default: all cores)")
-    parser.add_argument("--start-method", default=None,
-                        choices=("fork", "spawn", "forkserver"),
-                        help="multiprocessing start method")
-    parser.add_argument("--cache-dir", default=None,
-                        help="directory for the on-disk result cache")
-    parser.add_argument("--compile-cache", default=None,
-                        help="directory for the persistent compile cache "
-                             "(shared across sweep/service workers)")
-    parser.add_argument("--seed", type=int, default=1234,
-                        help="device seed used for every cell")
-    parser.add_argument("--substitution-fraction", type=float, default=0.25)
-    parser.add_argument("--workloads", nargs="+", default=None,
-                        help="restrict to these workload names")
-    obs_log.add_log_arguments(parser)
-    args = parser.parse_args(argv)
-    obs_log.configure_from_args(args)
-    try:
-        outcomes = run_suite_parallel(
-            scale=args.scale, schemes=tuple(args.schemes),
-            substitution_fraction=args.substitution_fraction,
-            device_seed=args.seed, processes=args.processes,
-            start_method=args.start_method, cache_dir=args.cache_dir,
-            compile_cache_dir=args.compile_cache,
-            spec_names=args.workloads, verbose=True)
-    except ValueError as exc:
-        parser.error(str(exc))
-    except SweepExecutionError as exc:
-        # Surface every failing cell and exit non-zero — a smoke run that
-        # "passes" while cells die is worse than no smoke run at all.
-        exc.render(sys.stderr)
-        return 1
-    if set(args.schemes) >= {"bisp", "lockstep"}:
-        print()
-        print(render_figure15(outcomes))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

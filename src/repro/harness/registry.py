@@ -108,7 +108,7 @@ class Workload:
     def spec(self, scale: float = 1.0,
              substitution_fraction: float = 0.25):
         """A :class:`~repro.harness.runner.BenchmarkSpec` view of this
-        workload, for the serial harness.  ``substitution_fraction`` is
+        workload, for the sweep cells.  ``substitution_fraction`` is
         the sweep default; the workload's own value (if any) wins."""
         from .runner import BenchmarkSpec
         fraction = (self.substitution_fraction

@@ -2,8 +2,9 @@
 
 Builds the thirteen Figure-15 workloads (dynamic circuits obtained by
 substituting long-range CNOTs into QASMBench-style families, plus the two
-logical-T QEC instances), runs each under any subset of the three
-synchronization schemes, and collects runtime/fidelity data.
+logical-T QEC instances); grids run through
+:func:`repro.harness.sweep.run_sweep`, whose rows regroup here into
+per-workload runtime outcomes.
 
 Workload sizes default to the paper's (adder_n577 ... w_state_n1000); a
 ``scale`` argument shrinks every instance proportionally for quick runs
@@ -16,15 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..circuits.dynamic import count_feedback_ops, to_dynamic
-from ..compiler import schemes as scheme_registry
-from ..compiler.driver import run_circuit
-from ..obs import log as obs_log
+from ..circuits.dynamic import to_dynamic
 from ..quantum.circuit import QuantumCircuit
-from ..sim.config import SimulationConfig
 from . import registry
-
-_log = obs_log.get_logger("repro.runner")
 
 
 @dataclass
@@ -91,7 +86,6 @@ class BenchmarkOutcome:
     feedback_ops: int
     makespan_cycles: Dict[str, int] = field(default_factory=dict)
     stall_cycles: Dict[str, int] = field(default_factory=dict)
-    lifetimes_ns: Dict[str, Dict[int, float]] = field(default_factory=dict)
 
     def normalized(self, scheme: str = "bisp",
                    baseline: str = "lockstep") -> float:
@@ -99,68 +93,20 @@ class BenchmarkOutcome:
         return self.makespan_cycles[scheme] / self.makespan_cycles[baseline]
 
 
-def resolve_schemes(schemes: Optional[Sequence[str]]) -> List[str]:
-    """Scheme names for a harness run: ``None`` means every registered
-    scheme (canonical registry order); explicit names are validated
-    through the scheme registry (typos fail loudly, with the registered
-    list in the message)."""
-    if schemes is None:
-        return scheme_registry.scheme_names()
-    for scheme in schemes:
-        scheme_registry.get_scheme(scheme)  # raises on unknown names
-    return list(schemes)
-
-
-def run_spec(spec: BenchmarkSpec,
-             schemes: Optional[Sequence[str]] = ("bisp", "lockstep"),
-             config: Optional[SimulationConfig] = None,
-             device_seed: int = 1234,
-             shots: int = 1) -> BenchmarkOutcome:
-    """Run one workload under each scheme (timing-only, no state backend).
-
-    ``schemes`` defaults to the Figure-15 pair; ``None`` runs every
-    registered scheme.  ``shots`` > 1 dispatches extra shots through the
-    lane engine (:mod:`repro.sim.lanes`): static program sets fan one
-    simulated lane across all shots."""
-    schemes = resolve_schemes(schemes)
-    circuit = spec.circuit()
-    outcome = BenchmarkOutcome(
-        name=spec.name, num_qubits=circuit.num_qubits,
-        num_ops=len(circuit), feedback_ops=count_feedback_ops(circuit))
-    for scheme in schemes:
-        result = run_circuit(circuit, scheme=scheme, config=config,
-                             backend=None, device_seed=device_seed,
-                             mesh_kind=spec.mesh_kind,
-                             record_gate_log=False, shots=shots)
-        outcome.makespan_cycles[scheme] = result.makespan_cycles
-        outcome.stall_cycles[scheme] = result.stats.sync_stall_cycles
-        outcome.lifetimes_ns[scheme] = result.system.device.lifetimes_ns()
-    return outcome
-
-
-def run_suite(specs: Optional[List[BenchmarkSpec]] = None,
-              schemes: Optional[Sequence[str]] = ("bisp", "lockstep"),
-              config: Optional[SimulationConfig] = None,
-              verbose: bool = False,
-              shots: int = 1) -> List[BenchmarkOutcome]:
-    """Run the whole suite; returns one outcome per workload.
-
-    ``schemes=None`` runs every registered scheme; ``shots`` is passed
-    through to :func:`run_spec` (lane-batched multishot)."""
-    schemes = resolve_schemes(schemes)
-    specs = specs if specs is not None else fig15_suite()
-    outcomes = []
-    for spec in specs:
-        outcome = run_spec(spec, schemes=schemes, config=config,
-                           shots=shots)
-        # Result line (stdout, verbose only); progress goes to the
-        # structured logger so --log-level debug shows it either way.
-        _log.debug("workload_done", workload=spec.name,
-                   qubits=outcome.num_qubits,
-                   **{s: outcome.makespan_cycles[s] for s in schemes})
-        if verbose:
-            print("{:>16s}: ".format(spec.name) + "  ".join(
-                "{}={}".format(s, outcome.makespan_cycles[s])
-                for s in schemes))
-        outcomes.append(outcome)
-    return outcomes
+def outcomes_from_rows(rows: Sequence[Dict[str, object]],
+                       schemes: Sequence[str]) -> List[BenchmarkOutcome]:
+    """Regroup per-cell sweep rows into per-workload outcomes (for the
+    Figure-15 and scheme-matrix tables); workloads missing any of
+    ``schemes`` are dropped."""
+    outcomes: Dict[str, BenchmarkOutcome] = {}
+    for row in rows:
+        name = row["workload"]
+        outcome = outcomes.get(name)
+        if outcome is None:
+            outcome = outcomes[name] = BenchmarkOutcome(
+                name=name, num_qubits=row["num_qubits"],
+                num_ops=row["num_ops"], feedback_ops=row["feedback_ops"])
+        outcome.makespan_cycles[row["scheme"]] = row["makespan_cycles"]
+        outcome.stall_cycles[row["scheme"]] = row["sync_stall_cycles"]
+    return [o for o in outcomes.values()
+            if all(s in o.makespan_cycles for s in schemes)]

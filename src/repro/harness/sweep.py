@@ -51,7 +51,7 @@ from ..obs import trace as obs_trace
 from ..sim.config import SimulationConfig
 from .parallel import (CacheStats, CellResult, SweepExecutionError,
                        SweepTask, run_tasks, tasks_from_spec)
-from .runner import BenchmarkOutcome
+from .runner import outcomes_from_rows
 from .spec import SweepSpec
 from .benchjson import (compare_benches, load_bench, make_bench, write_bench)
 from .tables import render_figure15, render_scheme_matrix
@@ -123,24 +123,6 @@ def run_sweep(spec: SweepSpec,
                                compile_cache_dir=compile_cache_dir,
                                verbose=verbose)
     return sweep_rows(tasks, results), stats
-
-
-def _outcomes_from_rows(rows: List[Dict[str, object]],
-                        schemes: Sequence[str]) -> List[BenchmarkOutcome]:
-    """Regroup per-cell rows into per-workload outcomes (for the
-    Figure-15 table rendering)."""
-    outcomes: Dict[str, BenchmarkOutcome] = {}
-    for row in rows:
-        name = row["workload"]
-        outcome = outcomes.get(name)
-        if outcome is None:
-            outcome = outcomes[name] = BenchmarkOutcome(
-                name=name, num_qubits=row["num_qubits"],
-                num_ops=row["num_ops"], feedback_ops=row["feedback_ops"])
-        outcome.makespan_cycles[row["scheme"]] = row["makespan_cycles"]
-        outcome.stall_cycles[row["scheme"]] = row["sync_stall_cycles"]
-    return [o for o in outcomes.values()
-            if all(s in o.makespan_cycles for s in schemes)]
 
 
 def split_names(values: Optional[Sequence[str]]) -> Optional[List[str]]:
@@ -340,11 +322,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(line)
             swept = spec.resolved_schemes()
             if len(args.scale) == 1 and len(args.shots) == 1:
-                outcomes = _outcomes_from_rows(rows, ("bisp", "lockstep"))
+                outcomes = outcomes_from_rows(rows, ("bisp", "lockstep"))
                 if outcomes and {"bisp", "lockstep"} <= set(swept):
                     print()
                     print(render_figure15(outcomes))
-                matrix = _outcomes_from_rows(rows, swept)
+                matrix = outcomes_from_rows(rows, swept)
                 if matrix and len(swept) > 2:
                     print()
                     print(render_scheme_matrix(matrix, schemes=swept))

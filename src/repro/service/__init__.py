@@ -40,7 +40,7 @@ runs.  A worker killed mid-cell (``kill -9``) leaves no torn write
 (atomic temp-file + rename, orphan temps reclaimed on store open) and
 its lease expires, so the cell is re-leased exactly once per death.
 Fetched artifacts are byte-identical (``results_sha256``) to a serial
-:func:`~repro.harness.runner.run_suite` of the same spec.
+:func:`~repro.harness.sweep.run_sweep` of the same spec.
 """
 
 from .scheduler import Scheduler, ServiceCounters  # noqa: F401

@@ -59,7 +59,6 @@ def _repro_pythonpath() -> str:
 
 
 def spawn_worker(url: str, store: Optional[str] = None,
-                 cell_delay_ms: float = 0.0,
                  poll_seconds: float = 5.0,
                  worker_id: Optional[str] = None,
                  log_level: Optional[str] = None,
@@ -78,8 +77,6 @@ def spawn_worker(url: str, store: Optional[str] = None,
                "--url", url, "--poll", str(poll_seconds)]
     if store:
         command += ["--store", store]
-    if cell_delay_ms > 0:
-        command += ["--cell-delay-ms", str(cell_delay_ms)]
     if worker_id:
         command += ["--worker-id", worker_id]
     if log_level:
@@ -133,7 +130,6 @@ async def _serve(args) -> int:
     for index in range(args.workers):
         workers.append(spawn_worker(
             server.url, store=store.directory,
-            cell_delay_ms=args.worker_cell_delay_ms,
             poll_seconds=args.worker_poll,
             worker_id="serve-worker-{}".format(index),
             log_level=args.log_level, log_json=args.log_json,
@@ -321,9 +317,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        help="max in-flight leases for everyone else")
     serve.add_argument("--worker-poll", type=float, default=5.0,
                        help="spawned workers' long-poll seconds")
-    serve.add_argument("--worker-cell-delay-ms", type=float, default=0.0,
-                       help="spawned workers' per-cell delay "
-                            "(fault-injection tests)")
     serve.add_argument("--worker-trace", default=None,
                        metavar="TEMPLATE",
                        help="spawned workers export span traces to this "

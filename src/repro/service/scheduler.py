@@ -50,6 +50,7 @@ Hardening (the chaos-fabric contract)
 from __future__ import annotations
 
 import heapq
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -74,6 +75,10 @@ _LEASE_LATENCY = _metrics.histogram(
 _QUEUE_DEPTH = _metrics.gauge(
     "repro_service_queue_depth",
     "Queued (unleased) jobs at the last submit/grant")
+
+#: A :meth:`SweepTask.cache_key` (sha256 hexdigest); keys name store
+#: files, so a worker-supplied key must match before reaching the store.
+_CELL_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 class ServiceError(ReproError):
@@ -332,7 +337,7 @@ class Scheduler:
         Rows come from :func:`~repro.harness.sweep.sweep_rows` over the
         *stored* cells — the exact code path of the offline sweep CLI —
         so ``results_sha256`` is byte-identical to a serial
-        ``run_suite``/sweep of the same spec.
+        :func:`~repro.harness.sweep.run_sweep` of the same spec.
 
         Every cell is loaded through the store's checksum verification;
         a cell the store lost since completion (pruned, or bit-rotted
@@ -499,7 +504,14 @@ class Scheduler:
         :func:`~repro.harness.parallel.run_cell_timed`); it is volatile
         telemetry, accumulated into each subscribed submission's
         ``phase_seconds`` status breakdown and never into results.
+
+        A malformed key or inline result raises before anything reaches
+        the store; the cell stays leased for a well-formed complete.
         """
+        if not _CELL_KEY.fullmatch(key):
+            raise ServiceError(
+                "bad cell key {!r}: expected 64 lowercase hex "
+                "characters".format(key[:80]))
         if result is None and not stored:
             raise ServiceError(
                 "complete needs a result payload or stored=true")

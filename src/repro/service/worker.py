@@ -39,9 +39,7 @@ or crash it hard — ``crash_before_complete`` (exit 86 after computing,
 before any store write) and ``crash_after_store`` (exit 86 after the
 store write, before the complete).  Decisions are keyed by (cell key,
 lease attempt): a plan scoped to ``attempts: [1]`` crashes each chosen
-cell exactly once and the retry always lands.  The old
-``--cell-delay-ms`` knob is a deprecated alias for a ``worker``/
-``delay`` rule and will be removed in a future release.
+cell exactly once and the retry always lands.
 """
 
 from __future__ import annotations
@@ -150,7 +148,6 @@ def work_loop(url: str,
               poll_seconds: float = 5.0,
               idle_exit_seconds: Optional[float] = None,
               max_cells: Optional[int] = None,
-              cell_delay_ms: float = 0.0,
               max_connect_failures: int = 30,
               compile_cache_dir: Optional[str] = None,
               drain: Optional[threading.Event] = None,
@@ -165,12 +162,6 @@ def work_loop(url: str,
     gone for good).
     """
     wid = worker_id or "worker-{}".format(os.getpid())
-    if cell_delay_ms > 0:
-        _log.warning(
-            "cell_delay_ms_deprecated", worker=wid,
-            hint="use a FaultPlan worker/delay rule via "
-                 "REPRO_CHAOS_PLAN or serve --chaos-plan; "
-                 "--cell-delay-ms will be removed next release")
     completed = 0
     connect_failures = 0
     idle_since = time.monotonic()
@@ -222,17 +213,11 @@ def work_loop(url: str,
         heart = _Heartbeat(url, wid, key, lease, lease_ttl).start()
         try:
             # -- the unified pre-execution fault window ------------------
-            # (--cell-delay-ms lands here too: it is the deprecated
-            # alias for a worker/delay rule at rate 1.0.)
-            delay_s = cell_delay_ms / 1000.0
             if injector is not None:
                 rule = injector.decide("worker", "delay", key,
                                        attempt=attempt)
                 if rule is not None:
-                    delay_s += float(rule.arg)
-            if delay_s > 0:
-                time.sleep(delay_s)
-            if injector is not None:
+                    time.sleep(float(rule.arg))
                 rule = injector.decide("worker", "hang", key,
                                        attempt=attempt)
                 if rule is not None:
@@ -325,9 +310,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(default: run forever)")
     parser.add_argument("--max-cells", type=int, default=None,
                         help="exit after completing this many cells")
-    parser.add_argument("--cell-delay-ms", type=float, default=0.0,
-                        help="DEPRECATED alias for a FaultPlan "
-                             "worker/delay rule (removed next release)")
     parser.add_argument("--chaos-plan", default=None, metavar="FILE",
                         help="activate this FaultPlan JSON (equivalent "
                              "to REPRO_CHAOS_PLAN=FILE)")
@@ -362,7 +344,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   poll_seconds=args.poll,
                   idle_exit_seconds=args.idle_exit,
                   max_cells=args.max_cells,
-                  cell_delay_ms=args.cell_delay_ms,
                   compile_cache_dir=args.compile_cache,
                   drain=drain,
                   verbose=args.verbose)

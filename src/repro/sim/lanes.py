@@ -19,7 +19,7 @@ run_circuit` already paid once, and they run on *one* timing-only
 :class:`~repro.sim.system.ControlSystem` built for the first lane and
 rewound with :meth:`~repro.sim.system.ControlSystem.reset` for every
 later one.  A fresh build per lane (:func:`repro.compiler.driver.
-simulate_shot`, still the executor path) is the differential oracle.
+simulate_shot`) is the differential oracle.
 
 ``REPRO_NO_LANES=1`` (strictly parsed, see :mod:`repro.fastpath`)
 disables fast-forward entirely; the differential tests assert both modes

@@ -5,8 +5,8 @@ Hosts what the per-package test modules used to set up for themselves:
 * an ``src`` import-path fallback, so a bare ``pytest`` works even when
   the ``pythonpath`` ini option is unavailable;
 * the ``--update-golden`` option for the codegen snapshot tests;
-* deterministic RNG seeding, canned topologies, a tiny Figure-15 suite
-  instance and its (session-cached) serial outcomes.
+* deterministic RNG seeding, canned topologies, and the (session-cached)
+  serial outcomes of a tiny Figure-15 sweep.
 """
 
 import os
@@ -19,7 +19,7 @@ if _SRC not in sys.path:
 import numpy as np
 import pytest
 
-from repro.harness import fig15_suite, run_suite
+from repro.harness import SweepSpec, outcomes_from_rows, run_sweep
 from repro.network.topology import build_topology
 from repro.sim.config import SimulationConfig
 
@@ -66,12 +66,11 @@ def line_topology():
 
 
 @pytest.fixture(scope="session")
-def tiny_suite():
-    """A scale-0.02 Figure-15 suite (seconds, not minutes)."""
-    return fig15_suite(scale=0.02)
-
-
-@pytest.fixture(scope="session")
-def tiny_outcomes(tiny_suite):
-    """Serial outcomes of the tiny suite, computed once per session."""
-    return run_suite(tiny_suite)
+def tiny_outcomes():
+    """Serial per-workload outcomes of the tiny Figure-15 grid (paper
+    workloads x {bisp, lockstep} at scale 0.02: seconds, not minutes),
+    computed once per session."""
+    schemes = ("bisp", "lockstep")
+    rows, _ = run_sweep(SweepSpec(tags=("paper",), schemes=schemes,
+                                  scales=(0.02,)), processes=1)
+    return outcomes_from_rows(rows, schemes)

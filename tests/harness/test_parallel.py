@@ -1,4 +1,4 @@
-"""Parallel sweep harness: serial parity, caching, spawn safety."""
+"""Sweep execution core: serial parity, caching, spawn safety."""
 
 import os
 import pickle
@@ -9,16 +9,31 @@ from dataclasses import replace
 
 import pytest
 
+from repro.circuits.dynamic import count_feedback_ops
+from repro.compiler.driver import run_circuit
+from repro.diskcache import ORPHAN_TMP_SECONDS
 from repro.errors import ReproError
-from repro.harness.parallel import (ORPHAN_TMP_SECONDS, CellResult,
-                                    SweepCache, SweepExecutionError,
-                                    SweepTask, build_tasks,
+from repro.harness import fig15_suite
+from repro.harness.parallel import (CellResult, SweepCache,
+                                    SweepExecutionError, SweepTask,
                                     clear_cell_caches, run_cell,
-                                    run_suite_parallel)
+                                    run_tasks, tasks_from_spec)
+from repro.harness.runner import outcomes_from_rows
+from repro.harness.spec import SweepSpec
+from repro.harness.sweep import run_sweep
 from repro.isa import decoded
 from repro.sim.config import SimulationConfig
 
 SCALE = 0.02
+SCHEMES = ("bisp", "lockstep")
+#: The tiny Figure-15 grid behind the session ``tiny_outcomes`` fixture.
+TINY_GRID = SweepSpec(tags=("paper",), schemes=SCHEMES, scales=(SCALE,))
+
+
+def tiny(workloads=("bv_n400",), schemes=("bisp",), **kwargs):
+    """A small scale-0.02 sweep spec (one bisp cell by default)."""
+    return SweepSpec(workloads=workloads, schemes=schemes, scales=(SCALE,),
+                     **kwargs)
 
 
 def assert_outcomes_equal(left, right):
@@ -33,32 +48,20 @@ def assert_outcomes_equal(left, right):
 
 class TestParity:
     def test_parallel_matches_serial(self, tiny_outcomes):
-        parallel = run_suite_parallel(scale=SCALE, processes=2)
-        assert_outcomes_equal(parallel, tiny_outcomes)
-
-    def test_in_process_matches_serial(self, tiny_outcomes):
-        inproc = run_suite_parallel(scale=SCALE, processes=1)
-        assert_outcomes_equal(inproc, tiny_outcomes)
-
-    def test_scheme_rankings_identical(self, tiny_outcomes):
-        parallel = run_suite_parallel(scale=SCALE, processes=2)
-        serial_rank = [o.normalized() for o in tiny_outcomes]
-        parallel_rank = [o.normalized() for o in parallel]
-        assert serial_rank == parallel_rank
+        rows, _ = run_sweep(TINY_GRID, processes=2)
+        assert_outcomes_equal(outcomes_from_rows(rows, SCHEMES),
+                              tiny_outcomes)
 
     def test_workload_filter(self):
-        outcomes = run_suite_parallel(
-            scale=SCALE, processes=1, spec_names=["bv_n400", "qft_n30"])
-        assert [o.name for o in outcomes] == ["bv_n400", "qft_n30"]
-
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(ValueError):
-            build_tasks(SCALE, ("bisp",), spec_names=["nope"])
+        rows, _ = run_sweep(tiny(workloads=("bv_n400", "qft_n30"),
+                                 schemes=SCHEMES), processes=1)
+        assert [o.name for o in outcomes_from_rows(rows, SCHEMES)] == \
+            ["bv_n400", "qft_n30"]
 
 
 class TestTasks:
     def test_tasks_are_picklable_and_deterministic(self):
-        tasks = build_tasks(SCALE, ("bisp", "lockstep"))
+        tasks = tasks_from_spec(TINY_GRID)
         assert len(tasks) == 24  # 12 workloads x 2 schemes
         rebuilt = pickle.loads(pickle.dumps(tasks))
         assert rebuilt == tasks
@@ -66,51 +69,70 @@ class TestTasks:
                [t.cache_key() for t in tasks]
 
     def test_cache_key_sensitivity(self):
-        base, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
-        other_seed, = build_tasks(SCALE, ("bisp",), device_seed=999,
-                                  spec_names=["bv_n400"])
-        other_config, = build_tasks(
-            SCALE, ("bisp",), config=SimulationConfig(neighbor_link_cycles=9),
-            spec_names=["bv_n400"])
+        base, = tasks_from_spec(tiny())
+        other_seed, = tasks_from_spec(tiny(device_seed=999))
+        other_config, = tasks_from_spec(
+            tiny(config=SimulationConfig(neighbor_link_cycles=9)))
         keys = {base.cache_key(), other_seed.cache_key(),
                 other_config.cache_key()}
         assert len(keys) == 3
 
-    def test_run_cell_matches_run_suite_numbers(self, tiny_outcomes):
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["logical_t_n432"])
-        cell = run_cell(task)
-        reference = {o.name: o for o in tiny_outcomes}["logical_t_n432"]
-        assert cell.makespan_cycles == reference.makespan_cycles["bisp"]
-        assert cell.feedback_ops == reference.feedback_ops
+    def test_run_cell_matches_fresh_run_circuit(self, tiny_outcomes):
+        """The fresh-compile oracle: every tiny-grid cell, run cold
+        through the sweep core, equals ``run_circuit`` on a freshly built
+        circuit -- and so does the memoized serial sweep behind
+        ``tiny_outcomes``: no memo, cache or GC pacing may change a
+        number."""
+        specs = {spec.name: spec for spec in fig15_suite(scale=SCALE)}
+        warm = {(o.name, scheme): (o.makespan_cycles[scheme],
+                                   o.stall_cycles[scheme])
+                for o in tiny_outcomes for scheme in SCHEMES}
+        tasks = tasks_from_spec(TINY_GRID)
+        assert len(tasks) == len(warm) == 24
+        for task in tasks:
+            clear_cell_caches()
+            cell = run_cell(task)
+            spec = specs[task.spec_name]
+            circuit = spec.circuit()
+            result = run_circuit(circuit, scheme=task.scheme, backend=None,
+                                 device_seed=task.device_seed,
+                                 mesh_kind=spec.mesh_kind,
+                                 record_gate_log=False)
+            assert cell.makespan_cycles == result.makespan_cycles, task
+            assert cell.sync_stall_cycles == \
+                result.stats.sync_stall_cycles, task
+            assert cell.lifetimes_ns == \
+                result.system.device.lifetimes_ns(), task
+            assert cell.num_ops == len(circuit), task
+            assert cell.feedback_ops == count_feedback_ops(circuit), task
+            assert warm[task.spec_name, task.scheme] == (
+                result.makespan_cycles, result.stats.sync_stall_cycles), task
 
 
 class TestCache:
     def test_cache_hit_skips_recompute(self, tmp_path):
         cache_dir = str(tmp_path / "sweep")
-        first = run_suite_parallel(scale=SCALE, processes=1,
-                                   cache_dir=cache_dir,
-                                   spec_names=["bv_n400"])
+        spec = tiny(schemes=SCHEMES)
+        first, _ = run_sweep(spec, processes=1, cache_dir=cache_dir)
         cache = SweepCache(cache_dir)
         assert len(cache) == 2  # two schemes
-        second = run_suite_parallel(scale=SCALE, processes=1,
-                                    cache_dir=cache_dir,
-                                    spec_names=["bv_n400"])
-        assert_outcomes_equal(first, second)
+        second, stats = run_sweep(spec, processes=1, cache_dir=cache_dir)
+        assert (stats.hits, stats.misses) == (2, 0)
+        assert second == first
 
     def test_corrupt_entry_recomputed(self, tmp_path):
         cache_dir = str(tmp_path / "sweep")
-        run_suite_parallel(scale=SCALE, processes=1, cache_dir=cache_dir,
-                           spec_names=["bv_n400"])
+        spec = tiny(schemes=SCHEMES)
+        run_sweep(spec, processes=1, cache_dir=cache_dir)
         for path in (tmp_path / "sweep").glob("*.pkl"):
             path.write_bytes(b"not a pickle")
-        outcomes = run_suite_parallel(scale=SCALE, processes=1,
-                                      cache_dir=cache_dir,
-                                      spec_names=["bv_n400"])
-        assert outcomes[0].makespan_cycles["bisp"] > 0
+        rows, _ = run_sweep(spec, processes=1, cache_dir=cache_dir)
+        assert rows[0]["scheme"] == "bisp"
+        assert rows[0]["makespan_cycles"] > 0
 
     def test_roundtrip_value(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        task, = tasks_from_spec(tiny())
         cell = run_cell(task)
         cache.put(task.cache_key(), cell)
         assert cache.get(task.cache_key()) == cell
@@ -121,10 +143,10 @@ class TestCache:
 class TestSpawn:
     def test_spawn_start_method_smoke(self):
         """Workers must survive pickling under spawn (fresh interpreter)."""
-        outcomes = run_suite_parallel(
-            scale=SCALE, processes=2, start_method="spawn",
-            spec_names=["bv_n400"], schemes=("bisp", "lockstep"))
-        assert outcomes[0].makespan_cycles["bisp"] > 0
+        rows, _ = run_sweep(tiny(schemes=SCHEMES), processes=2,
+                            start_method="spawn")
+        assert rows[0]["scheme"] == "bisp"
+        assert rows[0]["makespan_cycles"] > 0
 
 
 class TestOrphanTmpSweep:
@@ -186,7 +208,7 @@ class TestOrphanTmpSweep:
     def test_entries_never_swept(self, tmp_path):
         cache_dir = self._cache_dir(tmp_path)
         cache = SweepCache(str(cache_dir))
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        task, = tasks_from_spec(tiny())
         cache.put(task.cache_key(), run_cell(task))
         orphan = cache_dir / "tmp-{}-leak.tmp".format(self._dead_pid())
         orphan.write_bytes(b"partial")
@@ -195,7 +217,7 @@ class TestOrphanTmpSweep:
 
     def test_put_leaves_no_tmp(self, tmp_path):
         cache = SweepCache(str(tmp_path))
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        task, = tasks_from_spec(tiny())
         cache.put(task.cache_key(), run_cell(task))
         assert list(tmp_path.glob("*.tmp")) == []
 
@@ -205,10 +227,9 @@ class TestOrphanTmpSweep:
         cache_dir = self._cache_dir(tmp_path)
         orphan = cache_dir / "tmp-{}-killed.tmp".format(self._dead_pid())
         orphan.write_bytes(b"\x80\x04 partial")
-        outcomes = run_suite_parallel(scale=SCALE, processes=1,
-                                      cache_dir=str(cache_dir),
-                                      spec_names=["bv_n400"])
-        assert outcomes[0].makespan_cycles["bisp"] > 0
+        rows, _ = run_sweep(tiny(schemes=SCHEMES), processes=1,
+                            cache_dir=str(cache_dir))
+        assert rows[0]["makespan_cycles"] > 0
         assert list(cache_dir.glob("*.tmp")) == []
         assert len(list(cache_dir.glob("*.pkl"))) == 2
 
@@ -228,10 +249,9 @@ class TestAmbientFastpathFlag:
         """Both interpreters are bit-identical by contract, so the tasks
         (and the cache entries they key) are shared between them."""
         monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-        fast_task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        fast_task, = tasks_from_spec(tiny())
         monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        legacy_task, = build_tasks(SCALE, ("bisp",),
-                                   spec_names=["bv_n400"])
+        legacy_task, = tasks_from_spec(tiny())
         assert legacy_task == fast_task
         assert legacy_task.cache_key() == fast_task.cache_key()
 
@@ -239,7 +259,7 @@ class TestAmbientFastpathFlag:
         """The same task runs the legacy interpreter under the flag —
         observable because legacy never decodes — and yields the same
         cell."""
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        task, = tasks_from_spec(tiny())
         monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
         clear_cell_caches()
         decoded.clear_decode_caches()
@@ -261,10 +281,8 @@ class TestSpawnFlagPropagation:
         flag, so every cell must fail inside its worker, naming it."""
         monkeypatch.setenv("REPRO_NO_FASTPATH", "bogus")
         with pytest.raises(SweepExecutionError) as caught:
-            run_suite_parallel(scale=SCALE, processes=2,
-                               start_method="spawn",
-                               spec_names=["bv_n400"],
-                               schemes=("bisp", "lockstep"))
+            run_sweep(tiny(schemes=SCHEMES), processes=2,
+                      start_method="spawn")
         failures = caught.value.failures
         assert sorted(task.scheme for task, _ in failures) == \
             ["bisp", "lockstep"]
@@ -335,7 +353,7 @@ class TestWireSerialization:
     both over HTTP; pickle stays an on-disk-only format)."""
 
     def test_task_round_trip(self):
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        task, = tasks_from_spec(tiny())
         rebuilt = SweepTask.from_dict(task.to_dict())
         assert rebuilt == task
         assert rebuilt.cache_key() == task.cache_key()
@@ -343,13 +361,14 @@ class TestWireSerialization:
     def test_task_round_trip_through_json_text(self):
         import json
 
-        task, = build_tasks(SCALE, ("lockstep",), spec_names=["qft_n30"])
+        task, = tasks_from_spec(tiny(workloads=("qft_n30",),
+                                     schemes=("lockstep",)))
         rebuilt = SweepTask.from_dict(
             json.loads(json.dumps(task.to_dict())))
         assert rebuilt == task
 
     def test_task_unknown_field_rejected(self):
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        task, = tasks_from_spec(tiny())
         data = task.to_dict()
         data["surprise"] = 1
         with pytest.raises(ReproError):
@@ -358,7 +377,7 @@ class TestWireSerialization:
     def test_cell_result_round_trip(self):
         import json
 
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        task, = tasks_from_spec(tiny())
         cell = run_cell(task)
         rebuilt = CellResult.from_dict(
             json.loads(json.dumps(cell.to_dict())))
@@ -371,7 +390,7 @@ class TestCompileCachePlumbing:
     """compile_cache_dir: wire format, cache-key exclusion, execution."""
 
     def test_field_round_trips(self):
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        task, = tasks_from_spec(tiny())
         task = replace(task, compile_cache_dir="/tmp/somewhere")
         rebuilt = SweepTask.from_dict(task.to_dict())
         assert rebuilt.compile_cache_dir == "/tmp/somewhere"
@@ -380,17 +399,14 @@ class TestCompileCachePlumbing:
     def test_not_in_cache_key(self):
         """Cached compilations are bit-identical by contract, so the
         result-cache key must not fragment on the compile-cache dir."""
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        task, = tasks_from_spec(tiny())
         warm = replace(task, compile_cache_dir="/tmp/somewhere")
         assert warm.cache_key() == task.cache_key()
 
     def test_run_tasks_counts_and_matches(self, tmp_path):
         """Serial sweeps report exact compile hit/miss tallies, and a
         warm compile cache reproduces cold results bit-for-bit."""
-        from repro.harness.parallel import clear_cell_caches, run_tasks
-
-        tasks = build_tasks(SCALE, ("bisp", "lockstep"),
-                            spec_names=["bv_n400"])
+        tasks = tasks_from_spec(tiny(schemes=SCHEMES))
         clear_cell_caches()
         cold, cold_stats = run_tasks(
             tasks, processes=1, compile_cache_dir=str(tmp_path))
@@ -403,13 +419,31 @@ class TestCompileCachePlumbing:
         assert warm_stats.compile_misses == 0
         assert warm == cold
 
+    @pytest.mark.parallel
+    def test_pool_run_tasks_counts(self, tmp_path):
+        """Pool sweeps tally the lookups made inside their workers: a
+        cold publish misses once per cell, a warm read hits once per
+        cell.  The memo is cleared first because forked workers inherit
+        the parent's."""
+        tasks = tasks_from_spec(tiny(workloads=("bv_n400", "qft_n30"),
+                                     schemes=SCHEMES))
+        clear_cell_caches()
+        cold, cold_stats = run_tasks(
+            tasks, processes=2, compile_cache_dir=str(tmp_path))
+        assert (cold_stats.compile_hits, cold_stats.compile_misses) == \
+            (0, len(tasks))
+        clear_cell_caches()
+        warm, warm_stats = run_tasks(
+            tasks, processes=2, compile_cache_dir=str(tmp_path))
+        assert (warm_stats.compile_hits, warm_stats.compile_misses) == \
+            (len(tasks), 0)
+        assert warm == cold
+
     def test_task_level_dir_wins(self, tmp_path):
         """A task that already carries a dir keeps it when run_tasks is
         handed a different one."""
-        from repro.harness.parallel import run_tasks
-
         clear_cell_caches()
-        task, = build_tasks(SCALE, ("bisp",), spec_names=["bv_n400"])
+        task, = tasks_from_spec(tiny())
         pinned = str(tmp_path / "pinned")
         tasks = [replace(task, compile_cache_dir=pinned)]
         run_tasks(tasks, processes=1,

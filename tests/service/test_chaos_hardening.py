@@ -452,13 +452,17 @@ class TestEndToEndChaos:
             client.wait_healthy(url, timeout=60.0)
             sub = client.submit(url, SweepSubmission(
                 spec=spec, name="drainy"))
-            # The deprecated alias still shapes the fault window, which
-            # gives SIGTERM a wide mid-cell target.
+            # A worker/delay rule widens the fault window, which gives
+            # SIGTERM a wide mid-cell target.
+            plan = tmp_path / "delay.json"
+            plan.write_text(FaultPlan(seed=1, rules=(
+                FaultRule("worker", "delay", rate=1.0,
+                          arg=3.0),)).to_json())
             worker = subprocess.Popen(
                 [sys.executable, "-m", "repro.service.worker",
                  "--url", url, "--store", str(store),
                  "--worker-id", "drainer", "--poll", "0.5",
-                 "--cell-delay-ms", "3000"],
+                 "--chaos-plan", str(plan)],
                 env=repro_env())
             deadline = time.monotonic() + 60.0
             while client.metrics(url)["counters"]["leases_granted"] < 1:

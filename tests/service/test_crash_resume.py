@@ -4,8 +4,9 @@ The satellite-3 scenario from the issue, end to end with real
 processes:
 
 * the scheduler runs with a short lease TTL,
-* worker A is started with ``--cell-delay-ms`` large enough that it is
-  provably *mid-cell* (leased, not yet stored) when we ``kill -9`` it,
+* worker A is started with a ``worker``/``delay`` chaos rule large
+  enough that it is provably *mid-cell* (leased, not yet stored) when
+  we ``kill -9`` it,
 * the lease expires and the cell is re-leased exactly once to a healthy
   worker B,
 * the store never holds a torn write (orphan ``*.tmp`` reclaim from the
@@ -21,6 +22,7 @@ import time
 
 import pytest
 
+from repro.chaos import FaultPlan, FaultRule
 from repro.harness.spec import SweepSpec, SweepSubmission
 from repro.service import client
 from repro.service.store import CellStore
@@ -29,16 +31,16 @@ from svc_util import SCALE, free_port, repro_env, serial_bench
 
 #: Big enough that metrics-poll + SIGKILL always lands inside the
 #: delay window, small enough to keep the test quick.
-CELL_DELAY_MS = 4000
+CELL_DELAY_S = 4.0
 LEASE_TTL = 1.0
 
 
-def spawn_worker(url, store, worker_id, cell_delay_ms=0):
+def spawn_worker(url, store, worker_id, chaos_plan=None):
     command = [sys.executable, "-m", "repro.service.worker",
                "--url", url, "--store", str(store),
                "--worker-id", worker_id, "--poll", "0.5"]
-    if cell_delay_ms:
-        command += ["--cell-delay-ms", str(cell_delay_ms)]
+    if chaos_plan:
+        command += ["--chaos-plan", str(chaos_plan)]
     return subprocess.Popen(command, env=repro_env())
 
 
@@ -69,8 +71,11 @@ class TestCrashResume:
                 spec=spec, name="resume"))
             assert sub["cells_total"] == 1
 
-            doomed = spawn_worker(url, store, "doomed",
-                                  cell_delay_ms=CELL_DELAY_MS)
+            plan = tmp_path / "delay.json"
+            plan.write_text(FaultPlan(seed=1, rules=(
+                FaultRule("worker", "delay", rate=1.0,
+                          arg=CELL_DELAY_S),)).to_json())
+            doomed = spawn_worker(url, store, "doomed", chaos_plan=plan)
             deadline = time.monotonic() + 60.0
             while client.metrics(url)["counters"]["leases_granted"] < 1:
                 assert time.monotonic() < deadline, \

@@ -9,6 +9,7 @@ dedup, artifact byte-identical to the serial sweep.
 """
 
 import asyncio
+import os
 import subprocess
 import sys
 import threading
@@ -17,12 +18,13 @@ import pytest
 
 from repro.harness.benchjson import validate_bench
 from repro.harness.parallel import SweepTask, run_cell
+from repro.harness.spec import SweepSpec, SweepSubmission
 from repro.service import client
 from repro.service.http import ServiceServer, http_request
 from repro.service.scheduler import Scheduler
 from repro.service.store import CellStore
 
-from svc_util import free_port, repro_env, serial_bench
+from svc_util import SCALE, free_port, repro_env, serial_bench
 
 
 async def start_server(tmp_path, **scheduler_kwargs):
@@ -111,6 +113,63 @@ class TestRoutes:
 
         status, body = asyncio.run(scenario())
         assert status == 404
+
+
+class TestCompleteValidation:
+    """A malformed ``POST /complete`` is a 400 that touches nothing: no
+    file outside (or inside) the store, the cell stays pending, and a
+    later well-formed complete still lands and fetches."""
+
+    SPEC = SweepSpec(workloads=("bv_n400",), schemes=("bisp",),
+                     scales=(SCALE,))
+
+    def _bad_then_good(self, tmp_path, bad_body):
+        async def scenario():
+            server = await start_server(tmp_path)
+            host, port = server.host, server.port
+            try:
+                _, sub = await http_request(
+                    host, port, "POST", "/submit",
+                    SweepSubmission(spec=self.SPEC, name="v").to_dict())
+                _, reply = await http_request(
+                    host, port, "POST", "/lease", {"worker": "w0"})
+                job = reply["job"]
+                cell = run_cell(SweepTask.from_dict(job["task"]))
+                good = {"worker": "w0", "key": job["key"],
+                        "lease": job["lease"], "result": cell.to_dict()}
+                bad = await http_request(host, port, "POST", "/complete",
+                                         dict(good, **bad_body(good)))
+                entries = sorted(os.listdir(str(tmp_path / "store")))
+                _, pending = await http_request(
+                    host, port, "GET", "/status/{}".format(sub["id"]))
+                landed, _ = await http_request(host, port, "POST",
+                                               "/complete", good)
+                fetched, doc = await http_request(
+                    host, port, "GET", "/fetch/{}".format(sub["id"]))
+                return bad, entries, pending, landed, fetched, doc
+            finally:
+                await server.close()
+
+        (code, body), entries, pending, landed, fetched, doc = \
+            asyncio.run(scenario())
+        assert code == 400, body
+        assert sorted(os.listdir(str(tmp_path))) == ["store"]
+        assert not [name for name in entries if name.endswith(".pkl")]
+        assert (pending["state"], pending["cells_done"]) == ("running", 0)
+        assert (landed, fetched) == (200, 200)
+        reference = serial_bench(self.SPEC, name="v")
+        assert doc["results_sha256"] == reference["results_sha256"]
+        return body
+
+    def test_path_escaping_key_rejected(self, tmp_path):
+        body = self._bad_then_good(
+            tmp_path, lambda good: {"key": "../escaped"})
+        assert "bad cell key" in body["error"]
+
+    def test_ill_typed_result_rejected(self, tmp_path):
+        body = self._bad_then_good(tmp_path, lambda good: {
+            "result": dict(good["result"], makespan_cycles="oops")})
+        assert "makespan_cycles" in body["error"]
 
 
 class TestInProcessEndToEnd:
