@@ -58,6 +58,7 @@ from repro.service import client
 from repro.service.client import ServiceClientError
 from repro.service.store import CellStore
 from repro.service.worker import CHAOS_CRASH_EXIT
+from repro.testing import subprocess_env
 
 #: Pinned soak seed: over this 8-cell grid it plans 3 cell crashes and
 #: 2 store corruptions (one key is both, so it crashes again on the
@@ -103,16 +104,6 @@ def full_spec() -> SweepSpec:
 def first_half_spec() -> SweepSpec:
     return SweepSpec(workloads=WORKLOADS[:2], schemes=SCHEMES,
                      scales=(SCALE,), shots=(1,))
-
-
-def subprocess_env() -> dict:
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    current = env.get("PYTHONPATH", "")
-    if src not in current.split(os.pathsep):
-        env["PYTHONPATH"] = src + (os.pathsep + current if current else "")
-    return env
 
 
 def free_port() -> int:

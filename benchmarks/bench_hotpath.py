@@ -18,7 +18,9 @@ if replay silently stops batching.
 
 A second benchmark times lane-parallel multishot on a static (recv-free)
 workload: the lane engine fans one reference lane across all shots, so
-the fast-forward clock must be far below one-simulation-per-shot.
+the fast-forward clock must be far below one fresh
+:func:`~repro.compiler.driver.simulate_shot` per shot, which is also the
+oracle its per-shot stats must equal.
 
 A third benchmark runs the sweep in *fresh subprocesses* — once with no
 compile-cache store and once against a warm store — to measure the
@@ -26,8 +28,9 @@ cold-path payoff of the persistent compile cache, with bit-identical
 results as the hard gate.
 
 Also benchmarks the bit-packed stabilizer tableau against the uint8
-reference layout (the quantum half of the PR-5 overhaul; not part of the
-timing sweep, which is state-free).
+reference layout, ``ReferenceTableau`` from
+``tests/quantum/reference_tableau.py`` (loaded by file path; not part of
+the timing sweep, which is state-free).
 
 ``REPRO_SCALE`` scales the workloads (default 0.15; the paper-scale
 acceptance number uses 0.1); ``REPRO_BENCH_DIR`` redirects the artifact.
@@ -35,21 +38,24 @@ acceptance number uses 0.1); ``REPRO_BENCH_DIR`` redirects the artifact.
 
 import contextlib
 import dataclasses
+import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from repro.harness.parallel import (clear_cell_caches, run_tasks,
                                     tasks_from_spec)
 from repro.harness.registry import get_workload
 from repro.harness.spec import SweepSpec
-from repro.compiler.driver import run_circuit
+from repro.compiler.driver import (compile_circuit, run_circuit,
+                                   shot_device_seed, simulate_shot)
 from repro.isa import decoded
 from repro.quantum.stabilizer import StabilizerBackend
-from repro.sim import lanes
+from repro.testing import subprocess_env
 
 #: Conservative CI floor for the fast path vs the legacy interpreter on
 #: shared runners (the local scale-0.1 numbers are much higher — see
@@ -57,9 +63,10 @@ from repro.sim import lanes
 MIN_SWEEP_SPEEDUP = float(os.environ.get("REPRO_HOTPATH_MIN_SPEEDUP",
                                          "0.75"))
 
-#: Floor for lane fast-forward vs per-lane replay on a static workload.
-#: Fan-out is O(shots) dict-building vs O(shots) full simulations, so
-#: even a noisy runner clears this by an order of magnitude.
+#: Floor for lane fast-forward vs one fresh simulation per shot on a
+#: static workload.  Fan-out is O(shots) dict-building vs O(shots) full
+#: simulations, so even a noisy runner clears this by an order of
+#: magnitude.
 MIN_LANE_SPEEDUP = float(os.environ.get("REPRO_LANE_MIN_SPEEDUP", "3.0"))
 
 #: Floor for packed-vs-uint8 tableau measurement throughput at n=300.
@@ -75,6 +82,19 @@ MIN_COMPILE_CACHE_SPEEDUP = float(os.environ.get(
     "REPRO_COMPILE_CACHE_MIN_SPEEDUP", "1.2"))
 
 TIERS = ("legacy", "vector")
+
+REFERENCE_TABLEAU_PATH = (Path(__file__).resolve().parents[1] / "tests"
+                          / "quantum" / "reference_tableau.py")
+
+
+def _reference_tableau():
+    """The uint8 ``ReferenceTableau`` class, loaded by file path (the
+    tests tree is not a package)."""
+    spec = importlib.util.spec_from_file_location("reference_tableau",
+                                                  REFERENCE_TABLEAU_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ReferenceTableau
 
 
 @contextlib.contextmanager
@@ -210,7 +230,8 @@ def test_compile_cache_cold_vs_warm(bench_recorder, scale, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-c", _SWEEP_DRIVER, str(float(scale)),
              store or "-"],
-            capture_output=True, text=True, timeout=600)
+            capture_output=True, text=True, timeout=600,
+            env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
@@ -252,45 +273,37 @@ def test_compile_cache_cold_vs_warm(bench_recorder, scale, tmp_path):
 
 
 def test_lane_fanout_speedup(bench_recorder, scale):
-    """Static multishot: fan-out must beat one-simulation-per-shot."""
-    shots = 32
+    """Static multishot: fan-out must beat one fresh simulation per
+    shot and equal it shot for shot."""
+    shots, device_seed = 32, 12345
     spec = get_workload("qft_n300").spec(float(scale), 0.0)
     circuit = spec.circuit()
 
-    def _timed(no_lanes):
-        saved = os.environ.pop("REPRO_NO_LANES", None)
-        if no_lanes:
-            os.environ["REPRO_NO_LANES"] = "1"
-        lanes.reset_lane_totals()
-        try:
-            started = time.perf_counter()
-            result = run_circuit(circuit, scheme="bisp", backend=None,
-                                 record_gate_log=False, shots=shots,
-                                 mesh_kind=spec.mesh_kind)
-            return result, time.perf_counter() - started
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_NO_LANES", None)
-            else:
-                os.environ["REPRO_NO_LANES"] = saved
-
-    fast, fast_seconds = _timed(no_lanes=False)
-    slow, slow_seconds = _timed(no_lanes=True)
+    started = time.perf_counter()
+    fast = run_circuit(circuit, scheme="bisp", backend=None,
+                       record_gate_log=False, shots=shots,
+                       device_seed=device_seed, mesh_kind=spec.mesh_kind)
+    fast_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    compilation = compile_circuit(circuit, scheme="bisp",
+                                  mesh_kind=spec.mesh_kind)
+    slow = [simulate_shot(compilation, shot_device_seed(device_seed, s))
+            for s in range(shots)]
+    slow_seconds = time.perf_counter() - started
     speedup = slow_seconds / fast_seconds
     print("\n=== lane fan-out, qft_n300 x {} shots (scale={}) ==="
           .format(shots, scale))
-    print("fastforward: {:.3f}s   replay: {:.3f}s   speedup {:.1f}x"
+    print("fastforward: {:.3f}s   fresh per shot: {:.3f}s   speedup {:.1f}x"
           .format(fast_seconds, slow_seconds, speedup))
     assert fast.lane_mode == "fastforward", fast.lane_mode
-    assert slow.lane_mode == "replay"
-    identical = int(fast.shot_stats == slow.shot_stats)
+    identical = int(fast.shot_stats == slow)
     bench_recorder.add("lanes_qft_shots{}".format(shots), shots=shots,
                        scale=float(scale), identical=identical,
                        makespan_sum=sum(fast.shot_makespans))
     bench_recorder.note_volatile(lane_fast_seconds=fast_seconds,
                                  lane_replay_seconds=slow_seconds,
                                  lane_speedup=speedup)
-    assert fast.shot_stats == slow.shot_stats
+    assert fast.shot_stats == slow
     assert speedup >= MIN_LANE_SPEEDUP, (fast_seconds, slow_seconds)
 
 
@@ -312,24 +325,25 @@ def _tableau_workload(backend, rng, gates):
 
 def test_packed_tableau_speedup(bench_recorder):
     n, gates, seed = 300, 2000, 20260730
+    layouts = {"packed": StabilizerBackend, "uint8": _reference_tableau()}
     timings = {}
     outcomes = {}
-    for packed in (True, False):
-        backend = StabilizerBackend(n, seed=seed, packed=packed)
+    for layout, backend_class in layouts.items():
+        backend = backend_class(n, seed=seed)
         rng = random.Random(seed)
         started = time.perf_counter()
         _tableau_workload(backend, rng, gates)
-        timings[packed] = time.perf_counter() - started
-        outcomes[packed] = backend.canonical_stabilizers()
-    speedup = timings[False] / timings[True]
+        timings[layout] = time.perf_counter() - started
+        outcomes[layout] = backend.canonical_stabilizers()
+    speedup = timings["uint8"] / timings["packed"]
     print("\n=== stabilizer tableau, n={} ({} gates + measure-all) ==="
           .format(n, gates))
     print("packed: {:.3f}s   uint8: {:.3f}s   speedup {:.1f}x".format(
-        timings[True], timings[False], speedup))
+        timings["packed"], timings["uint8"], speedup))
     bench_recorder.add("tableau_n{}".format(n), num_qubits=n, gates=gates,
-                       identical=int(outcomes[True] == outcomes[False]))
-    bench_recorder.note_volatile(packed_seconds=timings[True],
-                                 uint8_seconds=timings[False],
+                       identical=int(outcomes["packed"] == outcomes["uint8"]))
+    bench_recorder.note_volatile(packed_seconds=timings["packed"],
+                                 uint8_seconds=timings["uint8"],
                                  tableau_speedup=speedup)
-    assert outcomes[True] == outcomes[False]
+    assert outcomes["packed"] == outcomes["uint8"]
     assert speedup >= MIN_TABLEAU_SPEEDUP, timings

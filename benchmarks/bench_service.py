@@ -103,7 +103,8 @@ async def drive(n: int, store_dir: str):
 
     async def sampler():
         while not done.is_set():
-            _, metrics = await http_request(host, port, "GET", "/metrics")
+            _, metrics = await http_request(host, port, "GET",
+                                            "/metrics?format=json")
             depth_samples.append(metrics["queue_depth"])
             await asyncio.sleep(0.05)
 
@@ -135,7 +136,8 @@ async def drive(n: int, store_dir: str):
                     break
                 await asyncio.sleep(0.05)
         elapsed = time.perf_counter() - t0
-        _, metrics = await http_request(host, port, "GET", "/metrics")
+        _, metrics = await http_request(host, port, "GET",
+                                        "/metrics?format=json")
         _, warm_doc = await http_request(
             host, port, "GET", "/fetch/{}".format(ids[1]))
         _, cold_doc = await http_request(

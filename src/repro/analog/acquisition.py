@@ -46,12 +46,3 @@ class AcquisitionUnit:
                                    p_excited=p_excited)
         self.records.append(record)
         return record
-
-    def iq_points(self) -> List[complex]:
-        return [r.iq for r in self.records]
-
-    def excited_fraction(self) -> float:
-        """Fraction of acquisitions discriminated as excited."""
-        if not self.records:
-            return 0.0
-        return sum(r.state for r in self.records) / len(self.records)

@@ -177,11 +177,6 @@ class FaultPlan:
         for rule in self.rules:
             rule.validate()
 
-    def with_rule(self, rule: FaultRule) -> "FaultPlan":
-        rule.validate()
-        return FaultPlan(seed=self.seed, rules=self.rules + (rule,),
-                         name=self.name)
-
     def rules_for(self, site: str, fault: str) -> List[FaultRule]:
         return [rule for rule in self.rules
                 if rule.site == site and rule.fault == fault]
@@ -322,10 +317,6 @@ class FaultInjector:
                       seed=self.plan.seed)
             return rule
         return None
-
-    def injected_total(self) -> int:
-        with self._lock:
-            return sum(self.injected.values())
 
     def injected_by_site(self) -> Dict[str, int]:
         with self._lock:

@@ -97,12 +97,6 @@ def compile_cache_totals() -> Dict[str, int]:
             "misses": COMPILE_CACHE_MISSES.value}
 
 
-def reset_compile_cache_totals() -> None:
-    """Zero the process-wide compile-cache counters (benchmarks, tests)."""
-    COMPILE_CACHE_HITS.value = 0
-    COMPILE_CACHE_MISSES.value = 0
-
-
 #: (id(circuit), op count) -> (circuit, fingerprint).  Sweep grids key
 #: the same circuit object once per scheme; the pinned strong reference
 #: keeps the id from being reused, and the operation count catches the

@@ -45,10 +45,6 @@ class CodewordAllocator:
         self._memo[key] = (port, codeword)
         return codeword
 
-    @property
-    def codewords_used(self) -> int:
-        return len(self.table)
-
 
 #: Port-numbering convention for architecture simulations: each local qubit
 #: gets a drive port (2k) and a measurement-trigger port (2k + 1).

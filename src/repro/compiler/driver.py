@@ -28,7 +28,6 @@ from ..sim.system import ControlSystem
 from ..sim.telf import ExecutionStats
 from .emit import emit_program
 from .mapping import QubitMap
-from .schemes import SCHEMES as SCHEMES  # re-export (live registry view)
 from .schemes import get_scheme
 
 _COMPILATIONS = _metrics.counter(

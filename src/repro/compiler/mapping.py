@@ -7,8 +7,6 @@ neighbors on controller neighbors.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..errors import CompilationError
 
 
@@ -36,9 +34,3 @@ class QubitMap:
     def local_index(self, qubit: int) -> int:
         """Index of ``qubit`` among its controller's qubits (port base)."""
         return qubit % self.qubits_per_controller
-
-    def qubits_of(self, controller: int) -> List[int]:
-        """Qubits owned by ``controller``."""
-        start = controller * self.qubits_per_controller
-        return [q for q in range(start, start + self.qubits_per_controller)
-                if q < self.num_qubits]

@@ -19,9 +19,8 @@ module turns the scheme axis into the repo's second extension axis
   sweep CLI, tables, figures) resolves schemes dynamically —
   a scheme registered at import time flows end-to-end into sweeps,
   BENCH artifacts and figures with zero harness edits.
-* ``SCHEMES`` is a *live registry view* (iteration, ``in``, indexing,
-  tuple equality), kept for the many call sites that used the old
-  ``("bisp", "demand", "lockstep")`` tuple literal.
+* :func:`scheme_names` is the one list of registered schemes, read from
+  the registry at call time.
 
 Registering a new scheme takes ~10 lines in any module::
 
@@ -275,49 +274,6 @@ def scheme_names(tags: Optional[Sequence[str]] = None) -> List[str]:
 def all_schemes(tags: Optional[Sequence[str]] = None) -> List[Scheme]:
     """Registered schemes in canonical order, optionally filtered."""
     return [_REGISTRY[name] for name in scheme_names(tags)]
-
-
-class SchemesView:
-    """Live, sequence-like view of the registered scheme names.
-
-    Drop-in for the old ``SCHEMES = ("bisp", "demand", "lockstep")``
-    tuple: iteration, ``in``, ``len``, indexing and (tuple/list)
-    equality all reflect the registry *at call time*, so schemes
-    registered after import are visible everywhere the view is used.
-    """
-
-    def _names(self) -> List[str]:
-        return scheme_names()
-
-    def __iter__(self):
-        return iter(self._names())
-
-    def __contains__(self, name) -> bool:
-        ensure_builtin_schemes()
-        return name in _REGISTRY
-
-    def __len__(self) -> int:
-        return len(self._names())
-
-    def __getitem__(self, index):
-        return self._names()[index]
-
-    def __eq__(self, other):
-        if isinstance(other, SchemesView):
-            return True
-        if isinstance(other, (tuple, list)):
-            return tuple(self._names()) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(SchemesView)
-
-    def __repr__(self):
-        return repr(tuple(self._names()))
-
-
-#: Live registry view; see :class:`SchemesView`.
-SCHEMES = SchemesView()
 
 
 # ---------------------------------------------------------------------------

@@ -728,29 +728,6 @@ class HISQCore:
         self._tcu_busy = True
         self._tcu_loop()
 
-    def _clamped_position(self, position: int) -> int:
-        """Clamp an item position that fell behind the cursor (violation).
-
-        Happens only when the compiled timing contract is broken, e.g. a
-        codeword scheduled between a sync booking and its sync point on a
-        path the compiler failed to pad.
-        """
-        if position < self.timer.position:
-            self._violation(
-                "item at position {} is behind the timer cursor {}".format(
-                    position, self.timer.position))
-            return self.timer.position
-        return position
-
-    def _action_wall(self, position: int) -> int:
-        """Wall-clock at which a timed item at ``position`` may act."""
-        target = self.timer.wall_of(position)
-        if target < self.engine.now:
-            self._violation("item at position {} is {} cycles late".format(
-                position, self.engine.now - target))
-            target = self.engine.now
-        return target
-
     def _violation(self, why: str) -> None:
         if self.strict_timing:
             raise TimingViolation("{}: {}".format(self.name, why))
@@ -817,7 +794,7 @@ class HISQCore:
                                  item.earliest_wall)
                     timer.advance_to(position, target)
                 continue
-            # Inline _action_wall/advance_to: ``position`` is already
+            # Inline wall_of/advance_to: ``position`` is already
             # clamped to the cursor, so ``wall_of`` cannot raise and any
             # excess of the (clamped) target over nominal is stall time.
             now = engine.now

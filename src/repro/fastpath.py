@@ -1,27 +1,23 @@
-"""The switches for the simulator's fast paths.
+"""The simulator's one fast-path switch and the strict flag parser.
 
 ``REPRO_NO_FASTPATH=1`` (or ``true``/``yes``/``on``, any case, optional
-surrounding whitespace) reverts every component that has a
-fast/reference implementation pair to the reference side: the HISQ
-pre-decoded interpreter (whose admitted fast-block slices become
-lazily-drained :class:`~repro.core.queues.ReplayBatch` entries) falls
-back to the per-instruction loop (:mod:`repro.core.node`) and the
-stabilizer tableau falls back to the byte-per-qubit layout
-(:mod:`repro.quantum.stabilizer`).  Results are bit-identical either
-way — the escape hatch exists for debugging and differential testing,
-and all consumers must parse the variable identically, which is why the
-helpers live in one place.
+surrounding whitespace) runs the HISQ interpreter on its reference
+side: the pre-decoded interpreter (whose admitted fast-block slices
+become lazily-drained :class:`~repro.core.queues.ReplayBatch` entries)
+falls back to the per-instruction loop (:mod:`repro.core.node`).
+Results are bit-identical either way — the escape hatch exists for
+debugging and differential testing.  Every other fast path (the
+bit-packed stabilizer tableau, lane fast-forward, batched multishot
+sampling) has one implementation chosen by the program alone; its
+reference lives next to the tests that compare against it.
 
-``REPRO_NO_LANES=1`` disables lane-parallel multishot execution
-(:mod:`repro.sim.lanes`); every extra shot then replays through its own
-full simulation.
-
-Both switches are read from the process environment when simulation
+The switch is read from the process environment when simulation
 objects are built, so sweep pool workers (fork or spawn) follow the
 environment they were started with.  Unrecognized values *raise*
 instead of silently picking a default: a typo in an escape hatch
 (``REPRO_NO_FASTPATH=on`` used to mean "fast path enabled") must never
 silently run the wrong path while a differential check claims otherwise.
+:func:`env_flag` is the one parser for boolean ``REPRO_*`` switches.
 """
 
 from __future__ import annotations
@@ -62,8 +58,3 @@ def fastpath_enabled() -> bool:
     flip it per run.
     """
     return not env_flag("REPRO_NO_FASTPATH")
-
-
-def lanes_enabled() -> bool:
-    """Whether multishot runs may use lane-parallel execution."""
-    return not env_flag("REPRO_NO_LANES")

@@ -379,45 +379,15 @@ def decode_program(program, trust_pin: bool = True) -> DecodedProgram:
     return decoded
 
 
-def adopt_decoded(program, decoded: DecodedProgram) -> None:
-    """Install an externally produced decode of ``program`` into the caches.
-
-    The compile cache (:mod:`repro.compiler.cache`) pickles each
-    program's :class:`DecodedProgram` next to the program itself, so a
-    warm load skips the decode pass entirely.  ``decoded.instructions``
-    must be the *same objects* as ``program.instructions`` (pickling
-    them in one payload guarantees that via the pickle memo) — the
-    id-tuple content key below is only safe under that aliasing, so it
-    is asserted rather than trusted.
-
-    Both cache levels are primed: the per-program pin serves
-    ``decode_program(trust_pin=True)`` (shot reloads) and the content
-    entry serves ``trust_pin=False`` (``HISQCore.start``), which would
-    otherwise re-decode from scratch and silently waste the artifact.
-    The replay counters are writer-process state, not program content —
-    they restart at zero in the adopting process.
-    """
-    instructions = program.instructions
-    if len(decoded.instructions) != len(instructions) or any(
-            a is not b for a, b in zip(decoded.instructions, instructions)):
-        raise ValueError("decoded artifact does not alias the program's "
-                         "instruction objects")
-    decoded.vector_replays = 0
-    decoded.vector_items = 0
-    _prime_decoded(program, decoded, tuple(map(id, instructions)))
-
-
 def _prime_decoded(program, decoded: DecodedProgram, content_key: tuple
                    ) -> None:
     """Install ``decoded`` in both cache levels without any checks.
 
     ``content_key`` must be ``tuple(map(id, program.instructions))`` for
-    instructions the decoded object pins — :func:`adopt_decoded` is the
-    checked public path; the compile cache's warm load
-    (:mod:`repro.compiler.cache`) calls this directly because it builds
-    program and decode from one instruction pool, so the aliasing holds
-    by construction and the key is shared across programs that reuse a
-    decode."""
+    instructions the decoded object pins.  The compile cache's warm load
+    (:mod:`repro.compiler.cache`) builds program and decode from one
+    instruction pool, so the aliasing holds by construction and the key
+    is shared across programs that reuse a decode."""
     _by_content[content_key] = decoded
     if len(_by_content) > _BY_CONTENT_LIMIT:
         _by_content.popitem(last=False)

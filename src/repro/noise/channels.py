@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..errors import ReproError
 
@@ -235,14 +235,3 @@ def idle_channels_from_lifetimes(lifetimes_ns: Mapping[int, float],
         if channel.error_probability > 0:
             out[int(qubit)] = channel
     return out
-
-
-def compose_all(channels: Iterable[Optional[PauliChannel]]
-                ) -> Optional[PauliChannel]:
-    """Compose a sequence of channels (None entries skipped)."""
-    result: Optional[PauliChannel] = None
-    for channel in channels:
-        if channel is None:
-            continue
-        result = channel if result is None else result.compose(channel)
-    return result

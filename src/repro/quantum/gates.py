@@ -105,9 +105,3 @@ def is_clifford(name: str, params: Tuple[float, ...] = ()) -> bool:
         ratio = params[0] / math.pi
         return abs(ratio - round(ratio)) < 1e-12
     return False
-
-
-def inverse_name(name: str) -> str:
-    """Name of the inverse gate (for self-inverse gates, the same name)."""
-    inverses = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
-    return inverses.get(name, name)

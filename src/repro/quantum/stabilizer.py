@@ -5,23 +5,12 @@ the long-range CNOT teleportation construction (Figure 14) and the
 surface-code / lattice-surgery circuits (section 6.4.2): measurements and
 classically conditioned Paulis are exactly what the formalism handles.
 
-Two tableau layouts share one backend class:
-
-* **bit-packed** (default) — the X/Z blocks are ``uint64`` words, 64
-  qubits per word.  Clifford generators touch one word-column across all
-  ``2n + 1`` rows, rowsums are whole-word XOR/AND expressions with
-  table-driven popcounts, and the anticommuting-row elimination inside
-  ``measure`` is vectorized across rows — no per-qubit Python work and
-  no ``astype`` churn anywhere on the hot path.
-* **byte-per-qubit** (``packed=False``, or ``REPRO_NO_FASTPATH=1``) —
-  the original ``uint8`` layout, kept as the differential-testing
-  reference, with the temporary-allocation churn of the old
-  ``_rowsum``/``_row_mult`` (int8 casts, masked writes into a fresh
-  ``g``) replaced by branch-free uint8 mask algebra.
-
-Both layouts draw identically from the RNG and produce identical
-outcomes, canonical stabilizers and collapse behavior (asserted by the
-packed-vs-uint8 differential tests).
+The tableau is bit-packed: the X/Z blocks are ``uint64`` words, 64
+qubits per word.  Clifford generators touch one word-column across all
+``2n + 1`` rows, rowsums are whole-word XOR/AND expressions with
+table-driven popcounts, and the anticommuting-row elimination inside
+``measure`` is vectorized across rows — no per-qubit Python work and no
+``astype`` churn anywhere on the hot path.
 """
 
 from __future__ import annotations
@@ -31,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import QuantumStateError
-from ..fastpath import fastpath_enabled
 from .circuit import QuantumCircuit
 
 #: 16-bit popcount table: popcount of an arbitrary array = table lookup
@@ -48,39 +36,28 @@ def _popcount(words: np.ndarray) -> int:
 class StabilizerBackend:
     """CHP tableau with n destabilizer + n stabilizer rows + 1 scratch row."""
 
-    def __init__(self, num_qubits: int, seed: Optional[int] = None,
-                 packed: Optional[bool] = None):
+    def __init__(self, num_qubits: int, seed: Optional[int] = None):
         if num_qubits < 1:
             raise QuantumStateError("need at least one qubit")
         n = num_qubits
         self.num_qubits = n
         self.rng = np.random.default_rng(seed)
-        self.packed = fastpath_enabled() if packed is None else bool(packed)
         self.r = np.zeros(2 * n + 1, dtype=np.uint8)
-        if self.packed:
-            words = (n + 63) >> 6
-            self._words = words
-            self.xw = np.zeros((2 * n + 1, words), dtype=np.uint64)
-            self.zw = np.zeros((2 * n + 1, words), dtype=np.uint64)
-            one = np.uint64(1)
-            for i in range(n):
-                self.xw[i, i >> 6] = one << np.uint64(i & 63)
-                self.zw[n + i, i >> 6] = one << np.uint64(i & 63)
-        else:
-            self.x = np.zeros((2 * n + 1, n), dtype=np.uint8)
-            self.z = np.zeros((2 * n + 1, n), dtype=np.uint8)
-            for i in range(n):
-                self.x[i, i] = 1          # destabilizers X_i
-                self.z[n + i, i] = 1      # stabilizers Z_i
+        words = (n + 63) >> 6
+        self.xw = np.zeros((2 * n + 1, words), dtype=np.uint64)
+        self.zw = np.zeros((2 * n + 1, words), dtype=np.uint64)
+        one = np.uint64(1)
+        for i in range(n):
+            self.xw[i, i >> 6] = one << np.uint64(i & 63)      # X_i
+            self.zw[n + i, i >> 6] = one << np.uint64(i & 63)  # Z_i
 
-    # -- packed <-> byte views -------------------------------------------------
-
-    def _bits_of(self, wrow: np.ndarray) -> np.ndarray:
-        """Unpack one word row into a per-qubit uint8 row."""
-        n = self.num_qubits
-        qubits = np.arange(n)
-        return ((wrow[qubits >> 6] >> (qubits & 63).astype(np.uint64)) &
-                np.uint64(1)).astype(np.uint8)
+    def _row_bits(self, row: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Row ``row``'s X and Z bits as per-qubit uint8 arrays."""
+        qubits = np.arange(self.num_qubits)
+        words, shifts = qubits >> 6, (qubits & 63).astype(np.uint64)
+        one = np.uint64(1)
+        return (((self.xw[row, words] >> shifts) & one).astype(np.uint8),
+                ((self.zw[row, words] >> shifts) & one).astype(np.uint8))
 
     # -- Clifford primitives ---------------------------------------------------
 
@@ -90,53 +67,39 @@ class StabilizerBackend:
 
     def h(self, a: int) -> None:
         self._check(a)
-        if self.packed:
-            word, bit = a >> 6, np.uint64(a & 63)
-            xcol = self.xw[:, word]
-            zcol = self.zw[:, word]
-            xa = (xcol >> bit) & np.uint64(1)
-            za = (zcol >> bit) & np.uint64(1)
-            self.r ^= (xa & za).astype(np.uint8)
-            diff = (xa ^ za) << bit
-            xcol ^= diff
-            zcol ^= diff
-            return
-        self.r ^= self.x[:, a] & self.z[:, a]
-        self.x[:, a], self.z[:, a] = self.z[:, a].copy(), self.x[:, a].copy()
+        word, bit = a >> 6, np.uint64(a & 63)
+        xcol = self.xw[:, word]
+        zcol = self.zw[:, word]
+        xa = (xcol >> bit) & np.uint64(1)
+        za = (zcol >> bit) & np.uint64(1)
+        self.r ^= (xa & za).astype(np.uint8)
+        diff = (xa ^ za) << bit
+        xcol ^= diff
+        zcol ^= diff
 
     def s(self, a: int) -> None:
         self._check(a)
-        if self.packed:
-            word, bit = a >> 6, np.uint64(a & 63)
-            xa = (self.xw[:, word] >> bit) & np.uint64(1)
-            za = (self.zw[:, word] >> bit) & np.uint64(1)
-            self.r ^= (xa & za).astype(np.uint8)
-            self.zw[:, word] ^= xa << bit
-            return
-        self.r ^= self.x[:, a] & self.z[:, a]
-        self.z[:, a] ^= self.x[:, a]
+        word, bit = a >> 6, np.uint64(a & 63)
+        xa = (self.xw[:, word] >> bit) & np.uint64(1)
+        za = (self.zw[:, word] >> bit) & np.uint64(1)
+        self.r ^= (xa & za).astype(np.uint8)
+        self.zw[:, word] ^= xa << bit
 
     def cx(self, a: int, b: int) -> None:
         self._check(a)
         self._check(b)
         if a == b:
             raise QuantumStateError("control equals target")
-        if self.packed:
-            one = np.uint64(1)
-            wa, ba = a >> 6, np.uint64(a & 63)
-            wb, bb = b >> 6, np.uint64(b & 63)
-            xa = (self.xw[:, wa] >> ba) & one
-            za = (self.zw[:, wa] >> ba) & one
-            xb = (self.xw[:, wb] >> bb) & one
-            zb = (self.zw[:, wb] >> bb) & one
-            self.r ^= (xa & zb & (xb ^ za ^ one)).astype(np.uint8)
-            self.xw[:, wb] ^= xa << bb
-            self.zw[:, wa] ^= zb << ba
-            return
-        self.r ^= self.x[:, a] & self.z[:, b] & (self.x[:, b] ^ self.z[:, a]
-                                                 ^ 1)
-        self.x[:, b] ^= self.x[:, a]
-        self.z[:, a] ^= self.z[:, b]
+        one = np.uint64(1)
+        wa, ba = a >> 6, np.uint64(a & 63)
+        wb, bb = b >> 6, np.uint64(b & 63)
+        xa = (self.xw[:, wa] >> ba) & one
+        za = (self.zw[:, wa] >> ba) & one
+        xb = (self.xw[:, wb] >> bb) & one
+        zb = (self.zw[:, wb] >> bb) & one
+        self.r ^= (xa & zb & (xb ^ za ^ one)).astype(np.uint8)
+        self.xw[:, wb] ^= xa << bb
+        self.zw[:, wa] ^= zb << ba
 
     # -- derived gates ----------------------------------------------------------
 
@@ -238,30 +201,6 @@ class StabilizerBackend:
 
     def _rowsum(self, h: int, i: int) -> None:
         """Row h *= row i with correct phase bookkeeping (CHP rowsum)."""
-        if self.packed:
-            self._rowsum_packed(h, i)
-            return
-        xi, zi = self.x[i], self.z[i]
-        xh, zh = self.x[h], self.z[h]
-        # Branch-free uint8 mask algebra: +1 and -1 phase contributions
-        # are disjoint bit masks (no int8 casts, no masked writes).
-        nxi = xi ^ 1
-        nzi = zi ^ 1
-        nxh = xh ^ 1
-        nzh = zh ^ 1
-        plus = xi & zi & zh & nxh
-        plus |= xi & nzi & zh & xh
-        plus |= nxi & zi & xh & nzh
-        minus = xi & zi & xh & nzh
-        minus |= xi & nzi & zh & nxh
-        minus |= nxi & zi & xh & zh
-        total = (2 * int(self.r[h]) + 2 * int(self.r[i]) +
-                 int(plus.sum()) - int(minus.sum()))
-        self.r[h] = (total % 4) // 2
-        xh ^= xi
-        zh ^= zi
-
-    def _rowsum_packed(self, h: int, i: int) -> None:
         xi, zi = self.xw[i], self.zw[i]
         xh, zh = self.xw[h], self.zw[h]
         nxi = ~xi
@@ -278,7 +217,7 @@ class StabilizerBackend:
         xh ^= xi
         zh ^= zi
 
-    def _rowsum_many_packed(self, targets: np.ndarray, i: int) -> None:
+    def _rowsum_many(self, targets: np.ndarray, i: int) -> None:
         """Vectorized ``rowsum(t, i)`` for every row t in ``targets``."""
         xi, zi = self.xw[i], self.zw[i]
         xh = self.xw[targets]
@@ -304,44 +243,6 @@ class StabilizerBackend:
     def measure(self, a: int, forced: Optional[int] = None) -> int:
         """Z-basis measurement of qubit ``a`` with collapse."""
         self._check(a)
-        if self.packed:
-            return self._measure_packed(a, forced)
-        n = self.num_qubits
-        stab_rows = np.nonzero(self.x[n:2 * n, a])[0]
-        if stab_rows.size:
-            # Random outcome: anticommuting stabilizer exists.
-            p = int(stab_rows[0]) + n
-            if forced is None:
-                outcome = int(self.rng.integers(0, 2))
-            else:
-                outcome = int(forced)
-            for i in range(2 * n):
-                if i != p and self.x[i, a]:
-                    self._rowsum(i, p)
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.r[p - n] = self.r[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.z[p, a] = 1
-            self.r[p] = outcome
-            return outcome
-        # Deterministic outcome.
-        scratch = 2 * n
-        self.x[scratch] = 0
-        self.z[scratch] = 0
-        self.r[scratch] = 0
-        for i in range(n):
-            if self.x[i, a]:
-                self._rowsum(scratch, i + n)
-        outcome = int(self.r[scratch])
-        if forced is not None and int(forced) != outcome:
-            raise QuantumStateError(
-                "cannot force outcome {}: measurement of qubit {} is "
-                "deterministically {}".format(forced, a, outcome))
-        return outcome
-
-    def _measure_packed(self, a: int, forced: Optional[int]) -> int:
         n = self.num_qubits
         one = np.uint64(1)
         word, bit = a >> 6, np.uint64(a & 63)
@@ -357,7 +258,7 @@ class StabilizerBackend:
             xcol[p] = 0
             targets = np.nonzero(xcol)[0]
             if targets.size:
-                self._rowsum_many_packed(targets, p)
+                self._rowsum_many(targets, p)
             self.xw[p - n] = self.xw[p]
             self.zw[p - n] = self.zw[p]
             self.r[p - n] = self.r[p]
@@ -372,7 +273,7 @@ class StabilizerBackend:
         self.zw[scratch] = 0
         self.r[scratch] = 0
         for i in np.nonzero(xcol[:n])[0]:
-            self._rowsum_packed(scratch, int(i) + n)
+            self._rowsum(scratch, int(i) + n)
         outcome = int(self.r[scratch])
         if forced is not None and int(forced) != outcome:
             raise QuantumStateError(
@@ -431,12 +332,8 @@ class StabilizerBackend:
         n = self.num_qubits
         rows = []
         for i in range(n, 2 * n):
-            if self.packed:
-                rows.append((self._bits_of(self.xw[i]),
-                             self._bits_of(self.zw[i]), int(self.r[i])))
-            else:
-                rows.append((self.x[i].copy(), self.z[i].copy(),
-                             int(self.r[i])))
+            xr, zr = self._row_bits(i)
+            rows.append((xr, zr, int(self.r[i])))
         rows = self._gauss(rows)
         out = []
         for xr, zr, phase in rows:
@@ -477,8 +374,8 @@ class StabilizerBackend:
         """Multiply Pauli rows a*b with phase tracking (mod 4 -> sign)."""
         xa, za, ra = row_a
         xb, zb, rb = row_b
-        # Branch-free uint8 mask algebra (see _rowsum): a's (x, z) selects
-        # the case, b's bits decide the i-exponent sign.
+        # Branch-free uint8 mask algebra (the per-qubit form of _rowsum):
+        # a's (x, z) selects the case, b's bits decide the i-exponent sign.
         nxa = xa ^ 1
         nza = za ^ 1
         nxb = xb ^ 1

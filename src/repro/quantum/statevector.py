@@ -452,25 +452,16 @@ def run_statevector(circuit: QuantumCircuit, seed=None,
 
 def run_multishot(circuit: QuantumCircuit, shots: int,
                   seed: Optional[int] = None,
-                  forced_outcomes: Optional[Dict[int, list]] = None,
-                  batched: bool = True) -> np.ndarray:
+                  forced_outcomes: Optional[Dict[int, list]] = None
+                  ) -> np.ndarray:
     """Sample ``shots`` executions; returns (shots, num_clbits) int8 bits.
 
-    ``batched=True`` applies each gate once to a ``(shots, 2**n)`` array;
-    ``batched=False`` is the reference per-shot loop.  Under a fixed
-    ``seed`` the two return identical arrays bit for bit (shot ``s`` owns
-    the RNG stream seeded by ``(seed, s)`` on both paths).
+    Each gate is applied once to a ``(shots, 2**n)`` array
+    (:class:`BatchedStatevectorBackend`); under a fixed ``seed``, shot
+    ``s`` owns the RNG stream seeded by ``(seed, s)``.
     """
-    if batched:
-        backend = BatchedStatevectorBackend(circuit.num_qubits, shots,
-                                            seed=seed)
-        return backend.run_circuit(circuit, forced_outcomes=forced_outcomes)
-    out = np.zeros((shots, circuit.num_clbits), dtype=np.int8)
-    for s in range(shots):
-        backend = StatevectorBackend(circuit.num_qubits,
-                                     seed=_shot_seed(seed, s))
-        out[s] = backend.run_circuit(circuit, forced_outcomes=forced_outcomes)
-    return out
+    backend = BatchedStatevectorBackend(circuit.num_qubits, shots, seed=seed)
+    return backend.run_circuit(circuit, forced_outcomes=forced_outcomes)
 
 
 def measurement_counts(cbits: np.ndarray) -> Dict[str, int]:

@@ -151,18 +151,22 @@ async def _serve(args) -> int:
     try:
         await stop.wait()
     finally:
+        # Workers go first, while the server still answers: one parked
+        # in a /lease long-poll gets its reply, sees its drain flag and
+        # exits through its own cleanup (the --worker-trace export).
+        # Waiting off the loop keeps that reply flowing.
+        for process in workers:
+            process.terminate()
+        for process in workers:
+            try:
+                await loop.run_in_executor(None, process.wait, 10)
+            except subprocess.TimeoutExpired:
+                process.kill()
         serving.cancel()
         try:
             await serving
         except (asyncio.CancelledError, Exception):
             pass
-        for process in workers:
-            process.terminate()
-        for process in workers:
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                process.kill()
         await server.close()
     return 0
 

@@ -119,11 +119,3 @@ class SystemLayout:
     z_channels: int = 20
     #: Readout input/output channel pairs per readout board.
     readout_channels: int = 4
-
-    def controllers_for(self, num_qubits: int) -> int:
-        """Number of control boards needed for ``num_qubits`` qubits."""
-        return -(-num_qubits // self.qubits_per_controller)
-
-    def readouts_for(self, num_qubits: int) -> int:
-        """Number of readout boards needed for ``num_qubits`` qubits."""
-        return -(-num_qubits // self.qubits_per_readout)

@@ -18,19 +18,15 @@ compilation and decode work that :func:`repro.compiler.driver.
 run_circuit` already paid once, and they run on *one* timing-only
 :class:`~repro.sim.system.ControlSystem` built for the first lane and
 rewound with :meth:`~repro.sim.system.ControlSystem.reset` for every
-later one.  A fresh build per lane (:func:`repro.compiler.driver.
-simulate_shot`) is the differential oracle.
-
-``REPRO_NO_LANES=1`` (strictly parsed, see :mod:`repro.fastpath`)
-disables fast-forward entirely; the differential tests assert both modes
-produce byte-identical per-shot stats.
+later one.  Which mode runs depends on the compiled programs alone
+(:func:`static_timing`); a fresh build per lane (:func:`repro.compiler.
+driver.simulate_shot`) is the differential oracle for both.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..fastpath import lanes_enabled
 from ..isa.decoded import decode_program
 
 #: Process-wide lane accounting: shots satisfied by static fast-forward
@@ -98,14 +94,15 @@ def run_extra_shots(compilation, device_seed: int, shots: int,
     (one full simulation per lane).  ``first`` is shot 0's stats dict;
     when given and the program set is static, it doubles as the
     reference lane, so fast-forward costs zero additional simulations.
-    Output is bit-identical between the two modes by construction, and
-    the differential suite asserts it.
+    Both modes are bit-identical to one fresh :func:`~repro.compiler.
+    driver.simulate_shot` per lane, and the differential suite asserts
+    it.
     """
     from ..compiler.driver import shot_device_seed, simulate_shot
 
     if shots <= 1:
         return [], "replay"
-    if lanes_enabled() and static_timing(compilation):
+    if static_timing(compilation):
         reference = first
         if reference is None:
             reference = simulate_shot(

@@ -1,15 +1,17 @@
 """Shared test/benchmark utilities: deterministic generators and builders.
 
 Hosts the setup helpers that the per-package test modules used to each
-define for themselves (bare-core builders, stream lowering) plus seeded
-random-circuit generators for differential testing.  Importable from
-tests, benchmarks and example scripts alike; everything here is
-deterministic given its ``seed`` argument.
+define for themselves (bare-core builders, stream lowering, the
+environment of child interpreters) plus seeded random-circuit generators
+for differential testing.  Importable from tests, benchmarks and example
+scripts alike; everything here is deterministic given its ``seed``
+argument.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import os
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +57,22 @@ def lower_to_streams(circuit: QuantumCircuit, mesh: str = "line",
     topology = build_topology(qmap.num_controllers, mesh_kind=mesh)
     return lower_circuit(circuit, qmap, topology,
                          config or SimulationConfig())
+
+
+def subprocess_env() -> Dict[str, str]:
+    """The current environment with the directory this ``repro`` was
+    imported from first on ``PYTHONPATH``.
+
+    A child interpreter inherits neither pytest's ``pythonpath`` ini
+    option nor in-process ``sys.path`` edits, so tests and benchmarks
+    that spawn ``python -c "import repro ..."`` pass this as ``env``.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    current = env.get("PYTHONPATH", "")
+    if root not in current.split(os.pathsep):
+        env["PYTHONPATH"] = root + (os.pathsep + current if current else "")
+    return env
 
 
 def random_clifford_circuit(num_qubits: int, depth: int, seed: int,

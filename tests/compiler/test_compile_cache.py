@@ -18,6 +18,7 @@ from repro.diskcache import PickleDirStore
 from repro.harness import registry
 from repro.isa import decoded
 from repro.sim.config import SimulationConfig
+from repro.testing import subprocess_env
 
 
 def _delta(before):
@@ -228,7 +229,8 @@ class TestSharedStore:
         for _ in range(2):
             proc = subprocess.run(
                 [sys.executable, "-c", _SUBPROCESS_SCRIPT, str(tmp_path)],
-                capture_output=True, text=True, timeout=120)
+                capture_output=True, text=True, timeout=120,
+                env=subprocess_env())
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout.split())
         (h1, m1, span1), (h2, m2, span2) = outputs

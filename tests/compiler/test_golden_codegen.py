@@ -14,7 +14,8 @@ import os
 
 import pytest
 
-from repro.compiler.driver import SCHEMES, compile_circuit
+from repro.compiler.driver import compile_circuit
+from repro.compiler.schemes import scheme_names
 from repro.quantum.circuit import QuantumCircuit
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -48,7 +49,7 @@ def render_compilation(scheme: str) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", scheme_names())
 def test_codegen_matches_golden(scheme, update_golden):
     path = os.path.join(GOLDEN_DIR, "{}.txt".format(scheme))
     rendered = render_compilation(scheme)

@@ -9,7 +9,7 @@ counters, same TELF traces, same stall accounting — across every
 registered synchronization scheme, a sample of registry workloads, and
 randomized ISA programs.  ``REPRO_NO_FASTPATH=1`` selects the legacy
 interpreter, which is the reference behavior here.  Lane-parallel
-multishot is checked against per-lane replay at the end.
+multishot is checked against a fresh simulation per shot at the end.
 """
 
 import random
@@ -17,7 +17,8 @@ import random
 import pytest
 
 from repro.compiler import schemes as scheme_registry
-from repro.compiler.driver import run_circuit
+from repro.compiler.driver import (run_circuit, shot_device_seed,
+                                   simulate_shot)
 from repro.core.config import CoreConfig
 from repro.core.node import HISQCore, fastpath_enabled
 from repro.harness import registry
@@ -316,27 +317,27 @@ class TestBatchedReplay:
 
 
 class TestLaneDifferential:
-    """Lane fast-forward vs per-lane replay, static and dynamic."""
+    """Every multishot lane, fast-forwarded or replayed, against one
+    fresh :func:`~repro.compiler.driver.simulate_shot` per shot."""
 
     @pytest.mark.parametrize("workload", ("qft_n300", "bv_n400"))
     @pytest.mark.parametrize("subst", (0.0, 0.25))
-    def test_lanes_match_replay(self, workload, subst, monkeypatch):
+    def test_lanes_match_replay(self, workload, subst):
         spec = registry.get_workload(workload).spec(0.04, subst)
         circuit = spec.circuit()
         for scheme in scheme_registry.scheme_names():
-            monkeypatch.delenv("REPRO_NO_LANES", raising=False)
-            on = run_circuit(circuit, scheme=scheme, backend=None,
-                             record_gate_log=False, shots=4,
-                             mesh_kind=spec.mesh_kind)
-            monkeypatch.setenv("REPRO_NO_LANES", "1")
-            off = run_circuit(circuit, scheme=scheme, backend=None,
-                              record_gate_log=False, shots=4,
-                              mesh_kind=spec.mesh_kind)
-            assert on.shot_stats == off.shot_stats, (scheme, workload)
-            assert off.lane_mode == "replay"
+            result = run_circuit(circuit, scheme=scheme, backend=None,
+                                 record_gate_log=False, shots=4,
+                                 device_seed=12345,
+                                 mesh_kind=spec.mesh_kind)
+            oracle = [simulate_shot(result.compilation,
+                                    shot_device_seed(12345, s))
+                      for s in range(4)]
+            assert result.shot_stats == oracle, (scheme, workload)
             expected = ("fastforward"
-                        if lanes.static_timing(on.compilation) else "replay")
-            assert on.lane_mode == expected, (scheme, workload)
+                        if lanes.static_timing(result.compilation)
+                        else "replay")
+            assert result.lane_mode == expected, (scheme, workload)
 
     def test_static_detection(self):
         static_spec = registry.get_workload("qft_n300").spec(0.04, 0.0)
@@ -348,10 +349,9 @@ class TestLaneDifferential:
         assert lanes.static_timing(static.compilation)
         assert not lanes.static_timing(dynamic.compilation)
 
-    def test_fastforward_engages_on_static_set(self, monkeypatch):
+    def test_fastforward_engages_on_static_set(self):
         """qft at zero substitution compiles recv-free under bisp — the
         lane engine must actually fan it out, not fall back to replay."""
-        monkeypatch.delenv("REPRO_NO_LANES", raising=False)
         lanes.reset_lane_totals()
         spec = registry.get_workload("qft_n300").spec(0.04, 0.0)
         result = run_circuit(spec.circuit(), scheme="bisp", backend=None,
@@ -363,15 +363,23 @@ class TestLaneDifferential:
         seeds = {s["device_seed"] for s in result.shot_stats}
         assert len(seeds) == 5
 
-    def test_no_lanes_env_forces_replay(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_LANES", "1")
-        lanes.reset_lane_totals()
+    def test_no_fastpath_env_keeps_lanes(self, monkeypatch):
+        """``REPRO_NO_FASTPATH`` swaps the interpreter, not the lane
+        mode: a static set still fast-forwards, to the same stats."""
         spec = registry.get_workload("qft_n300").spec(0.04, 0.0)
-        result = run_circuit(spec.circuit(), scheme="bisp", backend=None,
-                             record_gate_log=False, shots=3,
-                             mesh_kind=spec.mesh_kind)
-        assert result.lane_mode == "replay"
-        assert lanes.lane_totals() == {"fastforward": 0, "replayed": 2}
+        circuit = spec.circuit()
+        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+        fast = run_circuit(circuit, scheme="bisp", backend=None,
+                           record_gate_log=False, shots=3,
+                           mesh_kind=spec.mesh_kind)
+        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        lanes.reset_lane_totals()
+        slow = run_circuit(circuit, scheme="bisp", backend=None,
+                           record_gate_log=False, shots=3,
+                           mesh_kind=spec.mesh_kind)
+        assert slow.lane_mode == "fastforward"
+        assert lanes.lane_totals() == {"fastforward": 2, "replayed": 0}
+        assert slow.shot_stats == fast.shot_stats
 
 
 class TestFastpathToggle:

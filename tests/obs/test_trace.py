@@ -9,6 +9,7 @@ import pytest
 from repro.obs import trace
 from repro.sim.config import SimulationConfig
 from repro.sim.telf import TelfRecord
+from repro.testing import subprocess_env
 
 
 @pytest.fixture
@@ -154,18 +155,9 @@ class TestCli:
         assert len(merged["traceEvents"]) == 2
 
     def test_module_entrypoint(self, tmp_path):
-        import os
-
-        import repro
-
-        package_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = package_root + os.pathsep + \
-            env.get("PYTHONPATH", "")
         good = self._write(tmp_path, "good.json", {"traceEvents": []})
         proc = subprocess.run(
             [sys.executable, "-m", "repro.obs.trace", "validate", good],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=subprocess_env())
         assert proc.returncode == 0
         assert "OK (0 events, 0 lanes)" in proc.stdout

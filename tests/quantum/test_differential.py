@@ -6,9 +6,9 @@ Two independent implementations constrain each other:
   *statistics* on the dense statevector backend and the stabilizer
   (CHP tableau) backend — deterministic bits must agree exactly, random
   bits must agree in distribution;
-* batched multi-shot statevector execution must match the per-shot loop
-  **bit for bit** under a fixed seed, for static, dynamic and Clifford
-  circuits alike.
+* batched multi-shot statevector execution must match a per-shot loop
+  of :class:`StatevectorBackend` runs **bit for bit** under a fixed
+  seed, for static, dynamic and Clifford circuits alike.
 """
 
 import numpy as np
@@ -24,9 +24,20 @@ CLIFFORD_CASES = [(2, 30, 11), (3, 40, 12), (4, 60, 13), (5, 80, 14),
                   (6, 90, 15)]
 
 
+def _shot_loop(circuit, shots, seed, forced_outcomes=None):
+    """The per-shot reference: shot ``s`` runs on its own
+    :class:`StatevectorBackend` seeded by ``SeedSequence([seed, s])``."""
+    out = np.zeros((shots, circuit.num_clbits), dtype=np.int8)
+    for s in range(shots):
+        backend = StatevectorBackend(
+            circuit.num_qubits, seed=np.random.SeedSequence([seed, s]))
+        out[s] = backend.run_circuit(circuit, forced_outcomes=forced_outcomes)
+    return out
+
+
 def _deterministic_bits(circuit, shots, seed):
     """Classical bits that came out identical across every shot."""
-    rows = run_multishot(circuit, shots, seed=seed, batched=True)
+    rows = run_multishot(circuit, shots, seed=seed)
     same = (rows == rows[0]).all(axis=0)
     return same, rows
 
@@ -66,7 +77,7 @@ class TestStatevectorVsStabilizer:
         """
         shots = 400
         circuit = random_clifford_circuit(num_qubits, depth, seed)
-        sv = run_multishot(circuit, shots, seed=seed, batched=True)
+        sv = run_multishot(circuit, shots, seed=seed)
         st = np.zeros_like(sv)
         for shot in range(shots):
             backend = StabilizerBackend(circuit.num_qubits,
@@ -92,7 +103,7 @@ class TestStatevectorVsStabilizer:
         for q in range(4):
             circuit.measure(q, q)
         sv_counts = measurement_counts(
-            run_multishot(circuit, 200, seed=3, batched=True))
+            run_multishot(circuit, 200, seed=3))
         assert set(sv_counts) <= {"0000", "1111"}
         st_rows = []
         for shot in range(200):
@@ -112,16 +123,14 @@ class TestBatchedVsShotLoop:
                               (5, 70, 24)])
     def test_dynamic_circuits_bit_for_bit(self, num_qubits, depth, seed):
         circuit = random_dynamic_circuit(num_qubits, depth, seed)
-        batched = run_multishot(circuit, 48, seed=seed, batched=True)
-        looped = run_multishot(circuit, 48, seed=seed, batched=False)
-        assert np.array_equal(batched, looped)
+        rows = run_multishot(circuit, 48, seed=seed)
+        assert np.array_equal(rows, _shot_loop(circuit, 48, seed))
 
     @pytest.mark.parametrize("num_qubits,depth,seed", CLIFFORD_CASES[:3])
     def test_clifford_circuits_bit_for_bit(self, num_qubits, depth, seed):
         circuit = random_clifford_circuit(num_qubits, depth, seed)
-        batched = run_multishot(circuit, 48, seed=seed, batched=True)
-        looped = run_multishot(circuit, 48, seed=seed, batched=False)
-        assert np.array_equal(batched, looped)
+        rows = run_multishot(circuit, 48, seed=seed)
+        assert np.array_equal(rows, _shot_loop(circuit, 48, seed))
 
     def test_teleportation_feedback_bit_for_bit(self):
         """The Figure-14 long-range CNOT gadget, feedback included."""
@@ -129,9 +138,8 @@ class TestBatchedVsShotLoop:
         circuit = build_long_range_cnot_circuit(5)
         circuit.measure(0, circuit.num_clbits - 2)
         circuit.measure(5, circuit.num_clbits - 1)
-        batched = run_multishot(circuit, 64, seed=99, batched=True)
-        looped = run_multishot(circuit, 64, seed=99, batched=False)
-        assert np.array_equal(batched, looped)
+        rows = run_multishot(circuit, 64, seed=99)
+        assert np.array_equal(rows, _shot_loop(circuit, 64, 99))
 
     def test_forced_outcomes_match(self):
         """Forced-FIFO post-selection follows the same semantics."""
@@ -142,12 +150,10 @@ class TestBatchedVsShotLoop:
         circuit.x(1, condition=(0, 1))
         circuit.measure(1, 1)
         forced = {0: [1]}
-        batched = run_multishot(circuit, 8, seed=5, batched=True,
-                                forced_outcomes=forced)
-        looped = run_multishot(circuit, 8, seed=5, batched=False,
-                               forced_outcomes=forced)
-        assert np.array_equal(batched, looped)
-        assert (batched[:, 0] == 1).all() and (batched[:, 1] == 1).all()
+        rows = run_multishot(circuit, 8, seed=5, forced_outcomes=forced)
+        assert np.array_equal(
+            rows, _shot_loop(circuit, 8, 5, forced_outcomes=forced))
+        assert (rows[:, 0] == 1).all() and (rows[:, 1] == 1).all()
 
     def test_states_match_shot_zero(self):
         """Not just bits: shot s's statevector equals the loop backend's."""
@@ -155,9 +161,9 @@ class TestBatchedVsShotLoop:
         shots = 6
         backend = BatchedStatevectorBackend(3, shots, seed=31)
         backend.run_circuit(circuit)
-        from repro.quantum.statevector import _shot_seed
         for s in range(shots):
-            single = StatevectorBackend(3, seed=_shot_seed(31, s))
+            single = StatevectorBackend(
+                3, seed=np.random.SeedSequence([31, s]))
             single.run_circuit(circuit)
             assert np.array_equal(single.state, backend.states[s])
 

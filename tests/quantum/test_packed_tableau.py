@@ -1,9 +1,10 @@
 """Packed (uint64-word) vs byte-per-qubit stabilizer tableau differential.
 
-The packed layout is the default; the uint8 layout is the reference.
-Both must draw identically from the RNG and agree on every outcome,
-collapse and canonical form — including across the 64-qubit word
-boundary (n = 64, 65, 130).
+:class:`~repro.quantum.stabilizer.StabilizerBackend` is bit-packed; the
+uint8 layout in ``reference_tableau.py`` is the reference.  Both must
+draw identically from the RNG and agree on every outcome, collapse and
+canonical form — including across the 64-qubit word boundary (n = 64,
+65, 130).
 """
 
 import random
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_tableau import ReferenceTableau
 from repro.quantum.stabilizer import StabilizerBackend, run_stabilizer
 from repro.testing import random_clifford_circuit
 
@@ -60,8 +62,8 @@ class TestPackedDifferential:
     def test_random_ops_identical(self, num_qubits):
         rng = random.Random(num_qubits * 7919)
         seed = rng.randrange(1 << 30)
-        packed = StabilizerBackend(num_qubits, seed=seed, packed=True)
-        plain = StabilizerBackend(num_qubits, seed=seed, packed=False)
+        packed = StabilizerBackend(num_qubits, seed=seed)
+        plain = ReferenceTableau(num_qubits, seed=seed)
         got, want = _apply_random_ops(packed, plain, rng, steps=150)
         assert got == want
         assert packed.canonical_stabilizers() == \
@@ -73,15 +75,15 @@ class TestPackedDifferential:
     def test_random_dynamic_circuits(self, seed, num_qubits):
         circuit = random_clifford_circuit(num_qubits, 40, seed=seed,
                                           feedback=True)
-        packed = StabilizerBackend(num_qubits, seed=seed, packed=True)
-        plain = StabilizerBackend(num_qubits, seed=seed, packed=False)
+        packed = StabilizerBackend(num_qubits, seed=seed)
+        plain = ReferenceTableau(num_qubits, seed=seed)
         assert packed.run_circuit(circuit) == plain.run_circuit(circuit)
         assert packed.canonical_stabilizers() == \
             plain.canonical_stabilizers()
 
     def test_rotations_and_paulis(self):
-        packed = StabilizerBackend(70, seed=3, packed=True)
-        plain = StabilizerBackend(70, seed=3, packed=False)
+        packed = StabilizerBackend(70, seed=3)
+        plain = ReferenceTableau(70, seed=3)
         for backend in (packed, plain):
             backend.apply_gate("rz", (65,), (np.pi / 2,))
             backend.apply_gate("cp", (1, 66), (np.pi,))
@@ -90,8 +92,8 @@ class TestPackedDifferential:
             plain.canonical_stabilizers()
 
     def test_forced_outcomes_agree(self):
-        packed = StabilizerBackend(66, seed=11, packed=True)
-        plain = StabilizerBackend(66, seed=11, packed=False)
+        packed = StabilizerBackend(66, seed=11)
+        plain = ReferenceTableau(66, seed=11)
         for backend in (packed, plain):
             backend.h(65)
             assert backend.measure(65, forced=1) == 1
@@ -104,8 +106,8 @@ class TestPackedDifferential:
 
     def test_ghz_across_word_boundary(self):
         n = 80
-        packed = StabilizerBackend(n, seed=42, packed=True)
-        plain = StabilizerBackend(n, seed=42, packed=False)
+        packed = StabilizerBackend(n, seed=42)
+        plain = ReferenceTableau(n, seed=42)
         for backend in (packed, plain):
             backend.h(0)
             for q in range(1, n):
@@ -117,20 +119,44 @@ class TestPackedDifferential:
 
 
 class TestPackedDefaults:
-    def test_default_is_packed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-        assert StabilizerBackend(4).packed is True
+    def test_default_is_packed(self):
+        backend = StabilizerBackend(70, seed=1)
+        assert not hasattr(backend, "x") and not hasattr(backend, "z")
+        assert backend.xw.shape == backend.zw.shape == (141, 2)
+        assert backend.xw.dtype == backend.zw.dtype == np.uint64
 
-    def test_escape_hatch_selects_bytes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        assert StabilizerBackend(4).packed is False
-        # Explicit request wins over the environment.
-        assert StabilizerBackend(4, packed=True).packed is True
+    @pytest.mark.parametrize("value", ["1", "bogus"])
+    def test_no_fastpath_keeps_packed_layout(self, value, monkeypatch):
+        """``REPRO_NO_FASTPATH`` flips only the HISQ interpreter: the
+        tableau never reads it (``bogus`` would raise at a read)."""
+        circuit = random_clifford_circuit(66, 40, seed=4, feedback=True)
+        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+        want = StabilizerBackend(66, seed=4).run_circuit(circuit)
+        monkeypatch.setenv("REPRO_NO_FASTPATH", value)
+        backend = StabilizerBackend(66, seed=4)
+        assert backend.xw.dtype == np.uint64
+        assert backend.run_circuit(circuit) == want
+        plain = ReferenceTableau(66, seed=4)
+        plain.run_circuit(circuit)
+        assert backend.canonical_stabilizers() == \
+            plain.canonical_stabilizers()
+
+    def test_reference_is_byte_layout(self):
+        """The reference really is the uint8 layout: no word arrays, one
+        byte per qubit, and only the layout methods overridden."""
+        plain = ReferenceTableau(70, seed=1)
+        assert not hasattr(plain, "xw") and not hasattr(plain, "zw")
+        assert plain.x.shape == plain.z.shape == (141, 70)
+        assert plain.x.dtype == plain.z.dtype == np.uint8
+        overridden = {name for name in vars(ReferenceTableau)
+                      if callable(getattr(ReferenceTableau, name))}
+        assert overridden == {"__init__", "_row_bits", "h", "s", "cx",
+                              "_rowsum", "measure"}
 
     def test_run_stabilizer_facade(self):
         circuit = random_clifford_circuit(5, 30, seed=9, feedback=True)
         backend, cbits = run_stabilizer(circuit, seed=123)
-        backend2 = StabilizerBackend(5, seed=123, packed=False)
+        backend2 = ReferenceTableau(5, seed=123)
         assert cbits == backend2.run_circuit(circuit)
         assert backend.canonical_stabilizers() == \
             backend2.canonical_stabilizers()

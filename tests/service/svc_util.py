@@ -3,7 +3,6 @@ module — the test tree is intentionally package-less, so this file has
 a name no other test directory uses)."""
 
 import json
-import os
 import socket
 
 from repro.harness.benchjson import make_bench
@@ -21,19 +20,6 @@ def serial_bench(spec: SweepSpec, name: str = "tiny") -> dict:
     rows, stats = run_sweep(spec, processes=1)
     return make_bench(name, rows, kind="sweep", spec=spec.to_dict(),
                       cache={"hits": stats.hits, "misses": stats.misses})
-
-
-def repro_env() -> dict:
-    """Environment for spawned service/worker subprocesses: the parent's
-    plus the repo's ``src`` on PYTHONPATH (subprocesses do not inherit
-    pytest's ``pythonpath`` ini option)."""
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.dirname(os.path.abspath(__file__)))), "src")
-    env = dict(os.environ)
-    current = env.get("PYTHONPATH", "")
-    if src not in current.split(os.pathsep):
-        env["PYTHONPATH"] = src + (os.pathsep + current if current else "")
-    return env
 
 
 def digest_of_file(path: str) -> str:

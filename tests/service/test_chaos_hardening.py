@@ -19,7 +19,8 @@ from repro.service.client import ServiceClientError, backoff_intervals
 from repro.service.scheduler import Scheduler, ServiceError
 from repro.service.store import CellStore
 
-from svc_util import SCALE, free_port, repro_env, serial_bench
+from repro.testing import subprocess_env
+from svc_util import SCALE, free_port, serial_bench
 
 
 @pytest.fixture(autouse=True)
@@ -409,7 +410,7 @@ class TestEndToEndChaos:
              "--port", str(port), "--store", str(store),
              "--workers", "2", "--worker-poll", "0.5",
              "--lease-ttl", "2", "--chaos-plan", str(plan_path)],
-            env=repro_env())
+            env=subprocess_env())
         try:
             client.wait_healthy(url, timeout=60.0)
             sub = client.submit(url, SweepSubmission(
@@ -446,7 +447,7 @@ class TestEndToEndChaos:
             [sys.executable, "-m", "repro.service", "serve",
              "--port", str(port), "--store", str(store),
              "--workers", "0", "--lease-ttl", "30"],
-            env=repro_env())
+            env=subprocess_env())
         worker = None
         try:
             client.wait_healthy(url, timeout=60.0)
@@ -463,7 +464,7 @@ class TestEndToEndChaos:
                  "--url", url, "--store", str(store),
                  "--worker-id", "drainer", "--poll", "0.5",
                  "--chaos-plan", str(plan)],
-                env=repro_env())
+                env=subprocess_env())
             deadline = time.monotonic() + 60.0
             while client.metrics(url)["counters"]["leases_granted"] < 1:
                 assert time.monotonic() < deadline

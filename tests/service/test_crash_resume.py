@@ -27,7 +27,8 @@ from repro.harness.spec import SweepSpec, SweepSubmission
 from repro.service import client
 from repro.service.store import CellStore
 
-from svc_util import SCALE, free_port, repro_env, serial_bench
+from repro.testing import subprocess_env
+from svc_util import SCALE, free_port, serial_bench
 
 #: Big enough that metrics-poll + SIGKILL always lands inside the
 #: delay window, small enough to keep the test quick.
@@ -41,7 +42,7 @@ def spawn_worker(url, store, worker_id, chaos_plan=None):
                "--worker-id", worker_id, "--poll", "0.5"]
     if chaos_plan:
         command += ["--chaos-plan", str(chaos_plan)]
-    return subprocess.Popen(command, env=repro_env())
+    return subprocess.Popen(command, env=subprocess_env())
 
 
 @pytest.mark.slow
@@ -61,7 +62,7 @@ class TestCrashResume:
             [sys.executable, "-m", "repro.service", "serve",
              "--port", str(port), "--store", str(store),
              "--workers", "0", "--lease-ttl", str(LEASE_TTL)],
-            env=repro_env())
+            env=subprocess_env())
         doomed = healthy = None
         try:
             client.wait_healthy(url, timeout=60.0)
@@ -132,7 +133,7 @@ class TestCrashResume:
                 [sys.executable, "-m", "repro.service", "serve",
                  "--port", str(port), "--store", str(store),
                  "--workers", "1", "--worker-poll", "0.5"],
-                env=repro_env())
+                env=subprocess_env())
 
         port = free_port()
         url = "http://127.0.0.1:{}".format(port)

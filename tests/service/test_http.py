@@ -24,7 +24,8 @@ from repro.service.http import ServiceServer, http_request
 from repro.service.scheduler import Scheduler
 from repro.service.store import CellStore
 
-from svc_util import SCALE, free_port, repro_env, serial_bench
+from repro.testing import subprocess_env
+from svc_util import SCALE, free_port, serial_bench
 
 
 async def start_server(tmp_path, **scheduler_kwargs):
@@ -256,7 +257,7 @@ class TestFullStack:
             [sys.executable, "-m", "repro.service", "serve",
              "--port", str(port), "--store", str(store),
              "--workers", "2", "--worker-poll", "1"],
-            env=repro_env(), stdout=subprocess.PIPE,
+            env=subprocess_env(), stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT)
         try:
             client.wait_healthy(url, timeout=60.0)

@@ -9,14 +9,26 @@ and the older smoke assertions consume.
 """
 
 import asyncio
+import json
+import signal
+import subprocess
+import sys
+import time
 
+import pytest
+
+from repro.chaos import FaultPlan, FaultRule
 from repro.harness.parallel import SweepTask, run_cell
 from repro.harness.spec import SweepSubmission
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
+from repro.obs.trace import validate_trace
+from repro.service import client
 from repro.service.http import (ServiceServer, http_request,
                                 http_request_text)
 from repro.service.scheduler import Scheduler
 from repro.service.store import CellStore
+from repro.testing import subprocess_env
+from svc_util import free_port
 
 
 async def _start(tmp_path, **scheduler_kwargs):
@@ -165,3 +177,49 @@ class TestPhaseBreakdown:
         code, body = asyncio.run(scenario())
         assert code == 400
         assert "timings must be an object" in body["error"]
+
+
+@pytest.mark.slow
+class TestServeShutdown:
+    def test_worker_traces_survive_serve_sigterm(self, tmp_path, tiny_spec):
+        """SIGTERM to ``serve --workers 2 --worker-trace``: each worker,
+        parked in a /lease long-poll, still gets its reply, drains, and
+        exports its trace before serve exits."""
+        plan = tmp_path / "delay.json"
+        # Every cell sleeps 1.5 s, so both workers must lease one of the
+        # four cells: both are then provably past their SIGTERM set-up.
+        plan.write_text(FaultPlan(seed=1, rules=(
+            FaultRule("worker", "delay", rate=1.0, arg=1.5),)).to_json())
+        port = free_port()
+        url = "http://127.0.0.1:{}".format(port)
+        traces = [tmp_path / "worker-{}.json".format(i) for i in range(2)]
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "serve",
+             "--port", str(port), "--store", str(tmp_path / "store"),
+             "--workers", "2", "--worker-poll", "0.5",
+             "--worker-trace", str(tmp_path / "worker-{index}.json"),
+             "--chaos-plan", str(plan)],
+            env=subprocess_env())
+        try:
+            client.wait_healthy(url, timeout=60.0)
+            sub = client.submit(url, SweepSubmission(spec=tiny_spec,
+                                                     name="traced"))
+            assert client.wait_done(url, sub["id"],
+                                    timeout=120.0)["state"] == "done"
+            workers = client.metrics(url)["workers"]
+            assert len(workers) == 2, workers
+            # Both workers are idle in /lease long-polls now.
+            started = time.monotonic()
+            serve.send_signal(signal.SIGTERM)
+            assert serve.wait(timeout=30) == 0
+            # Well under the 10 s per-worker kill deadline.
+            assert time.monotonic() - started < 8.0
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.wait()
+        for path in traces:
+            assert path.exists(), "{} was not written".format(path.name)
+            doc = json.loads(path.read_text())
+            assert validate_trace(doc) == []
+            assert any(event["ph"] == "B" for event in doc["traceEvents"])

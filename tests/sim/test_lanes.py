@@ -97,13 +97,12 @@ class TestRunExtraShots:
         assert [s["device_seed"] for s in rest] == \
                [shot_device_seed(1234, s) for s in (1, 2, 3)]
 
-    def test_fastforward_matches_real_replay(self, monkeypatch):
+    def test_fastforward_matches_real_replay(self):
         compilation = compile_circuit(_static_circuit())
-        fast, fast_mode = lanes.run_extra_shots(compilation, 1234, 3)
-        monkeypatch.setenv("REPRO_NO_LANES", "1")
-        slow, slow_mode = lanes.run_extra_shots(compilation, 1234, 3)
-        assert (fast_mode, slow_mode) == ("fastforward", "replay")
-        assert fast == slow
+        fast, mode = lanes.run_extra_shots(compilation, 1234, 3)
+        assert mode == "fastforward"
+        assert fast == [simulate_shot(compilation, shot_device_seed(1234, s))
+                        for s in (1, 2)]
 
     def test_dynamic_compilation_replays(self):
         compilation = compile_circuit(_feedback_circuit())
@@ -265,11 +264,10 @@ class TestReusedLanesMatchFreshBuilds:
             simulate_shot(compilation, shot_device_seed(1234, s), until=150)
             for s in range(1, 3)]
 
-    def test_recv_free_router_state_crosses_reset(self, monkeypatch):
+    def test_recv_free_router_state_crosses_reset(self):
         """Recv-free programs (the lane fast-forward class) book region
         syncs through the router cascade too; a reset mid-epoch must drop
         the partial booking buckets."""
-        monkeypatch.setenv("REPRO_NO_LANES", "1")
         compilation = _compile("qft_n300", "bisp", substitution=0.0)
         assert lanes.static_timing(compilation)
         system = _timing_only(compilation, 3)
@@ -281,10 +279,6 @@ class TestReusedLanesMatchFreshBuilds:
         assert reused == _fresh_fingerprint(compilation, 4)
         assert any(router.broadcasts_sent
                    for router in system.routers.values())
-        rest, mode = lanes.run_extra_shots(compilation, 1234, 4)
-        assert mode == "replay"
-        assert rest == [simulate_shot(compilation, shot_device_seed(1234, s))
-                        for s in range(1, 4)]
 
 
 class TestResetGuard:
