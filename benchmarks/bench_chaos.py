@@ -344,7 +344,7 @@ def test_chaos_soak_converges_byte_identical(tmp_path, bench_recorder):
         "observed {} injected crashes, plan seed {} predicts {}".format(
             fleet.crashes, SOAK_SEED, predicted_crashes)
     cell_store = CellStore(store)
-    quarantined = set(cell_store.cache.corrupt_keys())
+    quarantined = set(cell_store.corrupt_keys())
     assert quarantined == corrupt_keys, \
         "quarantined {} but plan seed {} predicts {}".format(
             quarantined, SOAK_SEED, corrupt_keys)

@@ -1,7 +1,8 @@
 """Shared on-disk pickle-store machinery for content-addressed caches.
 
-Both the sweep result cache (:class:`repro.harness.parallel.SweepCache`,
-one pickle per finished cell) and the compile cache
+Both the sweep result store (:class:`PickleDirStore` itself for
+``run_tasks(cache_dir=)``, :class:`repro.service.store.CellStore` in the
+service — one pickle per finished cell) and the compile cache
 (:class:`repro.compiler.cache.CompileCache`, one pickle per compiled
 circuit) are directories of ``<sha256>.pkl`` files written by many
 concurrent processes.  The invariants they need are identical and live
@@ -108,16 +109,10 @@ class PickleDirStore:
     #: Lock-file name serializing the orphan scan per store directory.
     RECLAIM_LOCK_NAME = ".reclaim.lock"
 
-    def __init__(self, directory: str, sweep_orphans: bool = True,
-                 quarantine: bool = True):
+    def __init__(self, directory: str):
         self.directory = directory
-        #: Move corrupt entries to ``<key>.corrupt`` on detection; when
-        #: False they are only logged and counted (the next get fails
-        #: again).
-        self.quarantine = quarantine
         os.makedirs(directory, exist_ok=True)
-        if sweep_orphans:
-            self.sweep_orphan_tmps()
+        self.sweep_orphan_tmps()
 
     @contextmanager
     def _reclaim_lock(self):
@@ -220,10 +215,7 @@ class PickleDirStore:
         _corrupt_total.inc()
         _log.warning("store_entry_corrupt", key=key,
                      error=type(exc).__name__, detail=str(exc)[:200],
-                     quarantine=self.quarantine,
                      store=self.directory)
-        if not self.quarantine:
-            return
         try:
             os.replace(self._path(key), self._corrupt_path(key))
         except OSError:

@@ -13,9 +13,9 @@ from .spec import SweepCell, SweepSpec, SweepSpecError
 #: stays light.
 _LAZY_EXPORTS = {
     "CacheStats": "parallel", "CellResult": "parallel",
-    "SweepCache": "parallel", "SweepExecutionError": "parallel",
-    "SweepTask": "parallel", "run_cell": "parallel",
-    "run_tasks": "parallel", "tasks_from_spec": "parallel",
+    "SweepExecutionError": "parallel", "SweepTask": "parallel",
+    "run_cell": "parallel", "run_tasks": "parallel",
+    "tasks_from_spec": "parallel",
     "run_sweep": "sweep", "sweep_rows": "sweep",
     "BenchSchemaError": "benchjson", "compare_benches": "benchjson",
     "load_bench": "benchjson", "make_bench": "benchjson",
@@ -36,7 +36,7 @@ from .tables import (ascii_bar_chart, format_table, render_figure15,
 
 __all__ = [
     "BenchSchemaError", "BenchmarkOutcome", "BenchmarkSpec", "CacheStats",
-    "CellResult", "SweepCache", "SweepCell", "SweepExecutionError",
+    "CellResult", "SweepCell", "SweepExecutionError",
     "SweepSpec", "SweepSpecError", "SweepTask", "T1_SWEEP_US", "Workload",
     "WorkloadRegistryError", "all_workloads", "ascii_bar_chart",
     "compare_benches", "fig15_suite", "figure13_waveforms",

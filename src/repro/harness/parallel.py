@@ -529,25 +529,6 @@ def _guarded_run_cell(task: SweepTask):
                                after["misses"] - before["misses"])
 
 
-class SweepCache(_diskcache.PickleDirStore):
-    """On-disk pickle cache of finished sweep cells, keyed by content hash.
-
-    All mechanics — atomic temp+rename puts, broad-except gets (corrupt
-    entry = miss, recompute), single-flight orphan-temp reclaim on open —
-    live in :class:`repro.diskcache.PickleDirStore`, shared with the
-    compile cache (:class:`repro.compiler.cache.CompileCache`); this
-    subclass only narrows the value type to :class:`CellResult`.
-    """
-
-    def get(self, key: str) -> Optional[CellResult]:
-        """Load a cached cell; corrupt or missing entries return None."""
-        return super().get(key)
-
-    def put(self, key: str, value: CellResult) -> None:
-        """Store a cell atomically (temp file + rename)."""
-        super().put(key, value)
-
-
 @dataclass(frozen=True)
 class CacheStats:
     """Hit/miss tally of one sweep's cache lookups.
@@ -581,7 +562,7 @@ def run_tasks(tasks: Sequence[SweepTask],
     sweep: every healthy cell runs (and is cached) first, then a
     :class:`SweepExecutionError` carrying all failures is raised.
     """
-    cache = SweepCache(cache_dir) if cache_dir else None
+    cache = _diskcache.PickleDirStore(cache_dir) if cache_dir else None
     if compile_cache_dir:
         # An explicit dir overrides only tasks that did not already
         # carry one (tasks are the wire format; a task-level dir wins).

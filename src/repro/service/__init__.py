@@ -6,19 +6,22 @@ on-disk result cache (v3 keys), byte-identical serial/parallel
 artifacts.  This package promotes it to a running service:
 
 * :mod:`repro.service.store` — :class:`CellStore`, the shared
-  content-addressed result store.  Same ``<sha256>.pkl`` layout as the
-  harness cache (:class:`~repro.harness.parallel.SweepCache`), so any
-  ``--cache-dir`` from a past sweep is a valid warm store and the
+  content-addressed result store: the harness's
+  :class:`~repro.diskcache.PickleDirStore` plus traffic counters, so
+  any ``--cache-dir`` from a past sweep is a valid warm store and the
   service's store warms future offline sweeps.
-* :mod:`repro.service.scheduler` — the asyncio :class:`Scheduler`:
-  shards each submitted :class:`~repro.harness.spec.SweepSpec` grid
-  into per-cell jobs, dedupes identical cells across concurrent
-  submissions (two users sweeping overlapping grids pay for each cell
-  once), orders work by submission priority under per-owner quotas, and
-  re-leases cells whose worker died (lease TTL).
-* :mod:`repro.service.http` — a stdlib-only HTTP/1.1 front end on
-  asyncio streams: ``/submit``, ``/status``, ``/fetch``, ``/metrics``
-  for clients; ``/lease``, ``/complete``, ``/fail`` for workers.
+* :mod:`repro.service.scheduler` — the synchronous :class:`Scheduler`
+  state machine: shards each submitted
+  :class:`~repro.harness.spec.SweepSpec` grid into per-cell jobs,
+  dedupes identical cells across concurrent submissions (two users
+  sweeping overlapping grids pay for each cell once), orders work by
+  submission priority under per-owner quotas, and re-leases cells whose
+  worker died (lease TTL).  No asyncio, no sockets, no waiting.
+* :mod:`repro.service.http` — a stdlib-only HTTP/1.1 shell on asyncio
+  streams and the only place the service waits: ``/submit``,
+  ``/status``, ``/fetch``, ``/metrics`` for clients; ``/lease`` (a
+  long-poll), ``/complete``, ``/fail`` for workers; plus the
+  lease-expiry timer.
 * :mod:`repro.service.worker` — the worker process: long-polls for
   leases, runs :func:`~repro.harness.parallel.run_cell`, streams the
   result back (or straight into a co-located store).

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import signal
 import subprocess
 import sys
@@ -35,6 +34,7 @@ from ..harness.spec import SweepSubmission
 from ..harness.sweep import add_spec_arguments, run_sweep, \
     spec_from_args
 from ..obs import log as obs_log
+from ..testing import subprocess_env
 from . import client
 from .client import ServiceClientError
 from .http import ServiceServer
@@ -42,20 +42,6 @@ from .scheduler import Scheduler
 from .store import CellStore
 
 _log = obs_log.get_logger("repro.service")
-
-
-def _repro_pythonpath() -> str:
-    """PYTHONPATH for spawned workers: the parent's plus wherever this
-    ``repro`` package was imported from (subprocesses do not inherit
-    pytest's ``pythonpath`` or an in-process ``sys.path`` edit)."""
-    import repro
-
-    package_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(repro.__file__)))
-    current = os.environ.get("PYTHONPATH", "")
-    if package_root in current.split(os.pathsep):
-        return current
-    return package_root + (os.pathsep + current if current else "")
 
 
 def spawn_worker(url: str, store: Optional[str] = None,
@@ -89,8 +75,7 @@ def spawn_worker(url: str, store: Optional[str] = None,
         command += ["--compile-cache", compile_cache]
     if chaos_plan_path:
         command += ["--chaos-plan", chaos_plan_path]
-    env = dict(os.environ, PYTHONPATH=_repro_pythonpath())
-    return subprocess.Popen(command, env=env)
+    return subprocess.Popen(command, env=subprocess_env())
 
 
 def _parse_quotas(values: Optional[Sequence[str]]) -> dict:

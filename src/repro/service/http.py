@@ -1,10 +1,18 @@
-"""Stdlib-only HTTP/1.1 front end for the sweep scheduler.
+"""Stdlib-only HTTP/1.1 shell around the synchronous sweep scheduler.
 
 A deliberately small server on ``asyncio`` streams (no new
 dependencies): one JSON request in, one JSON response out, connection
 closed.  Workers re-connect per long-poll, clients per call — at sweep
 granularity the connection setup cost is noise, and connection-per-
 request keeps the server free of keep-alive state.
+
+:class:`ServiceServer` is the only place the service waits.  Every
+route is a direct call into the :class:`~repro.service.scheduler.Scheduler`
+state machine; the server adds the two things that need a clock: the
+``/lease`` long-poll (a lease with nothing to grant parks until the
+scheduler's ``work_seq`` moves or ``max_wait`` runs out) and the timer
+that calls ``expire_leases``.  Parked leases wake exactly when a call
+moved ``work_seq``, so warm store-hit traffic wakes no worker.
 
 Client routes
     ``GET /healthz`` · ``GET /metrics`` (Prometheus text exposition;
@@ -16,13 +24,14 @@ Client routes
 
 Worker routes
     ``POST /lease`` (``{"worker", "max_wait", "pid"}`` — long-polls up
-    to :data:`MAX_LEASE_WAIT` s) · ``POST /complete`` (``{"worker",
-    "key", "lease", "result"}`` or ``{"stored": true}``, optionally
-    plus ``"timings"`` = per-phase seconds) · ``POST /fail``
-    (``{"worker", "key", "lease", "error"}``) · ``POST /release``
-    (``{"worker", "key", "lease", "reason"}`` — hand a lease back
-    without burning an attempt) · ``POST /heartbeat`` (``{"worker",
-    "key", "lease"}`` — extend a live lease's TTL).
+    to ``max_wait`` s, a number clamped to :data:`MAX_LEASE_WAIT`) ·
+    ``POST /complete`` (``{"worker", "key", "lease", "result"}`` or
+    ``{"stored": true}``, optionally plus ``"timings"`` = per-phase
+    seconds) · ``POST /fail`` (``{"worker", "key", "lease",
+    "error"}``) · ``POST /release`` (``{"worker", "key", "lease",
+    "reason"}`` — hand a lease back without burning an attempt) ·
+    ``POST /heartbeat`` (``{"worker", "key", "lease"}`` — extend a live
+    lease's TTL).
 
 Errors map to JSON bodies: scheduler :class:`ServiceError` -> 400 with
 ``{"error": ...}`` (404 for unknown submissions), malformed requests ->
@@ -72,7 +81,8 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
 class ServiceServer:
-    """The scheduler bound to a listening socket plus its expiry task."""
+    """The scheduler bound to a listening socket, plus the lease
+    long-poll and the lease-expiry timer (see module docstring)."""
 
     def __init__(self, scheduler: Scheduler, host: str = "127.0.0.1",
                  port: int = 0):
@@ -81,13 +91,18 @@ class ServiceServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._expiry_task: Optional[asyncio.Task] = None
+        #: Set (then replaced) when ``scheduler.work_seq`` moves; every
+        #: parked /lease waits on the current one.  Made in ``start``,
+        #: on the loop that serves.
+        self._work: Optional[asyncio.Event] = None
+        self._work_seq = scheduler.work_seq
 
     async def start(self) -> None:
+        self._work = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
-        self._expiry_task = asyncio.ensure_future(
-            self.scheduler.expiry_loop())
+        self._expiry_task = asyncio.ensure_future(self._expire_leases())
 
     @property
     def url(self) -> str:
@@ -109,6 +124,40 @@ class ServiceServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+
+    # -- waiting -----------------------------------------------------------
+
+    def _wake_leases(self) -> None:
+        """Wake every parked /lease if the scheduler recorded new
+        grantable work since the last wake."""
+        if self.scheduler.work_seq != self._work_seq:
+            self._work_seq = self.scheduler.work_seq
+            self._work.set()
+            self._work = asyncio.Event()
+
+    async def _lease(self, worker: str, max_wait: float,
+                     pid: Optional[int]) -> Optional[Dict]:
+        """Grant a job now, or park until new work might be grantable;
+        None once ``max_wait`` seconds pass with nothing granted."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + max(0.0, min(max_wait, MAX_LEASE_WAIT))
+        while True:
+            grant = self.scheduler.lease(worker, pid=pid)
+            remaining = deadline - loop.time()
+            if grant is not None or remaining <= 0:
+                return grant
+            try:
+                await asyncio.wait_for(self._work.wait(), remaining)
+            except asyncio.TimeoutError:
+                return None
+
+    async def _expire_leases(self) -> None:
+        """Expire leases every quarter lease TTL (floored at 50 ms)."""
+        interval = max(0.05, self.scheduler.lease_ttl / 4.0)
+        while True:
+            await asyncio.sleep(interval)
+            self.scheduler.expire_leases()
+            self._wake_leases()
 
     # -- request handling --------------------------------------------------
 
@@ -143,6 +192,9 @@ class ServiceServer:
                 status, payload = 500, {
                     "error": "internal error: {}".format(
                         type(exc).__name__)}
+            # Before any chaos fault: a dropped response still changed
+            # the scheduler's state.
+            self._wake_leases()
             truncate = False
             _responses_total.inc()
             injector = chaos_plan.active()
@@ -192,28 +244,26 @@ class ServiceServer:
             if len(parts) == 2 and parts[0] == "status":
                 return 200, scheduler.status(parts[1])
             if len(parts) == 2 and parts[0] == "fetch":
-                return 200, await scheduler.fetch(parts[1])
+                return 200, scheduler.fetch(parts[1])
         elif method == "POST":
             if body is None:
                 raise _BadRequest("{} needs a JSON body".format(path))
             if parts == ["submit"]:
                 submission = SweepSubmission.from_dict(body)
-                return 201, await scheduler.submit(submission)
+                return 201, scheduler.submit(submission)
             if parts == ["lease"]:
                 worker = _field(body, "worker", str)
-                max_wait = min(float(body.get("max_wait", 0.0)),
-                               MAX_LEASE_WAIT)
+                max_wait = _field(body, "max_wait", (int, float), 0.0)
                 pid = body.get("pid")
                 if pid is not None and not isinstance(pid, int):
                     raise _BadRequest("pid must be an integer")
-                job = await scheduler.lease(worker, max_wait=max_wait,
-                                            pid=pid)
-                return 200, {"job": job}
+                return 200, {"job": await self._lease(worker, max_wait,
+                                                      pid)}
             if parts == ["complete"]:
                 timings = body.get("timings")
                 if timings is not None and not isinstance(timings, dict):
                     raise _BadRequest("timings must be an object")
-                return 200, await scheduler.complete(
+                return 200, scheduler.complete(
                     _field(body, "worker", str),
                     _field(body, "key", str),
                     _field(body, "lease", str),
@@ -221,19 +271,19 @@ class ServiceServer:
                     stored=bool(body.get("stored", False)),
                     timings=timings)
             if parts == ["fail"]:
-                return 200, await scheduler.fail(
+                return 200, scheduler.fail(
                     _field(body, "worker", str),
                     _field(body, "key", str),
                     _field(body, "lease", str),
                     error=_field(body, "error", str))
             if parts == ["release"]:
-                return 200, await scheduler.release(
+                return 200, scheduler.release(
                     _field(body, "worker", str),
                     _field(body, "key", str),
                     _field(body, "lease", str),
                     reason=str(body.get("reason", "")))
             if parts == ["heartbeat"]:
-                return 200, await scheduler.heartbeat(
+                return 200, scheduler.heartbeat(
                     _field(body, "worker", str),
                     _field(body, "key", str),
                     _field(body, "lease", str))
@@ -265,11 +315,14 @@ class _BadRequest(ReproError):
     """Malformed HTTP request or body (-> 400)."""
 
 
-def _field(body: Dict, name: str, types) -> object:
-    value = body.get(name)
-    if not isinstance(value, types):
+def _field(body: Dict, name: str, types, default=None) -> object:
+    """``body[name]`` (``default`` when absent), which must be an
+    instance of ``types``; JSON booleans never pass as numbers."""
+    value = body.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, types):
+        names = types if isinstance(types, tuple) else (types,)
         raise _BadRequest("field {!r} must be {}, got {!r}".format(
-            name, getattr(types, "__name__", types), value))
+            name, " or ".join(kind.__name__ for kind in names), value))
     return value
 
 

@@ -1,10 +1,20 @@
-"""Asyncio sweep scheduler: shard, dedupe, lease, resume.
+"""Synchronous sweep scheduler: shard, dedupe, lease, resume.
 
 One :class:`Scheduler` instance owns the live state of the service —
 submissions, the per-cell job table, the priority queue and the lease
 book.  All of it is *soft* state: results live in the content-addressed
 :class:`~repro.service.store.CellStore`, so a scheduler restart plus a
 resubmission resumes any sweep from its completed cells.
+
+The scheduler is a plain state machine: every method is an ordinary
+call, and nothing here waits, sleeps or knows about sockets.  Whenever
+grantable work may have appeared (a job queued, a quota slot freed) it
+bumps :attr:`Scheduler.work_seq`; the HTTP shell
+(:class:`~repro.service.http.ServiceServer`) owns the only wait — it
+parks ``/lease`` long-polls, wakes them when ``work_seq`` moves, and
+runs the lease-expiry timer.  The offline executor
+(:func:`~repro.harness.parallel.run_tasks`) does not drive this state
+machine: it has no leases, TTLs, quotas or dedup to drive.
 
 Sharding and dedup
     ``submit`` expands a :class:`~repro.harness.spec.SweepSubmission`'s
@@ -23,9 +33,9 @@ Priorities and quotas
     an at-quota owner are skipped (not dropped) until a lease frees up.
 
 Leases and crash resume
-    Workers long-poll ``lease``; each grant carries a lease id and a
+    Workers long-poll ``/lease``; each grant carries a lease id and a
     TTL.  A worker that dies mid-cell simply stops heartbeating —
-    when the TTL lapses, the expiry sweep requeues the job (re-leased
+    when the TTL lapses, ``expire_leases`` requeues the job (re-leased
     exactly once per death) until ``max_attempts`` is reached.  Results
     are pure functions of the cell key, so a late complete from a
     presumed-dead worker is accepted idempotently, never a conflict.
@@ -54,8 +64,6 @@ import re
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import asyncio
 
 from ..chaos import plan as chaos_plan
 from ..errors import ReproError
@@ -194,13 +202,14 @@ class _Submission:
 
 
 class Scheduler:
-    """The asyncio sweep service core (see module docstring).
+    """The synchronous sweep service core (see module docstring).
 
     ``lease_ttl`` is how long a worker may hold a cell without
     completing before the cell is re-leased; ``max_attempts`` bounds
     re-leasing of a cell that keeps killing its workers.  ``quotas``
     maps owner -> max in-flight leases (``default_quota`` for everyone
-    else; ``None`` = unlimited).
+    else; ``None`` = unlimited).  Not thread-safe: one caller at a time
+    (the HTTP shell's event loop, or a test).
     """
 
     def __init__(self, store: CellStore,
@@ -220,11 +229,15 @@ class Scheduler:
         self.quotas = dict(quotas or {})
         self.default_quota = default_quota
         self.counters = ServiceCounters()
+        #: Bumped whenever grantable work may have appeared (a job was
+        #: queued or a quota slot freed).  A ``lease`` that returned
+        #: None can only succeed after this moves; the HTTP shell wakes
+        #: parked long-polls exactly then.
+        self.work_seq = 0
         self._submissions: Dict[str, _Submission] = {}
         self._jobs: Dict[str, _Job] = {}
         self._failed: Dict[str, str] = {}
         self._heap: List[Tuple[int, int, str]] = []
-        self._work = asyncio.Condition()
         self._tick = 0
         self._lease_seq = 0
         self._submission_seq = 0
@@ -240,7 +253,7 @@ class Scheduler:
 
     # -- submission side ---------------------------------------------------
 
-    async def submit(self, submission: SweepSubmission) -> Dict[str, object]:
+    def submit(self, submission: SweepSubmission) -> Dict[str, object]:
         """Accept a submission: shard, dedupe, enqueue.  Returns the
         initial status dict (possibly already ``done`` on a warm store).
 
@@ -254,62 +267,50 @@ class Scheduler:
             raise ServiceError("submission resolves to an empty grid")
         keys = [task.cache_key() for task in tasks]
         idem = submission.idempotency_key
-        async with self._work:
-            if idem is not None and idem in self._idempotency:
-                original = self._submissions.get(self._idempotency[idem])
-                if original is not None:
-                    self.counters.idempotent_replays += 1
-                    replay = original.status()
-                    replay["resubmitted"] = True
-                    return replay
-            self._submission_seq += 1
-            sid = "s{:06d}".format(self._submission_seq)
-            record = _Submission(id=sid, submission=submission,
-                                 tasks=tasks, keys=keys, pending=set())
-            self.counters.submissions += 1
-            self.counters.cells_total += len(tasks)
-            if idem is not None:
-                self._idempotency[idem] = sid
-            fresh = 0
-            for task, key in zip(tasks, keys):
-                if key in self._failed:
-                    record.failed[key] = self._failed[key]
-                    continue
-                job = self._jobs.get(key)
-                if job is not None:
-                    # In-flight dedup: subscribe to the existing job and
-                    # raise its urgency to the most urgent subscriber.
-                    record.pending.add(key)
-                    record.dedup_hits += 1
-                    self.counters.dedup_hits += 1
-                    job.waiters.append(sid)
-                    if submission.priority < job.priority:
-                        job.priority = submission.priority
-                        if job.state == "queued":
-                            self._push_job(job)
-                elif self._store_has_verified(key):
-                    record.store_hits += 1
-                    self.counters.store_hits += 1
-                else:
-                    record.pending.add(key)
-                    record.misses += 1
-                    self.counters.misses += 1
-                    job = _Job(key=key, task=task,
-                               owner=submission.owner,
-                               priority=submission.priority,
-                               waiters=[sid],
-                               enqueued_at=time.monotonic())
-                    self._jobs[key] = job
-                    self._push_job(job)
-                    fresh += 1
-            self._submissions[sid] = record
-            depth = sum(1 for job in self._jobs.values()
-                        if job.state == "queued")
-            if depth > self.counters.max_queue_depth:
-                self.counters.max_queue_depth = depth
-            _QUEUE_DEPTH.set(depth)
-            if fresh:
-                self._work.notify_all()
+        if idem is not None and idem in self._idempotency:
+            original = self._submissions.get(self._idempotency[idem])
+            if original is not None:
+                self.counters.idempotent_replays += 1
+                replay = original.status()
+                replay["resubmitted"] = True
+                return replay
+        self._submission_seq += 1
+        sid = "s{:06d}".format(self._submission_seq)
+        record = _Submission(id=sid, submission=submission,
+                             tasks=tasks, keys=keys, pending=set())
+        self.counters.submissions += 1
+        self.counters.cells_total += len(tasks)
+        if idem is not None:
+            self._idempotency[idem] = sid
+        for task, key in zip(tasks, keys):
+            if key in self._failed:
+                record.failed[key] = self._failed[key]
+                continue
+            job = self._jobs.get(key)
+            if job is not None:
+                # In-flight dedup: subscribe to the existing job and
+                # raise its urgency to the most urgent subscriber.
+                record.pending.add(key)
+                record.dedup_hits += 1
+                self.counters.dedup_hits += 1
+                job.waiters.append(sid)
+                if submission.priority < job.priority:
+                    job.priority = submission.priority
+                    if job.state == "queued":
+                        self._push_job(job)
+            elif self._store_has_verified(key):
+                record.store_hits += 1
+                self.counters.store_hits += 1
+            else:
+                record.pending.add(key)
+                record.misses += 1
+                self.counters.misses += 1
+                self._enqueue(record, task, key)
+        self._submissions[sid] = record
+        depth = self.queue_depth()
+        if depth > self.counters.max_queue_depth:
+            self.counters.max_queue_depth = depth
+        _QUEUE_DEPTH.set(depth)
         return record.status()
 
     def _store_has_verified(self, key: str) -> bool:
@@ -324,14 +325,29 @@ class Scheduler:
             return True
         return False
 
-    def status(self, submission_id: str) -> Dict[str, object]:
+    def _enqueue(self, record: _Submission, task: SweepTask,
+                 key: str) -> None:
+        """Queue a new job for ``key`` on behalf of ``record``."""
+        job = _Job(key=key, task=task,
+                   owner=record.submission.owner,
+                   priority=record.submission.priority,
+                   waiters=[record.id],
+                   enqueued_at=time.monotonic())
+        self._jobs[key] = job
+        self._push_job(job)
+        self.work_seq += 1
+
+    def _record(self, submission_id: str) -> _Submission:
         record = self._submissions.get(submission_id)
         if record is None:
             raise ServiceError("unknown submission {!r} (known: {})".format(
                 submission_id, sorted(self._submissions)))
-        return record.status()
+        return record
 
-    async def fetch(self, submission_id: str) -> Dict[str, object]:
+    def status(self, submission_id: str) -> Dict[str, object]:
+        return self._record(submission_id).status()
+
+    def fetch(self, submission_id: str) -> Dict[str, object]:
         """Assemble the finished submission's BENCH document.
 
         Rows come from :func:`~repro.harness.sweep.sweep_rows` over the
@@ -345,29 +361,35 @@ class Scheduler:
         the fetch raises a retryable :class:`ServiceError` — the
         submission goes back to ``running`` until the cell lands again.
         """
-        record = self._submissions.get(submission_id)
-        if record is None:
-            raise ServiceError("unknown submission {!r} (known: {})".format(
-                submission_id, sorted(self._submissions)))
+        record = self._record(submission_id)
         if record.state != "done":
             raise ServiceError(
                 "submission {} is {} ({} of {} cells pending)".format(
                     submission_id, record.state, len(record.pending),
                     len(record.keys)))
         results: Dict[Tuple[str, str, float, int], CellResult] = {}
-        lost: List[Tuple[SweepTask, str]] = []
+        lost = 0
         for task, key in zip(record.tasks, record.keys):
             cell = self.store.get(key)
-            if cell is None:
-                lost.append((task, key))
-            else:
+            if cell is not None:
                 results[task.key()] = cell
+                continue
+            # Put the lost cell back into the job table on behalf of
+            # ``record``; it re-runs through the normal lease machinery.
+            lost += 1
+            self._verified.discard(key)
+            record.pending.add(key)
+            self.counters.fetch_requeues += 1
+            job = self._jobs.get(key)
+            if job is None:
+                self._enqueue(record, task, key)
+            elif record.id not in job.waiters:
+                job.waiters.append(record.id)
         if lost:
-            await self._requeue_lost(record, lost)
             raise ServiceError(
                 "store lost {} cell(s) of submission {} (pruned or "
                 "quarantined); requeued for recompute — poll status "
-                "and retry the fetch".format(len(lost), submission_id))
+                "and retry the fetch".format(lost, submission_id))
         rows = sweep_rows(record.tasks, results)
         return make_bench(
             record.submission.name, rows, kind="sweep",
@@ -375,52 +397,54 @@ class Scheduler:
             cache={"hits": record.store_hits + record.dedup_hits,
                    "misses": record.misses})
 
-    async def _requeue_lost(self, record: _Submission,
-                            lost: List[Tuple[SweepTask, str]]) -> None:
-        """Put cells the store lost back into the job table on behalf of
-        ``record`` (they re-run through the normal lease machinery)."""
-        async with self._work:
-            fresh = 0
-            for task, key in lost:
-                self._verified.discard(key)
-                record.pending.add(key)
-                self.counters.fetch_requeues += 1
-                job = self._jobs.get(key)
-                if job is not None:
-                    if record.id not in job.waiters:
-                        job.waiters.append(record.id)
-                    continue
-                job = _Job(key=key, task=task,
-                           owner=record.submission.owner,
-                           priority=record.submission.priority,
-                           waiters=[record.id],
-                           enqueued_at=time.monotonic())
-                self._jobs[key] = job
-                self._push_job(job)
-                fresh += 1
-            if fresh:
-                self._work.notify_all()
-
     # -- worker side -------------------------------------------------------
 
-    async def lease(self, worker: str, max_wait: float = 0.0,
-                    pid: Optional[int] = None) -> Optional[Dict[str, object]]:
-        """Grant the most urgent eligible job to ``worker``, long-polling
-        up to ``max_wait`` seconds when the queue is empty (or fully
-        quota-blocked).  Returns None when nothing became available."""
-        deadline = time.monotonic() + max(0.0, max_wait)
-        async with self._work:
-            while True:
-                grant = self._try_grant(worker, pid)
-                if grant is not None:
-                    return grant
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                try:
-                    await asyncio.wait_for(self._work.wait(), remaining)
-                except asyncio.TimeoutError:
-                    return None
+    def lease(self, worker: str,
+              pid: Optional[int] = None) -> Optional[Dict[str, object]]:
+        """Grant ``worker`` the most urgent queued job whose owner is
+        under quota, or return None when there is none.  Stale heap
+        entries — re-prioritized or already-leased jobs — are discarded
+        lazily; quota-blocked ones go back on the heap."""
+        skipped: List[Tuple[int, int, str]] = []
+        job = None
+        while self._heap:
+            entry = heapq.heappop(self._heap)
+            priority, tick, key = entry
+            candidate = self._jobs.get(key)
+            if candidate is None or candidate.state != "queued" or \
+                    candidate.queue_token != (priority, tick):
+                continue  # stale entry (lazy deletion)
+            limit = self._quota(candidate.owner)
+            if limit is not None and \
+                    self._inflight.get(candidate.owner, 0) >= limit:
+                skipped.append(entry)
+                continue
+            job = candidate
+            break
+        for entry in skipped:
+            heapq.heappush(self._heap, entry)
+        if job is None:
+            return None
+        now = time.monotonic()
+        job.state = "leased"
+        job.attempts += 1
+        self._lease_seq += 1
+        job.lease_id = "L{:08d}".format(self._lease_seq)
+        job.lease_worker = worker
+        job.lease_deadline = now + self.lease_ttl
+        job.charged_owner = job.owner
+        self._inflight[job.owner] = self._inflight.get(job.owner, 0) + 1
+        self.counters.leases_granted += 1
+        self.lease_latencies.append(now - job.enqueued_at)
+        _LEASE_LATENCY.observe(now - job.enqueued_at)
+        seen = self._workers.setdefault(worker, {"leases": 0})
+        seen["leases"] = int(seen["leases"]) + 1
+        if pid is not None:
+            seen["pid"] = pid
+        return {"key": job.key, "lease": job.lease_id,
+                "attempt": job.attempts,
+                "lease_ttl": self.lease_ttl,
+                "task": job.task.to_dict()}
 
     def _push_job(self, job: _Job) -> None:
         self._tick += 1
@@ -429,51 +453,6 @@ class Scheduler:
 
     def _quota(self, owner: str) -> Optional[int]:
         return self.quotas.get(owner, self.default_quota)
-
-    def _try_grant(self, worker: str,
-                   pid: Optional[int]) -> Optional[Dict[str, object]]:
-        """Pop the best queued job whose owner is under quota (caller
-        holds the condition lock).  Stale heap entries — re-prioritized
-        or already-leased jobs — are discarded lazily."""
-        skipped: List[Tuple[int, int, str]] = []
-        grant = None
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            priority, tick, key = entry
-            job = self._jobs.get(key)
-            if job is None or job.state != "queued" or \
-                    job.queue_token != (priority, tick):
-                continue  # stale entry (lazy deletion)
-            limit = self._quota(job.owner)
-            if limit is not None and \
-                    self._inflight.get(job.owner, 0) >= limit:
-                skipped.append(entry)
-                continue
-            now = time.monotonic()
-            job.state = "leased"
-            job.attempts += 1
-            self._lease_seq += 1
-            job.lease_id = "L{:08d}".format(self._lease_seq)
-            job.lease_worker = worker
-            job.lease_deadline = now + self.lease_ttl
-            job.charged_owner = job.owner
-            self._inflight[job.owner] = \
-                self._inflight.get(job.owner, 0) + 1
-            self.counters.leases_granted += 1
-            self.lease_latencies.append(now - job.enqueued_at)
-            _LEASE_LATENCY.observe(now - job.enqueued_at)
-            seen = self._workers.setdefault(worker, {"leases": 0})
-            seen["leases"] = int(seen["leases"]) + 1
-            if pid is not None:
-                seen["pid"] = pid
-            grant = {"key": job.key, "lease": job.lease_id,
-                     "attempt": job.attempts,
-                     "lease_ttl": self.lease_ttl,
-                     "task": job.task.to_dict()}
-            break
-        for entry in skipped:
-            heapq.heappush(self._heap, entry)
-        return grant
 
     def _release_charge(self, job: _Job) -> None:
         if job.charged_owner is not None:
@@ -485,11 +464,20 @@ class Scheduler:
             else:
                 self._inflight.pop(owner, None)
 
-    async def complete(self, worker: str, key: str, lease: str,
-                       result: Optional[Dict[str, object]] = None,
-                       stored: bool = False,
-                       timings: Optional[Dict[str, float]] = None,
-                       ) -> Dict[str, object]:
+    def _requeue(self, job: _Job, now: float) -> None:
+        """Take a leased job back into the queue (release or expiry)."""
+        self._release_charge(job)
+        job.lease_id = None
+        job.lease_worker = None
+        job.state = "queued"
+        job.enqueued_at = now
+        self._push_job(job)
+
+    def complete(self, worker: str, key: str, lease: str,
+                 result: Optional[Dict[str, object]] = None,
+                 stored: bool = False,
+                 timings: Optional[Dict[str, float]] = None,
+                 ) -> Dict[str, object]:
         """Record a finished cell.
 
         Remote workers ship the result inline (``result`` = the
@@ -529,91 +517,80 @@ class Scheduler:
             # A retried request whose first delivery actually landed:
             # process the complete twice and let idempotency absorb it.
             deliveries = 2
-        reply: Dict[str, object] = {}
-        for delivery in range(deliveries):
-            async with self._work:
-                job = self._jobs.pop(key, None)
-                if job is None:
-                    # Job already finished (another worker's late
-                    # double) — the store write above was idempotent;
-                    # just count it.
-                    self.counters.late_completes += 1
-                    if not delivery:
-                        reply = {"ok": True, "late": True}
-                    continue
-                late = job.lease_id != lease or job.state != "leased"
-                if late:
-                    self.counters.late_completes += 1
-                self._release_charge(job)
-                self.counters.completes += 1
-                if timings:
-                    self._record_timings(job, timings)
-                self._finish(job, error=None)
-                self._work.notify_all()  # a quota slot freed up
-            if not delivery:
-                reply = {"ok": True, "late": late}
-        return reply
+        replies = [self._settle_complete(key, lease, timings)
+                   for _ in range(deliveries)]
+        return replies[0]
 
-    async def fail(self, worker: str, key: str, lease: str,
-                   error: str) -> Dict[str, object]:
+    def _settle_complete(self, key: str, lease: str,
+                         timings: Optional[Dict[str, float]]
+                         ) -> Dict[str, object]:
+        """One delivery of a complete whose result is already stored."""
+        job = self._jobs.pop(key, None)
+        if job is None:
+            # Job already finished (another worker's late double) — the
+            # store write was idempotent; just count it.
+            self.counters.late_completes += 1
+            return {"ok": True, "late": True}
+        late = job.lease_id != lease or job.state != "leased"
+        if late:
+            self.counters.late_completes += 1
+        self._release_charge(job)
+        self.counters.completes += 1
+        if timings:
+            self._record_timings(job, timings)
+        self._finish(job, error=None)
+        self.work_seq += 1  # a quota slot freed up
+        return {"ok": True, "late": late}
+
+    def fail(self, worker: str, key: str, lease: str,
+             error: str) -> Dict[str, object]:
         """Record a cell that raised on a worker.  Exceptions are
         deterministic for a fixed cell, so failed cells are not retried;
         every subscribed submission reports the failure."""
-        async with self._work:
-            job = self._jobs.pop(key, None)
-            if job is None:
-                self.counters.late_completes += 1
-                return {"ok": True, "late": True}
-            self._release_charge(job)
-            self.counters.failures += 1
-            self._failed[key] = error
-            self._finish(job, error=error)
-            self._work.notify_all()
+        job = self._jobs.pop(key, None)
+        if job is None:
+            self.counters.late_completes += 1
+            return {"ok": True, "late": True}
+        self._release_charge(job)
+        self._finish(job, error=error)
+        self.work_seq += 1
         return {"ok": True, "late": False}
 
-    async def release(self, worker: str, key: str, lease: str,
-                      reason: str = "") -> Dict[str, object]:
+    def release(self, worker: str, key: str, lease: str,
+                reason: str = "") -> Dict[str, object]:
         """Hand a leased cell back voluntarily (graceful SIGTERM drain,
         ENOSPC on the store write).  The job requeues at its original
         priority; unlike expiry this consumes no retry attempt and
         records no failure — the environment hiccuped, not the cell."""
-        async with self._work:
-            job = self._jobs.get(key)
-            if job is None or job.state != "leased" or \
-                    job.lease_id != lease:
-                self.counters.late_completes += 1
-                return {"ok": True, "late": True}
-            self._release_charge(job)
-            self.counters.releases += 1
-            job.attempts = max(0, job.attempts - 1)
-            job.lease_id = None
-            job.lease_worker = None
-            job.state = "queued"
-            job.enqueued_at = time.monotonic()
-            self._push_job(job)
-            self._work.notify_all()
+        job = self._jobs.get(key)
+        if job is None or job.state != "leased" or job.lease_id != lease:
+            self.counters.late_completes += 1
+            return {"ok": True, "late": True}
+        self.counters.releases += 1
+        job.attempts = max(0, job.attempts - 1)
+        self._requeue(job, time.monotonic())
+        self.work_seq += 1
         return {"ok": True, "late": False, "reason": reason}
 
-    async def heartbeat(self, worker: str, key: str,
-                        lease: str) -> Dict[str, object]:
+    def heartbeat(self, worker: str, key: str,
+                  lease: str) -> Dict[str, object]:
         """A mid-cell liveness signal: extends the lease a full TTL so
         the expiry sweep can tell *slow* (heartbeating) from *dead*
         (silent) before giving the cell away."""
-        async with self._work:
-            self.counters.heartbeats += 1
-            seen = self._workers.setdefault(worker, {"leases": 0})
-            seen["last_heartbeat"] = time.time()
-            job = self._jobs.get(key)
-            extended = (job is not None and job.state == "leased"
-                        and job.lease_id == lease)
-            if extended:
-                job.lease_deadline = time.monotonic() + self.lease_ttl
+        self.counters.heartbeats += 1
+        seen = self._workers.setdefault(worker, {"leases": 0})
+        seen["last_heartbeat"] = time.time()
+        job = self._jobs.get(key)
+        extended = (job is not None and job.state == "leased"
+                    and job.lease_id == lease)
+        if extended:
+            job.lease_deadline = time.monotonic() + self.lease_ttl
         return {"ok": True, "extended": extended}
 
     def _record_timings(self, job: _Job,
                         timings: Dict[str, float]) -> None:
         """Fold a worker's per-phase seconds into every subscribed
-        submission's breakdown (caller holds the condition lock)."""
+        submission's breakdown."""
         clean = {str(phase): float(value)
                  for phase, value in timings.items()
                  if isinstance(value, (int, float))}
@@ -629,8 +606,12 @@ class Scheduler:
             record.cells_timed += 1
 
     def _finish(self, job: _Job, error: Optional[str]) -> None:
-        """Settle ``job`` for every subscribed submission (caller holds
-        the condition lock and has removed the job from the table)."""
+        """Settle ``job`` (already removed from the table) for every
+        subscribed submission; a failure is also memoized so later
+        submissions of the cell report it without re-running."""
+        if error is not None:
+            self.counters.failures += 1
+            self._failed[job.key] = error
         for sid in job.waiters:
             record = self._submissions.get(sid)
             if record is None:
@@ -641,9 +622,10 @@ class Scheduler:
 
     # -- lease expiry ------------------------------------------------------
 
-    async def expire_leases(self) -> int:
+    def expire_leases(self) -> int:
         """Requeue every job whose lease deadline passed; returns how
-        many were re-leased (or failed out after ``max_attempts``)."""
+        many were re-leased (or failed out after ``max_attempts``).
+        The HTTP shell calls this on a timer."""
         now = time.monotonic()
         injector = chaos_plan.active()
         if injector is not None:
@@ -656,45 +638,37 @@ class Scheduler:
                 # complete path must absorb.
                 now += float(rule.arg)
         expired = 0
-        async with self._work:
-            for job in list(self._jobs.values()):
-                if job.state != "leased" or job.lease_deadline > now:
-                    continue
-                expired += 1
-                self.counters.leases_expired += 1
+        for job in list(self._jobs.values()):
+            if job.state != "leased" or job.lease_deadline > now:
+                continue
+            expired += 1
+            self.counters.leases_expired += 1
+            if job.attempts >= self.max_attempts:
                 self._release_charge(job)
-                job.lease_id = None
-                job.lease_worker = None
-                if job.attempts >= self.max_attempts:
-                    self._jobs.pop(job.key, None)
-                    error = ("lease expired {} time(s); giving up after "
-                             "max_attempts={}".format(
-                                 job.attempts, self.max_attempts))
-                    self.counters.failures += 1
-                    self._failed[job.key] = error
-                    self._finish(job, error=error)
-                else:
-                    job.state = "queued"
-                    job.enqueued_at = now
-                    self._push_job(job)
-            if expired:
-                self._work.notify_all()
+                self._jobs.pop(job.key, None)
+                self._finish(job, error=(
+                    "lease expired {} time(s); giving up after "
+                    "max_attempts={}".format(job.attempts,
+                                             self.max_attempts)))
+            else:
+                self._requeue(job, now)
+        if expired:
+            self.work_seq += 1
         return expired
-
-    async def expiry_loop(self, interval: Optional[float] = None) -> None:
-        """Background task: expire leases every ``interval`` seconds
-        (default: a quarter of the lease TTL, floored at 50 ms)."""
-        if interval is None:
-            interval = max(0.05, self.lease_ttl / 4.0)
-        while True:
-            await asyncio.sleep(interval)
-            await self.expire_leases()
 
     # -- observability -----------------------------------------------------
 
     def queue_depth(self) -> int:
-        return sum(1 for job in self._jobs.values()
-                   if job.state == "queued")
+        return self._count_jobs("queued")
+
+    def _count_jobs(self, state: str) -> int:
+        return sum(1 for job in self._jobs.values() if job.state == state)
+
+    def _submission_states(self) -> Dict[str, int]:
+        states = {"running": 0, "done": 0, "failed": 0}
+        for record in self._submissions.values():
+            states[record.state] += 1
+        return states
 
     def metrics(self) -> Dict[str, object]:
         latencies = self.lease_latencies
@@ -709,16 +683,12 @@ class Scheduler:
                                      int(len(ordered) * 0.95))],
                 "max_s": ordered[-1],
             }
-        states = {"running": 0, "done": 0, "failed": 0}
-        for record in self._submissions.values():
-            states[record.state] += 1
         return {
             "counters": self.counters.to_dict(),
             "queue_depth": self.queue_depth(),
-            "leased": sum(1 for job in self._jobs.values()
-                          if job.state == "leased"),
+            "leased": self._count_jobs("leased"),
             "inflight": dict(self._inflight),
-            "submissions": states,
+            "submissions": self._submission_states(),
             "workers": {name: dict(info)
                         for name, info in self._workers.items()},
             "lease_latency": summary,
@@ -761,19 +731,14 @@ class Scheduler:
         gauges = (
             ("repro_service_max_queue_depth", counts.max_queue_depth),
             ("repro_service_hit_rate", counts.hit_rate()),
-            ("repro_service_leased",
-             sum(1 for job in self._jobs.values()
-                 if job.state == "leased")),
+            ("repro_service_leased", self._count_jobs("leased")),
             ("repro_service_workers", len(self._workers)),
         )
         for full, value in gauges:
             lines.append("# TYPE {} gauge".format(full))
             lines.append(_metrics.format_metric_line(full, value))
-        states = {"running": 0, "done": 0, "failed": 0}
-        for record in self._submissions.values():
-            states[record.state] += 1
         lines.append("# TYPE repro_service_submission_states gauge")
-        for state, count in sorted(states.items()):
+        for state, count in sorted(self._submission_states().items()):
             lines.append(_metrics.format_metric_line(
                 "repro_service_submission_states", count,
                 labels={"state": state}))

@@ -1,7 +1,7 @@
 """Shared content-addressed result store for the sweep service.
 
-A thin, counter-carrying wrapper around the harness's on-disk cell
-cache (:class:`~repro.harness.parallel.SweepCache`): same directory
+A counter-carrying :class:`~repro.diskcache.PickleDirStore`, the same
+store the harness opens for ``run_tasks(cache_dir=)``: same directory
 layout (``<sha256-cache-key>.pkl``, atomic temp-file + rename writes,
 orphan-temp reclaim under a per-store advisory lock), same v3 content
 keys (:meth:`~repro.harness.parallel.SweepTask.cache_key`).  That
@@ -19,37 +19,30 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from ..harness.parallel import CellResult, SweepCache
+from ..diskcache import PickleDirStore
+from ..harness.parallel import CellResult
 
 
-class CellStore:
+class CellStore(PickleDirStore):
     """Content-addressed store of finished sweep cells, with counters.
 
     ``hits``/``misses``/``puts`` tally this process's traffic (they are
     observability, not state — the on-disk layout carries no counters).
     Multiple processes may open the same directory concurrently; opening
     reclaims orphaned temp files left by killed writers, single-flight
-    across processes (see :class:`~repro.harness.parallel.SweepCache`).
+    across processes.
     """
 
     def __init__(self, directory: str):
-        self.cache = SweepCache(directory)
+        super().__init__(directory)
         self.hits = 0
         self.misses = 0
         self.puts = 0
 
-    @property
-    def directory(self) -> str:
-        return self.cache.directory
-
-    def has(self, key: str) -> bool:
-        """True when ``key`` holds a completed cell (cheap stat probe)."""
-        return self.cache.has(key)
-
     def get(self, key: str) -> Optional[CellResult]:
         """Load a finished cell; unreadable or missing entries are a miss
         (the caller recomputes — the store never fails a lookup)."""
-        cell = self.cache.get(key)
+        cell = super().get(key)
         if cell is None:
             self.misses += 1
         else:
@@ -60,7 +53,7 @@ class CellStore:
         """Store a finished cell atomically.  Concurrent writers of the
         same key are harmless: the cell is a pure function of the key,
         so last-rename-wins replaces equal bytes with equal bytes."""
-        self.cache.put(key, cell)
+        super().put(key, cell)
         self.puts += 1
 
     def pending_tmps(self) -> int:
@@ -68,9 +61,6 @@ class CellStore:
         store directory (tests assert 0 after a crash-resume cycle)."""
         return sum(1 for name in os.listdir(self.directory)
                    if name.endswith(".tmp"))
-
-    def __len__(self) -> int:
-        return len(self.cache)
 
     def counters(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,

@@ -11,13 +11,12 @@ import pytest
 
 from repro.circuits.dynamic import count_feedback_ops
 from repro.compiler.driver import run_circuit
-from repro.diskcache import ORPHAN_TMP_SECONDS
+from repro.diskcache import ORPHAN_TMP_SECONDS, PickleDirStore
 from repro.errors import ReproError
 from repro.harness import fig15_suite
-from repro.harness.parallel import (CellResult, SweepCache,
-                                    SweepExecutionError, SweepTask,
-                                    clear_cell_caches, run_cell,
-                                    run_tasks, tasks_from_spec)
+from repro.harness.parallel import (CellResult, SweepExecutionError,
+                                    SweepTask, clear_cell_caches,
+                                    run_cell, run_tasks, tasks_from_spec)
 from repro.harness.runner import outcomes_from_rows
 from repro.harness.spec import SweepSpec
 from repro.harness.sweep import run_sweep
@@ -114,7 +113,7 @@ class TestCache:
         cache_dir = str(tmp_path / "sweep")
         spec = tiny(schemes=SCHEMES)
         first, _ = run_sweep(spec, processes=1, cache_dir=cache_dir)
-        cache = SweepCache(cache_dir)
+        cache = PickleDirStore(cache_dir)
         assert len(cache) == 2  # two schemes
         second, stats = run_sweep(spec, processes=1, cache_dir=cache_dir)
         assert (stats.hits, stats.misses) == (2, 0)
@@ -131,7 +130,7 @@ class TestCache:
         assert rows[0]["makespan_cycles"] > 0
 
     def test_roundtrip_value(self, tmp_path):
-        cache = SweepCache(str(tmp_path))
+        cache = PickleDirStore(str(tmp_path))
         task, = tasks_from_spec(tiny())
         cell = run_cell(task)
         cache.put(task.cache_key(), cell)
@@ -168,7 +167,7 @@ class TestOrphanTmpSweep:
         cache_dir = self._cache_dir(tmp_path)
         orphan = cache_dir / "tmp-{}-leak.tmp".format(self._dead_pid())
         orphan.write_bytes(b"partial pickle")
-        SweepCache(str(cache_dir))
+        PickleDirStore(str(cache_dir))
         assert not orphan.exists()
         assert list(cache_dir.glob("*.tmp")) == []
 
@@ -177,7 +176,7 @@ class TestOrphanTmpSweep:
         cache_dir = self._cache_dir(tmp_path)
         live = cache_dir / "tmp-{}-inflight.tmp".format(os.getpid())
         live.write_bytes(b"in flight")
-        removed = SweepCache(str(cache_dir)).sweep_orphan_tmps()
+        removed = PickleDirStore(str(cache_dir)).sweep_orphan_tmps()
         assert removed == 0
         assert live.exists()
 
@@ -185,7 +184,7 @@ class TestOrphanTmpSweep:
         """TTL backstop: even a live-looking PID (reuse) loses its claim
         once the temp file is older than ORPHAN_TMP_SECONDS."""
         cache_dir = self._cache_dir(tmp_path)
-        cache = SweepCache(str(cache_dir), sweep_orphans=False)
+        cache = PickleDirStore(str(cache_dir))
         stale = cache_dir / "tmp-{}-stale.tmp".format(os.getpid())
         stale.write_bytes(b"ancient")
         old = time.time() - ORPHAN_TMP_SECONDS - 60
@@ -198,7 +197,7 @@ class TestOrphanTmpSweep:
         cache_dir = self._cache_dir(tmp_path)
         foreign = cache_dir / "download.tmp"
         foreign.write_bytes(b"not ours")
-        cache = SweepCache(str(cache_dir))
+        cache = PickleDirStore(str(cache_dir))
         assert foreign.exists()  # fresh: kept
         old = time.time() - ORPHAN_TMP_SECONDS - 60
         os.utime(foreign, (old, old))
@@ -207,16 +206,16 @@ class TestOrphanTmpSweep:
 
     def test_entries_never_swept(self, tmp_path):
         cache_dir = self._cache_dir(tmp_path)
-        cache = SweepCache(str(cache_dir))
+        cache = PickleDirStore(str(cache_dir))
         task, = tasks_from_spec(tiny())
         cache.put(task.cache_key(), run_cell(task))
         orphan = cache_dir / "tmp-{}-leak.tmp".format(self._dead_pid())
         orphan.write_bytes(b"partial")
-        assert SweepCache(str(cache_dir)).sweep_orphan_tmps() == 0
+        assert PickleDirStore(str(cache_dir)).sweep_orphan_tmps() == 0
         assert cache.get(task.cache_key()) is not None
 
     def test_put_leaves_no_tmp(self, tmp_path):
-        cache = SweepCache(str(tmp_path))
+        cache = PickleDirStore(str(tmp_path))
         task, = tasks_from_spec(tiny())
         cache.put(task.cache_key(), run_cell(task))
         assert list(tmp_path.glob("*.tmp")) == []
@@ -232,13 +231,6 @@ class TestOrphanTmpSweep:
         assert rows[0]["makespan_cycles"] > 0
         assert list(cache_dir.glob("*.tmp")) == []
         assert len(list(cache_dir.glob("*.pkl"))) == 2
-
-    def test_sweep_can_be_disabled(self, tmp_path):
-        cache_dir = self._cache_dir(tmp_path)
-        orphan = cache_dir / "tmp-{}-leak.tmp".format(self._dead_pid())
-        orphan.write_bytes(b"partial")
-        SweepCache(str(cache_dir), sweep_orphans=False)
-        assert orphan.exists()
 
 
 class TestAmbientFastpathFlag:
@@ -298,27 +290,27 @@ class TestReclaimLock:
     instead of racing the winner's unlinks (PR-7 satellite fix)."""
 
     def test_lock_is_exclusive_while_held(self, tmp_path):
-        cache = SweepCache(str(tmp_path), sweep_orphans=False)
-        other = SweepCache(str(tmp_path), sweep_orphans=False)
+        cache = PickleDirStore(str(tmp_path))
+        other = PickleDirStore(str(tmp_path))
         with cache._reclaim_lock() as acquired:
             assert acquired
             with other._reclaim_lock() as second:
                 assert not second
 
     def test_lock_released_after_sweep(self, tmp_path):
-        cache = SweepCache(str(tmp_path), sweep_orphans=False)
+        cache = PickleDirStore(str(tmp_path))
         with cache._reclaim_lock() as acquired:
             assert acquired
         with cache._reclaim_lock() as again:
             assert again
 
     def test_contended_sweep_returns_zero_not_raises(self, tmp_path):
+        holder = PickleDirStore(str(tmp_path))
+        loser = PickleDirStore(str(tmp_path))
         proc = subprocess.Popen(["sleep", "0"])
         proc.wait()
         orphan = tmp_path / "tmp-{}-leak.tmp".format(proc.pid)
         orphan.write_bytes(b"partial")
-        holder = SweepCache(str(tmp_path), sweep_orphans=False)
-        loser = SweepCache(str(tmp_path), sweep_orphans=False)
         with holder._reclaim_lock() as acquired:
             assert acquired
             assert loser.sweep_orphan_tmps() == 0  # skipped, no race
@@ -336,8 +328,8 @@ class TestReclaimLock:
                                                            index)
             orphan.write_bytes(b"partial")
         script = ("import sys; sys.path.insert(0, {!r}); "
-                  "from repro.harness.parallel import SweepCache; "
-                  "SweepCache({!r})").format(
+                  "from repro.diskcache import PickleDirStore; "
+                  "PickleDirStore({!r})").format(
                       os.path.join(os.path.dirname(os.path.dirname(
                           os.path.dirname(os.path.abspath(__file__)))),
                           "src"),

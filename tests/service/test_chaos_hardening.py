@@ -2,7 +2,6 @@
 heartbeats, idempotent submits, fetch requeue, client retry/backoff,
 and seeded end-to-end fault soaks over real processes."""
 
-import asyncio
 import os
 import signal
 import subprocess
@@ -34,33 +33,37 @@ def make_scheduler(tmp_path, **kwargs):
     return Scheduler(CellStore(str(tmp_path / "store")), **kwargs)
 
 
-async def drain(scheduler, worker="w0"):
+def drain(scheduler, worker="w0"):
     completed = 0
     while True:
-        job = await scheduler.lease(worker)
+        job = scheduler.lease(worker)
         if job is None:
             return completed
         cell = run_cell(SweepTask.from_dict(job["task"]))
-        await scheduler.complete(worker, job["key"], job["lease"],
-                                 result=cell.to_dict())
+        scheduler.complete(worker, job["key"], job["lease"],
+                           result=cell.to_dict())
         completed += 1
+
+
+def rot(path):
+    """Flip payload bytes of a stored entry behind the store's back."""
+    with open(path, "rb") as handle:
+        blob = bytearray(handle.read())
+    blob[-6] ^= 0xFF
+    with open(path, "wb") as handle:
+        handle.write(bytes(blob))
 
 
 class TestRelease:
     def test_release_requeues_without_burning_attempt(self, tmp_path):
         spec = SweepSpec(workloads=("bv_n400",), schemes=("bisp",),
                          scales=(SCALE,), shots=(1,))
-
-        async def scenario():
-            scheduler = make_scheduler(tmp_path)
-            await scheduler.submit(SweepSubmission(spec=spec))
-            job = await scheduler.lease("w0")
-            reply = await scheduler.release(
-                "w0", job["key"], job["lease"], reason="draining")
-            again = await scheduler.lease("w1")
-            return scheduler, job, reply, again
-
-        scheduler, job, reply, again = asyncio.run(scenario())
+        scheduler = make_scheduler(tmp_path)
+        scheduler.submit(SweepSubmission(spec=spec))
+        job = scheduler.lease("w0")
+        reply = scheduler.release("w0", job["key"], job["lease"],
+                                  reason="draining")
+        again = scheduler.lease("w1")
         assert reply == {"ok": True, "late": False, "reason": "draining"}
         assert scheduler.counters.releases == 1
         assert again["key"] == job["key"]
@@ -69,15 +72,10 @@ class TestRelease:
         assert again["lease"] != job["lease"]
 
     def test_stale_release_is_late_noop(self, tmp_path, tiny_submission):
-        async def scenario():
-            scheduler = make_scheduler(tmp_path)
-            await scheduler.submit(tiny_submission)
-            job = await scheduler.lease("w0")
-            reply = await scheduler.release(
-                "w0", job["key"], "L99999999")
-            return scheduler, job, reply
-
-        scheduler, job, reply = asyncio.run(scenario())
+        scheduler = make_scheduler(tmp_path)
+        scheduler.submit(tiny_submission)
+        job = scheduler.lease("w0")
+        reply = scheduler.release("w0", job["key"], "L99999999")
         assert reply["late"] is True
         assert scheduler.counters.releases == 0
         # The real lease is untouched.
@@ -87,63 +85,45 @@ class TestRelease:
 class TestHeartbeat:
     def test_heartbeat_keeps_a_slow_worker_alive(self, tmp_path,
                                                  tiny_submission):
-        async def scenario():
-            scheduler = make_scheduler(tmp_path, lease_ttl=0.3)
-            await scheduler.submit(tiny_submission)
-            job = await scheduler.lease("slow")
-            await asyncio.sleep(0.2)
-            beat = await scheduler.heartbeat("slow", job["key"],
-                                             job["lease"])
-            await asyncio.sleep(0.2)
-            # 0.4s since the grant, 0.2s since the beat: without the
-            # extension this lease would be expired by now.
-            expired = await scheduler.expire_leases()
-            return scheduler, beat, expired
-
-        scheduler, beat, expired = asyncio.run(scenario())
+        scheduler = make_scheduler(tmp_path, lease_ttl=0.3)
+        scheduler.submit(tiny_submission)
+        job = scheduler.lease("slow")
+        time.sleep(0.2)
+        beat = scheduler.heartbeat("slow", job["key"], job["lease"])
+        time.sleep(0.2)
+        # 0.4s since the grant, 0.2s since the beat: without the
+        # extension this lease would be expired by now.
+        assert scheduler.expire_leases() == 0
         assert beat == {"ok": True, "extended": True}
-        assert expired == 0
         assert scheduler.counters.heartbeats == 1
         assert "last_heartbeat" in scheduler._workers["slow"]
 
     def test_silent_worker_still_expires(self, tmp_path,
                                          tiny_submission):
-        async def scenario():
-            scheduler = make_scheduler(tmp_path, lease_ttl=0.2)
-            await scheduler.submit(tiny_submission)
-            await scheduler.lease("dead")
-            await asyncio.sleep(0.35)
-            return scheduler, await scheduler.expire_leases()
-
-        scheduler, expired = asyncio.run(scenario())
-        assert expired == 1
+        scheduler = make_scheduler(tmp_path, lease_ttl=0.2)
+        scheduler.submit(tiny_submission)
+        scheduler.lease("dead")
+        time.sleep(0.35)
+        assert scheduler.expire_leases() == 1
         assert scheduler.counters.leases_expired == 1
 
     def test_stale_heartbeat_does_not_extend(self, tmp_path,
                                              tiny_submission):
-        async def scenario():
-            scheduler = make_scheduler(tmp_path)
-            await scheduler.submit(tiny_submission)
-            job = await scheduler.lease("w0")
-            return await scheduler.heartbeat("w0", job["key"],
-                                             "L99999999")
-
-        beat = asyncio.run(scenario())
+        scheduler = make_scheduler(tmp_path)
+        scheduler.submit(tiny_submission)
+        job = scheduler.lease("w0")
+        beat = scheduler.heartbeat("w0", job["key"], "L99999999")
         assert beat == {"ok": True, "extended": False}
 
 
 class TestIdempotentSubmit:
     def test_replay_returns_original_submission(self, tmp_path,
                                                 tiny_spec):
-        async def scenario():
-            scheduler = make_scheduler(tmp_path)
-            submission = SweepSubmission(spec=tiny_spec, name="once",
-                                         idempotency_key="idem-1")
-            first = await scheduler.submit(submission)
-            second = await scheduler.submit(submission)
-            return scheduler, first, second
-
-        scheduler, first, second = asyncio.run(scenario())
+        scheduler = make_scheduler(tmp_path)
+        submission = SweepSubmission(spec=tiny_spec, name="once",
+                                     idempotency_key="idem-1")
+        first = scheduler.submit(submission)
+        second = scheduler.submit(submission)
         assert second["id"] == first["id"]
         assert second["resubmitted"] is True
         assert second["idempotency_key"] == "idem-1"
@@ -155,15 +135,11 @@ class TestIdempotentSubmit:
 
     def test_different_keys_are_distinct_submissions(self, tmp_path,
                                                      tiny_spec):
-        async def scenario():
-            scheduler = make_scheduler(tmp_path)
-            a = await scheduler.submit(SweepSubmission(
-                spec=tiny_spec, idempotency_key="idem-a"))
-            b = await scheduler.submit(SweepSubmission(
-                spec=tiny_spec, idempotency_key="idem-b"))
-            return a, b
-
-        a, b = asyncio.run(scenario())
+        scheduler = make_scheduler(tmp_path)
+        a = scheduler.submit(SweepSubmission(
+            spec=tiny_spec, idempotency_key="idem-a"))
+        b = scheduler.submit(SweepSubmission(
+            spec=tiny_spec, idempotency_key="idem-b"))
         assert a["id"] != b["id"]
 
     def test_content_key_is_deterministic(self, tiny_spec, overlap_spec):
@@ -196,63 +172,41 @@ class TestIdempotentSubmit:
 
 class TestFetchRequeue:
     def test_lost_cell_requeues_and_recovers(self, tmp_path, tiny_spec):
-        async def scenario():
-            scheduler = make_scheduler(tmp_path)
-            status = await scheduler.submit(SweepSubmission(
-                spec=tiny_spec, name="tiny"))
-            await drain(scheduler)
-            # Bit-rot one stored cell behind the scheduler's back.
-            victim = scheduler._submissions[status["id"]].keys[0]
-            path = os.path.join(scheduler.store.directory,
-                                victim + ".pkl")
-            blob = bytearray(open(path, "rb").read())
-            blob[-6] ^= 0xFF
-            with open(path, "wb") as handle:
-                handle.write(bytes(blob))
-            try:
-                await scheduler.fetch(status["id"])
-                raised = None
-            except ServiceError as exc:
-                raised = str(exc)
-            mid = scheduler.status(status["id"])
-            await drain(scheduler)
-            doc = await scheduler.fetch(status["id"])
-            return scheduler, raised, mid, doc
-
-        scheduler, raised, mid, doc = asyncio.run(scenario())
-        assert raised is not None and "requeued for recompute" in raised
-        assert mid["state"] == "running"
+        scheduler = make_scheduler(tmp_path)
+        status = scheduler.submit(SweepSubmission(spec=tiny_spec,
+                                                  name="tiny"))
+        drain(scheduler)
+        # Bit-rot one stored cell behind the scheduler's back.
+        victim = scheduler._submissions[status["id"]].keys[0]
+        rot(os.path.join(scheduler.store.directory, victim + ".pkl"))
+        with pytest.raises(ServiceError, match="requeued for recompute"):
+            scheduler.fetch(status["id"])
+        assert scheduler.status(status["id"])["state"] == "running"
         assert scheduler.counters.fetch_requeues == 1
+        drain(scheduler)
+        doc = scheduler.fetch(status["id"])
         # The quarantined cell recomputed; the final artifact is intact.
         reference = serial_bench(tiny_spec, name="tiny")
         assert doc["results_sha256"] == reference["results_sha256"]
 
     def test_submit_verifies_first_sight_of_warm_entries(self, tmp_path,
                                                          tiny_spec):
-        async def scenario():
-            warm = make_scheduler(tmp_path)
-            await warm.submit(SweepSubmission(spec=tiny_spec))
-            await drain(warm)
-            # Rot one entry, then point a *fresh* scheduler (empty
-            # verification memo) at the same store.
-            store_dir = warm.store.directory
-            name = sorted(n for n in os.listdir(store_dir)
-                          if n.endswith(".pkl"))[0]
-            path = os.path.join(store_dir, name)
-            blob = bytearray(open(path, "rb").read())
-            blob[-6] ^= 0xFF
-            with open(path, "wb") as handle:
-                handle.write(bytes(blob))
-            fresh = Scheduler(CellStore(store_dir))
-            status = await fresh.submit(SweepSubmission(spec=tiny_spec))
-            return fresh, status
-
-        fresh, status = asyncio.run(scenario())
+        warm = make_scheduler(tmp_path)
+        warm.submit(SweepSubmission(spec=tiny_spec))
+        drain(warm)
+        # Rot one entry, then point a *fresh* scheduler (empty
+        # verification memo) at the same store.
+        store_dir = warm.store.directory
+        name = sorted(n for n in os.listdir(store_dir)
+                      if n.endswith(".pkl"))[0]
+        rot(os.path.join(store_dir, name))
+        fresh = Scheduler(CellStore(store_dir))
+        status = fresh.submit(SweepSubmission(spec=tiny_spec))
         # Three verified warm hits, one quarantined miss to recompute.
         assert status["store_hits"] == 3
         assert status["misses"] == 1
         assert status["state"] == "running"
-        assert fresh.store.cache.corrupt_keys() != []
+        assert fresh.store.corrupt_keys() != []
 
 
 class TestSchedulerChaos:
@@ -261,15 +215,10 @@ class TestSchedulerChaos:
         activate(FaultPlan(seed=1, rules=(
             FaultRule(site="scheduler", fault="duplicate_complete",
                       max_injections=10),)))
-
-        async def scenario():
-            scheduler = make_scheduler(tmp_path)
-            status = await scheduler.submit(tiny_submission)
-            await drain(scheduler)
-            return scheduler, scheduler.status(status["id"])
-
-        scheduler, status = asyncio.run(scenario())
-        assert status["state"] == "done"
+        scheduler = make_scheduler(tmp_path)
+        status = scheduler.submit(tiny_submission)
+        drain(scheduler)
+        assert scheduler.status(status["id"])["state"] == "done"
         assert scheduler.counters.completes == 4
         # Every complete was delivered twice; the doubles all landed on
         # the idempotent late path.
@@ -280,19 +229,12 @@ class TestSchedulerChaos:
         activate(FaultPlan(seed=1, rules=(
             FaultRule(site="scheduler", fault="clock_skew",
                       arg=3600.0, max_injections=1),)))
-
-        async def scenario():
-            scheduler = make_scheduler(tmp_path, lease_ttl=120.0)
-            await scheduler.submit(tiny_submission)
-            await scheduler.lease("w0")
-            # The skewed sweep ages the fresh 120s lease instantly.
-            first = await scheduler.expire_leases()
-            second = await scheduler.expire_leases()
-            return first, second
-
-        first, second = asyncio.run(scenario())
-        assert first == 1
-        assert second == 0  # budget spent: the skew happened once
+        scheduler = make_scheduler(tmp_path, lease_ttl=120.0)
+        scheduler.submit(tiny_submission)
+        scheduler.lease("w0")
+        # The skewed sweep ages the fresh 120s lease instantly.
+        assert scheduler.expire_leases() == 1
+        assert scheduler.expire_leases() == 0  # budget spent: once
 
 
 class TestClientBackoff:

@@ -243,6 +243,111 @@ class TestInProcessEndToEnd:
         assert metrics["queue_depth"] == 6
 
 
+class TestLeaseWake:
+    """What wakes a parked ``/lease``: the shell parks a lease with
+    nothing to grant and wakes it when the scheduler records new
+    grantable work (a submit, a freed quota slot, an expiry requeue);
+    an idle one answers ``{"job": null}`` once ``max_wait`` runs out."""
+
+    ONE_CELL = SweepSpec(workloads=("bv_n400",), schemes=("bisp",),
+                         scales=(SCALE,), shots=(1,))
+
+    @staticmethod
+    async def park(server, worker, max_wait=5.0):
+        """Start a long-poll and return it once it is provably parked."""
+        parked = asyncio.ensure_future(http_request(
+            server.host, server.port, "POST", "/lease",
+            {"worker": worker, "max_wait": max_wait}))
+        await asyncio.sleep(0.2)
+        assert not parked.done()
+        return parked
+
+    @staticmethod
+    async def timed(parked):
+        """``(reply, seconds)`` of a parked lease from now on."""
+        loop = asyncio.get_running_loop()
+        started = loop.time()
+        code, reply = await parked
+        assert code == 200
+        return reply, loop.time() - started
+
+    def test_submit_wakes_parked_lease(self, tmp_path, tiny_submission):
+        async def scenario():
+            server = await start_server(tmp_path)
+            try:
+                parked = await self.park(server, "w0")
+                await http_request(server.host, server.port, "POST",
+                                   "/submit", tiny_submission.to_dict())
+                return await self.timed(parked)
+            finally:
+                await server.close()
+
+        reply, waited = asyncio.run(scenario())
+        assert reply["job"] is not None
+        assert waited < 2.0
+
+    def test_complete_frees_quota_for_parked_lease(self, tmp_path,
+                                                   tiny_submission):
+        async def scenario():
+            server = await start_server(tmp_path, default_quota=1)
+            host, port = server.host, server.port
+            try:
+                await http_request(host, port, "POST", "/submit",
+                                   tiny_submission.to_dict())
+                _, first = await http_request(
+                    host, port, "POST", "/lease", {"worker": "w0"})
+                job = first["job"]
+                cell = run_cell(SweepTask.from_dict(job["task"]))
+                parked = await self.park(server, "w1")  # owner at quota
+                await http_request(
+                    host, port, "POST", "/complete",
+                    {"worker": "w0", "key": job["key"],
+                     "lease": job["lease"], "result": cell.to_dict()})
+                return await self.timed(parked)
+            finally:
+                await server.close()
+
+        reply, waited = asyncio.run(scenario())
+        assert reply["job"] is not None
+        assert waited < 2.0
+
+    def test_expiry_requeue_wakes_parked_lease(self, tmp_path):
+        async def scenario():
+            # The TTL outlasts park()'s 0.2 s proof that the lease parked.
+            server = await start_server(tmp_path, lease_ttl=1.0)
+            host, port = server.host, server.port
+            try:
+                await http_request(
+                    host, port, "POST", "/submit",
+                    SweepSubmission(spec=self.ONE_CELL).to_dict())
+                _, first = await http_request(
+                    host, port, "POST", "/lease", {"worker": "doomed"})
+                parked = await self.park(server, "healthy")
+                reply, waited = await self.timed(parked)
+                return first["job"], reply, waited
+            finally:
+                await server.close()
+
+        first, reply, waited = asyncio.run(scenario())
+        assert reply["job"]["key"] == first["key"]
+        assert reply["job"]["attempt"] == 2
+        assert waited < 4.0  # the expiry woke it, not max_wait
+
+    def test_idle_lease_returns_null_after_max_wait(self, tmp_path):
+        async def scenario():
+            server = await start_server(tmp_path)
+            try:
+                parked = await self.park(server, "w0", max_wait=0.6)
+                return await self.timed(parked)
+            finally:
+                await server.close()
+
+        reply, waited = asyncio.run(scenario())
+        assert reply == {"job": None}
+        # 0.2 s of the 0.6 s were spent proving the lease parked.
+        assert 0.3 <= waited < 2.0
+
+
 @pytest.mark.slow
 class TestFullStack:
     """The CI service-smoke scenario as a test: real serve subprocess,

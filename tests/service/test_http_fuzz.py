@@ -77,6 +77,17 @@ FUZZ_REQUESTS = [
     ("bad field types",
      b"POST /lease HTTP/1.1\r\nContent-Length: 15\r\n\r\n{\"worker\": 123}",
      {400}),
+    # A malformed max_wait can never succeed, so it must not be a 5xx
+    # (clients retry those as transient).
+    ("string max_wait",
+     b"POST /lease HTTP/1.1\r\nContent-Length: 35\r\n\r\n"
+     b"{\"worker\": \"w\", \"max_wait\": \"soon\"}", {400}),
+    ("null max_wait",
+     b"POST /lease HTTP/1.1\r\nContent-Length: 33\r\n\r\n"
+     b"{\"worker\": \"w\", \"max_wait\": null}", {400}),
+    ("list max_wait",
+     b"POST /lease HTTP/1.1\r\nContent-Length: 32\r\n\r\n"
+     b"{\"worker\": \"w\", \"max_wait\": [1]}", {400}),
 ]
 
 

@@ -45,9 +45,9 @@ class TestPrometheusScrape:
         async def scenario():
             server = await _start(tmp_path)
             try:
-                await server.scheduler.submit(
+                server.scheduler.submit(
                     SweepSubmission(spec=tiny_spec, name="scrape"))
-                await server.scheduler.lease("w0", max_wait=0.0)
+                server.scheduler.lease("w0")
                 return await http_request_text(
                     server.host, server.port, "/metrics")
             finally:

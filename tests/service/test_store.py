@@ -1,10 +1,11 @@
-"""CellStore: roundtrip, SweepCache interop, counters, tmp hygiene."""
+"""CellStore: roundtrip, harness-cache interop, counters, tmp hygiene."""
 
 import os
 
 import pytest
 
-from repro.harness.parallel import SweepCache, run_cell, tasks_from_spec
+from repro.diskcache import PickleDirStore
+from repro.harness.parallel import run_cell, tasks_from_spec
 from repro.service.store import CellStore
 
 
@@ -42,14 +43,15 @@ class TestRoundtrip:
         assert store.pending_tmps() == 0
 
 
-class TestSweepCacheInterop:
-    """The store *is* the harness cache layout: a --cache-dir sweep
-    warms the service store and vice versa."""
+class TestHarnessCacheInterop:
+    """The store *is* the harness cache (``run_tasks(cache_dir=)`` opens
+    a plain PickleDirStore): a --cache-dir sweep warms the service store
+    and vice versa."""
 
     def test_cache_write_is_store_hit(self, tmp_path, one_cell):
         key, cell = one_cell
         directory = str(tmp_path / "shared")
-        SweepCache(directory).put(key, cell)
+        PickleDirStore(directory).put(key, cell)
         store = CellStore(directory)
         assert store.has(key)
         assert store.get(key) == cell
@@ -58,7 +60,7 @@ class TestSweepCacheInterop:
         key, cell = one_cell
         directory = str(tmp_path / "shared")
         CellStore(directory).put(key, cell)
-        assert SweepCache(directory).get(key) == cell
+        assert PickleDirStore(directory).get(key) == cell
 
 
 class TestOrphanReclaim:
@@ -74,6 +76,6 @@ class TestOrphanReclaim:
     def test_reclaim_lock_file_not_listed_as_entry(self, tmp_path):
         store = CellStore(str(tmp_path / "store"))
         lockfile = os.path.join(store.directory,
-                                SweepCache.RECLAIM_LOCK_NAME)
+                                CellStore.RECLAIM_LOCK_NAME)
         open(lockfile, "ab").close()
         assert len(store) == 0

@@ -60,17 +60,6 @@ class TestChecksum:
         assert corrupt_counter() == before + 1
         assert store.corrupt_keys() == ["k"]
 
-    def test_counter_ticks_even_without_quarantine(self, tmp_path):
-        store = PickleDirStore(str(tmp_path), quarantine=False)
-        (tmp_path / "k.pkl").write_bytes(b"junk")
-        before = corrupt_counter()
-        assert store.get("k") is None
-        assert corrupt_counter() == before + 1
-        # Entry stays in place (and keeps failing) when quarantine is
-        # disabled — the operator opted into investigating in situ.
-        assert (tmp_path / "k.pkl").exists()
-        assert store.corrupt_keys() == []
-
     def test_legacy_raw_pickle_still_reads(self, tmp_path):
         store = PickleDirStore(str(tmp_path))
         (tmp_path / "old.pkl").write_bytes(pickle.dumps(PAYLOAD))
