@@ -3,8 +3,8 @@
 The perf-trajectory artifact of the simulator core.  The paper-tag
 Figure-15 sweep runs serially once per interpreter —
 
-* ``legacy`` — the original per-instruction interpreter
-  (``REPRO_NO_FASTPATH=1``),
+* ``legacy`` — the per-instruction interpreter, ``ReferenceCore`` from
+  ``tests/core/reference_core.py`` (loaded by file path),
 * ``vector`` — the default fast path: pre-decode + basic-block replay,
   where admitted slices enqueue one :class:`~repro.core.queues.ReplayBatch`
   over the block's pre-compiled item columns instead of per-item
@@ -36,16 +36,13 @@ the timing sweep, which is state-free).
 acceptance number uses 0.1); ``REPRO_BENCH_DIR`` redirects the artifact.
 """
 
-import contextlib
 import dataclasses
-import importlib.util
 import json
 import os
 import random
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 from repro.harness.parallel import (clear_cell_caches, run_tasks,
                                     tasks_from_spec)
@@ -56,6 +53,8 @@ from repro.compiler.driver import (compile_circuit, run_circuit,
 from repro.isa import decoded
 from repro.quantum.stabilizer import StabilizerBackend
 from repro.testing import subprocess_env
+
+from .conftest import interpreter, load_test_reference
 
 #: Conservative CI floor for the fast path vs the legacy interpreter on
 #: shared runners (the local scale-0.1 numbers are much higher — see
@@ -83,36 +82,6 @@ MIN_COMPILE_CACHE_SPEEDUP = float(os.environ.get(
 
 TIERS = ("legacy", "vector")
 
-REFERENCE_TABLEAU_PATH = (Path(__file__).resolve().parents[1] / "tests"
-                          / "quantum" / "reference_tableau.py")
-
-
-def _reference_tableau():
-    """The uint8 ``ReferenceTableau`` class, loaded by file path (the
-    tests tree is not a package)."""
-    spec = importlib.util.spec_from_file_location("reference_tableau",
-                                                  REFERENCE_TABLEAU_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.ReferenceTableau
-
-
-@contextlib.contextmanager
-def _tier_env(tier):
-    """Pin the interpreter for one timed sweep, whatever the ambient
-    environment (``legacy`` sets ``REPRO_NO_FASTPATH=1``); restore it
-    after."""
-    saved = os.environ.pop("REPRO_NO_FASTPATH", None)
-    if tier == "legacy":
-        os.environ["REPRO_NO_FASTPATH"] = "1"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
-        else:
-            os.environ["REPRO_NO_FASTPATH"] = saved
-
 
 def _timed_sweep(spec):
     """One serial sweep; returns (rows, seconds, replay totals)."""
@@ -130,7 +99,7 @@ def test_sweep_interpreters(bench_recorder, scale):
 
     rows, seconds, warm_seconds, totals = {}, {}, {}, {}
     for tier in TIERS:
-        with _tier_env(tier):
+        with interpreter(tier):
             clear_cell_caches()
             decoded.clear_decode_caches()
             rows[tier], seconds[tier], totals[tier] = _timed_sweep(spec)
@@ -325,7 +294,9 @@ def _tableau_workload(backend, rng, gates):
 
 def test_packed_tableau_speedup(bench_recorder):
     n, gates, seed = 300, 2000, 20260730
-    layouts = {"packed": StabilizerBackend, "uint8": _reference_tableau()}
+    layouts = {"packed": StabilizerBackend,
+               "uint8": load_test_reference("quantum/reference_tableau.py",
+                                            "ReferenceTableau")}
     timings = {}
     outcomes = {}
     for layout, backend_class in layouts.items():

@@ -1,8 +1,8 @@
 """Observability overhead benchmark: what instrumentation costs.
 
 Quantifies the two-tier cost model of :mod:`repro.obs` on the sweep hot
-path, for the fast interpreter and the ``REPRO_NO_FASTPATH=1`` legacy
-one:
+path, for the fast interpreter and the ``legacy`` stepwise one
+(``ReferenceCore`` from ``tests/core/reference_core.py``):
 
 * **off** — ``REPRO_OBS`` disabled: counters still tick (they are
   always-on by design) but :func:`repro.obs.metrics.timed` and
@@ -26,7 +26,6 @@ obs-smoke job checks end to end.
 fixture; ``REPRO_SCALE`` / ``REPRO_BENCH_DIR`` as usual.
 """
 
-import contextlib
 import dataclasses
 import os
 import time
@@ -37,21 +36,7 @@ from repro.harness.spec import SweepSpec
 from repro.isa import decoded
 from repro.obs import metrics, trace
 
-
-@contextlib.contextmanager
-def _tier_env(tier):
-    """Pin the interpreter for one timed sweep (same as bench_hotpath:
-    ``legacy`` sets ``REPRO_NO_FASTPATH=1``)."""
-    saved = os.environ.pop("REPRO_NO_FASTPATH", None)
-    if tier == "legacy":
-        os.environ["REPRO_NO_FASTPATH"] = "1"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_FASTPATH", None)
-        else:
-            os.environ["REPRO_NO_FASTPATH"] = saved
+from .conftest import interpreter
 
 #: Enabled-over-disabled overhead ceiling per interpreter (ratio - 1).
 MAX_OVERHEAD = float(os.environ.get("REPRO_OBS_MAX_OVERHEAD", "0.25"))
@@ -86,14 +71,18 @@ def test_instrumentation_overhead(bench_recorder, scale):
         scale, REPEATS))
     try:
         for tier in TIERS:
-            with _tier_env(tier):
+            with interpreter(tier):
                 clear_cell_caches()
                 decoded.clear_decode_caches()
+                decoded.reset_replay_totals()
                 tasks = tasks_from_spec(spec)
                 metrics.set_enabled(False)
                 rows_off, off_seconds = _timed_sweep(tasks)
                 metrics.set_enabled(True)
                 rows_on, on_seconds = _timed_sweep(tasks)
+            # Only the fast path replays fast blocks.
+            replays = decoded.replay_totals()["vector"]
+            assert (replays == 0) == (tier == "legacy"), (tier, replays)
             overhead = on_seconds / off_seconds - 1.0
             identical = int(rows_on == rows_off)
             print("{:>7s}: off {:.3f}s   on {:.3f}s   overhead {:+.1%}"

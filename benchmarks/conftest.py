@@ -15,12 +15,21 @@ Every benchmark module records its headline numbers through the
 ``BENCH_<module>.json`` into ``REPRO_BENCH_DIR`` (default:
 ``bench-artifacts/``) at module teardown — the machine-readable twin of
 the printed tables, for CI to archive and regression-gate.
+
+The reference implementations the fast paths are measured against live
+next to their tests; :func:`load_test_reference` loads them by file
+path and :func:`interpreter` installs the stepwise HISQ core.
 """
 
+import contextlib
+import importlib.util
 import os
+from pathlib import Path
 from typing import Optional
 
 import pytest
+
+TESTS_DIR = Path(__file__).resolve().parents[1] / "tests"
 
 
 def repro_scale() -> float:
@@ -93,3 +102,30 @@ def fig15_outcomes(scale: float, processes: Optional[int] = None,
 @pytest.fixture(scope="session")
 def scale():
     return repro_scale()
+
+
+def load_test_reference(relpath: str, name: str):
+    """Attribute ``name`` of ``tests/<relpath>``, loaded by file path
+    (the tests tree is not a package)."""
+    path = TESTS_DIR / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return getattr(module, name)
+
+
+@contextlib.contextmanager
+def interpreter(tier: str):
+    """Build every ControlSystem in the block on ``tier``'s HISQ core:
+    ``legacy`` is the stepwise ``ReferenceCore`` from
+    ``tests/core/reference_core.py``, any other tier the fast path."""
+    import repro.sim.system as system
+
+    saved = system.HISQCore
+    if tier == "legacy":
+        system.HISQCore = load_test_reference("core/reference_core.py",
+                                              "ReferenceCore")
+    try:
+        yield
+    finally:
+        system.HISQCore = saved

@@ -30,10 +30,9 @@ execution at branches, feedback receives, device interactions and
 whenever the TCU queue could fill.  Replay is engineered to be *exactly*
 equivalent to stepwise execution: same instruction counts per scheduler
 activation (so continuations land on the same cycles), same queue
-contents, same TELF traces, counters and stall accounting.  Setting
-``REPRO_NO_FASTPATH=1`` disables pre-decode and runs the original
-per-instruction interpreter (the debugging escape hatch; differential
-tests assert both paths agree).
+contents, same TELF traces, counters and stall accounting.  The
+per-instruction interpreter it must match is ``ReferenceCore`` in
+``tests/core/reference_core.py``; the differential suites run both.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import ExecutionError, TimingViolation
-from ..fastpath import fastpath_enabled
 from ..isa.decoded import REPLAY_BLOCK, REPLAY_VECTOR, REPLAY_VECTOR_ITEMS
 from ..isa.decoded import (CW_OPS, OP_ADD, OP_ADDI, OP_AND, OP_ANDI,
                            OP_AUIPC, OP_BEQ, OP_BGE, OP_BGEU, OP_BLT,
@@ -52,7 +50,6 @@ from ..isa.decoded import (CW_OPS, OP_ADD, OP_ADDI, OP_AND, OP_ANDI,
                            OP_SLTIU, OP_SLTU, OP_SRA, OP_SRAI, OP_SRL,
                            OP_SRLI, OP_SUB, OP_SW, OP_SYNC, OP_WAITI,
                            OP_WAITR, OP_XOR, OP_XORI, decode_program)
-from ..isa.instructions import Instruction
 from ..isa.program import Program
 from ..isa.registers import RegisterFile, to_signed
 from .config import CENTRAL_ADDRESS, CoreConfig
@@ -61,8 +58,6 @@ from .queues import (EmitCodeword, ItemQueue, ReplayBatch, Resync,
                      SendMessage, SyncNearby, SyncRegion)
 from .sync_unit import SyncUnit
 from .timer import AbsoluteTimer
-
-
 
 
 #: opcode -> does this instruction stall on a full TCU queue?
@@ -77,8 +72,7 @@ class HISQCore:
     def __init__(self, name: str, address: int, engine, telf,
                  config: Optional[CoreConfig] = None,
                  program: Optional[Program] = None,
-                 strict_timing: bool = False,
-                 fast: Optional[bool] = None):
+                 strict_timing: bool = False):
         self.name = name
         self.address = address
         self.engine = engine
@@ -90,9 +84,6 @@ class HISQCore:
         self.config = config or CoreConfig()
         #: Raise TimingViolation instead of counting it (used in tests).
         self.strict_timing = strict_timing
-        #: Fast-path switch fixed by the owning system, which reads it
-        #: once for all its cores; None re-reads the environment per load.
-        self._fast = fast
 
         self.regs = RegisterFile()
         self.sync_unit = SyncUnit(name)
@@ -100,7 +91,8 @@ class HISQCore:
         self.fabric = None  # wired by the system builder
         self._queue = ItemQueue(self.config.event_queue_depth)
         #: Prebound continuation callbacks (skip per-event bound-method
-        #: creation and the fast/legacy dispatch hop).
+        #: creation; a subclass's override is what gets bound).
+        self._pipeline_entry = self._pipeline_run
         self._tcu_loop_cb = self._tcu_loop
         self._do_recv_cb = self._do_recv_pending
         self._delivered_cb = self._delivered
@@ -110,13 +102,10 @@ class HISQCore:
         """Pre-assemble the fast interpreter's per-activation constants."""
         decoded = self._decoded
         queue = self._queue
-        if decoded is None:
-            self._fast_ctx = None
-            return
         self._fast_ctx = (
             decoded.steps, decoded.n, decoded.fast_block, _IS_CW,
             self.config.classical_cpi, self.config.batch_limit,
-            queue, queue._items.append, queue.push, queue.depth, decoded)
+            queue, queue._items.append, queue.push, queue.depth)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -125,11 +114,7 @@ class HISQCore:
     def load(self, program: Program) -> None:
         """Install a program and reset execution state."""
         self.program = program
-        fast = self._fast if self._fast is not None else fastpath_enabled()
-        self._decoded = decode_program(program) if fast else None
-        self._pipeline_entry = (self._pipeline_run_fast
-                                if self._decoded is not None
-                                else self._pipeline_run_legacy)
+        self._decoded = decode_program(program)
         self._refresh_fast_ctx()
         self.reset()
 
@@ -166,11 +151,10 @@ class HISQCore:
         """Schedule the pipeline to begin executing at cycle ``at``."""
         if self._started:
             raise ExecutionError("{}: already started".format(self.name))
-        if self._decoded is not None:
-            # Re-validate: picks up in-place program edits since load()
-            # (trust_pin=False catches same-length element swaps too).
-            self._decoded = decode_program(self.program, trust_pin=False)
-            self._refresh_fast_ctx()
+        # Re-validate: picks up in-place program edits since load()
+        # (trust_pin=False catches same-length element swaps too).
+        self._decoded = decode_program(self.program, trust_pin=False)
+        self._refresh_fast_ctx()
         self._started = True
         self.engine.at(at, self._pipeline_entry)
 
@@ -206,7 +190,7 @@ class HISQCore:
     @property
     def queue_high_water(self) -> int:
         """Peak logical TCU-queue depth (observability only — the exact
-        trajectory differs between the fast and legacy interpreters, so
+        trajectory differs between the fast and reference interpreters, so
         this stays out of the differentially compared :meth:`counters`
         dict)."""
         return self._queue.high_water
@@ -216,61 +200,9 @@ class HISQCore:
     # ------------------------------------------------------------------
 
     def _pipeline_run(self) -> None:
-        if self._decoded is not None:
-            self._pipeline_run_fast()
-        else:
-            self._pipeline_run_legacy()
-
-    def _pipeline_run_legacy(self) -> None:
-        """Original per-instruction interpreter (REPRO_NO_FASTPATH=1)."""
-        if self._halted or self._pipeline_blocked:
-            return
-        cost = 0
-        for _ in range(self.config.batch_limit):
-            if not 0 <= self.pc < len(self.program.instructions):
-                self._halted = True
-                self._tcu_kick()
-                break
-            instr = self.program.instructions[self.pc]
-            if instr.mnemonic.startswith("cw.") and self._queue.full:
-                # Pipeline stalls until the TCU drains one entry.
-                self._pipeline_blocked = True
-                stall_from = self.engine.now + cost
-
-                def resume(stall_from=stall_from):
-                    self._pipeline_blocked = False
-                    self.pipeline_stall_cycles += max(
-                        0, self.engine.now - stall_from)
-                    self._pipeline_run()
-
-                self._queue.wait_for_space(
-                    lambda: self.engine.after(0, resume))
-                if cost:
-                    pass  # cost is folded into the stall accounting
-                return
-            if instr.mnemonic == "recv":
-                # Flush accumulated cost, then block on the message unit.
-                self.engine.after(
-                    cost + self.config.classical_cpi,
-                    lambda rd=instr.rd, src=instr.imm: self._do_recv(rd, src))
-                self.pc += 1
-                self.instructions_executed += 1
-                self._pipeline_blocked = True
-                return
-            self._execute(instr)
-            cost += self.config.classical_cpi
-            self.instructions_executed += 1
-            if self._halted:
-                self._tcu_kick()
-                return
-        else:
-            self.engine.after(max(cost, 1), self._pipeline_run)
-            return
-
-    def _pipeline_run_fast(self) -> None:
         """Decoded interpreter with basic-block fast-forward.
 
-        Byte-identical to :meth:`_pipeline_run_legacy` in every observable
+        Byte-identical to the per-instruction reference in every observable
         (queue contents, counters, TELF, continuation timing): the loop
         consumes the same per-activation instruction budget, and block
         replay is only admitted when stepwise execution could not have
@@ -280,7 +212,7 @@ class HISQCore:
         if self._halted or self._pipeline_blocked:
             return
         (steps, nsteps, fast_block, is_cw, cpi, budget,
-         queue, append_item, push_item, depth, decoded) = self._fast_ctx
+         queue, append_item, push_item, depth) = self._fast_ctx
         regs = self.regs
         engine = self.engine
         pc = self.pc
@@ -327,8 +259,6 @@ class HISQCore:
                             append_item(ReplayBatch(
                                 positions, block.item_kinds, block.item_a,
                                 block.item_b, lo, hi))
-                            decoded.vector_replays += 1
-                            decoded.vector_items += k
                             REPLAY_VECTOR.value += 1
                             REPLAY_VECTOR_ITEMS.value += k
                         else:
@@ -368,7 +298,7 @@ class HISQCore:
                     continue
                 # else: the next codeword cannot fit — execute it stepwise
                 # below, which re-checks the live queue and stalls exactly
-                # like the legacy loop.
+                # like the per-instruction reference.
             op, rd, rs1, rs2, imm, imm2 = steps[pc]
             if is_cw[op] and queue._count >= depth:
                 self.pc = pc
@@ -547,11 +477,6 @@ class HISQCore:
         self.instructions_executed += executed
         engine.after(max(cost, 1), self._pipeline_entry)
 
-    def _do_recv(self, rd: int, src: int) -> None:
-        self._recv_rd = rd
-        self._recv_src = src
-        self.message_unit.receive(src, self._delivered_cb)
-
     def _do_recv_pending(self) -> None:
         """Prebound continuation of a scheduled recv (operands on self)."""
         self.message_unit.receive(self._recv_src, self._delivered_cb)
@@ -566,8 +491,7 @@ class HISQCore:
         exact = self._recv_src == CENTRAL_ADDRESS
         earliest = self.engine.now + self.config.feedback_resync_cycles
         position = self.position
-        if self._decoded is not None and self._sync_state is None \
-                and not self._queue._items:
+        if self._sync_state is None and not self._queue._items:
             # TCU idle: apply the resync inline — exactly what _tcu_loop
             # would do with this single queued item, minus the queue
             # round trip.
@@ -586,133 +510,6 @@ class HISQCore:
             self._tcu_enqueue(Resync(position, earliest, exact=exact))
         self._pipeline_blocked = False
         self.engine.after(self.config.classical_cpi, self._pipeline_entry)
-
-    def _execute(self, instr: Instruction) -> None:
-        m = instr.mnemonic
-        regs = self.regs
-        next_pc = self.pc + 1
-        if m == "nop":
-            pass
-        elif m == "halt":
-            self._halted = True
-        elif m == "addi":
-            regs.write(instr.rd, regs.read(instr.rs1) + instr.imm)
-        elif m == "add":
-            regs.write(instr.rd, regs.read(instr.rs1) + regs.read(instr.rs2))
-        elif m == "sub":
-            regs.write(instr.rd, regs.read(instr.rs1) - regs.read(instr.rs2))
-        elif m == "and":
-            regs.write(instr.rd, regs.read(instr.rs1) & regs.read(instr.rs2))
-        elif m == "or":
-            regs.write(instr.rd, regs.read(instr.rs1) | regs.read(instr.rs2))
-        elif m == "xor":
-            regs.write(instr.rd, regs.read(instr.rs1) ^ regs.read(instr.rs2))
-        elif m == "andi":
-            regs.write(instr.rd, regs.read(instr.rs1) & (instr.imm & 0xFFFFFFFF))
-        elif m == "ori":
-            regs.write(instr.rd, regs.read(instr.rs1) | (instr.imm & 0xFFFFFFFF))
-        elif m == "xori":
-            regs.write(instr.rd, regs.read(instr.rs1) ^ (instr.imm & 0xFFFFFFFF))
-        elif m == "slt":
-            regs.write(instr.rd, int(regs.read_signed(instr.rs1) <
-                                     regs.read_signed(instr.rs2)))
-        elif m == "sltu":
-            regs.write(instr.rd, int(regs.read(instr.rs1) <
-                                     regs.read(instr.rs2)))
-        elif m == "slti":
-            regs.write(instr.rd, int(regs.read_signed(instr.rs1) < instr.imm))
-        elif m == "sltiu":
-            regs.write(instr.rd, int(regs.read(instr.rs1) <
-                                     (instr.imm & 0xFFFFFFFF)))
-        elif m == "sll":
-            regs.write(instr.rd,
-                       regs.read(instr.rs1) << (regs.read(instr.rs2) & 0x1F))
-        elif m == "srl":
-            regs.write(instr.rd,
-                       regs.read(instr.rs1) >> (regs.read(instr.rs2) & 0x1F))
-        elif m == "sra":
-            regs.write(instr.rd, regs.read_signed(instr.rs1) >>
-                       (regs.read(instr.rs2) & 0x1F))
-        elif m == "slli":
-            regs.write(instr.rd, regs.read(instr.rs1) << (instr.imm & 0x1F))
-        elif m == "srli":
-            regs.write(instr.rd, regs.read(instr.rs1) >> (instr.imm & 0x1F))
-        elif m == "srai":
-            regs.write(instr.rd,
-                       regs.read_signed(instr.rs1) >> (instr.imm & 0x1F))
-        elif m == "lui":
-            regs.write(instr.rd, instr.imm << 12)
-        elif m == "auipc":
-            regs.write(instr.rd, (instr.imm << 12) + self.pc * 4)
-        elif m == "lw":
-            addr = (regs.read(instr.rs1) + instr.imm) & 0xFFFFFFFF
-            if addr % 4:
-                raise ExecutionError("{}: misaligned load at {:#x}".format(
-                    self.name, addr))
-            regs.write(instr.rd, self.memory.get(addr, 0))
-        elif m == "sw":
-            addr = (regs.read(instr.rs1) + instr.imm) & 0xFFFFFFFF
-            if addr % 4:
-                raise ExecutionError("{}: misaligned store at {:#x}".format(
-                    self.name, addr))
-            self.memory[addr] = regs.read(instr.rs2)
-        elif m == "beq":
-            if regs.read(instr.rs1) == regs.read(instr.rs2):
-                next_pc = self.pc + instr.imm
-        elif m == "bne":
-            if regs.read(instr.rs1) != regs.read(instr.rs2):
-                next_pc = self.pc + instr.imm
-        elif m == "blt":
-            if regs.read_signed(instr.rs1) < regs.read_signed(instr.rs2):
-                next_pc = self.pc + instr.imm
-        elif m == "bge":
-            if regs.read_signed(instr.rs1) >= regs.read_signed(instr.rs2):
-                next_pc = self.pc + instr.imm
-        elif m == "bltu":
-            if regs.read(instr.rs1) < regs.read(instr.rs2):
-                next_pc = self.pc + instr.imm
-        elif m == "bgeu":
-            if regs.read(instr.rs1) >= regs.read(instr.rs2):
-                next_pc = self.pc + instr.imm
-        elif m == "jal":
-            regs.write(instr.rd, self.pc + 1)
-            next_pc = self.pc + instr.imm
-        elif m == "jalr":
-            regs.write(instr.rd, self.pc + 1)
-            next_pc = (regs.read(instr.rs1) + instr.imm) & 0xFFFFFFFF
-        elif m == "waiti":
-            self.position += instr.imm
-        elif m == "waitr":
-            self.position += to_signed(regs.read(instr.rs1))
-        elif m == "cw.i.i":
-            self._tcu_enqueue(EmitCodeword(self.position, instr.imm,
-                                           instr.imm2))
-        elif m == "cw.i.r":
-            self._tcu_enqueue(EmitCodeword(self.position, instr.imm,
-                                           regs.read(instr.rs2)))
-        elif m == "cw.r.i":
-            self._tcu_enqueue(EmitCodeword(self.position,
-                                           regs.read(instr.rs1), instr.imm2))
-        elif m == "cw.r.r":
-            self._tcu_enqueue(EmitCodeword(self.position,
-                                           regs.read(instr.rs1),
-                                           regs.read(instr.rs2)))
-        elif m == "sync":
-            if instr.imm2:
-                self._tcu_enqueue(SyncRegion(self.position, instr.imm,
-                                             instr.imm2))
-            else:
-                self._tcu_enqueue(SyncNearby(self.position, instr.imm))
-        elif m == "send":
-            self._tcu_enqueue(SendMessage(self.position, instr.imm,
-                                          regs.read(instr.rs1)))
-        elif m == "send.i":
-            self._tcu_enqueue(SendMessage(self.position, instr.imm,
-                                          instr.imm2))
-        else:
-            raise ExecutionError("{}: cannot execute {!r}".format(self.name,
-                                                                  m))
-        self.pc = next_pc
 
     # ------------------------------------------------------------------
     # Timing control unit

@@ -110,8 +110,8 @@ class ItemQueue:
     elements, so queue-depth stalls behave exactly as if the batch had
     been pushed item by item.  The plain ``push``/``pop`` API never
     creates batches — only the fast interpreter's block replay does, via
-    direct ``_items`` access — so the legacy interpreter
-    (``REPRO_NO_FASTPATH=1``) only ever sees plain items.
+    direct ``_items`` access — so a per-instruction interpreter (the
+    test reference ``ReferenceCore``) only ever sees plain items.
     """
 
     def __init__(self, depth: int):

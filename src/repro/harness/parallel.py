@@ -601,8 +601,7 @@ def run_tasks(tasks: Sequence[SweepTask],
             finished = map(_guarded_run_cell, _gc_batched(misses))
         else:
             # A fresh pool per call: its workers start from the current
-            # environment, so the REPRO_NO_FASTPATH hatch reaches them
-            # under fork and spawn alike.
+            # environment (REPRO_OBS, for one) under fork and spawn alike.
             context = multiprocessing.get_context(start_method)
             # chunksize=1: cell runtimes vary by orders of magnitude
             # across workloads, so fine-grained dispatch load-balances.

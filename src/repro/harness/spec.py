@@ -33,6 +33,12 @@ class SweepSpecError(ReproError):
     """Raised when a sweep specification is malformed."""
 
 
+def _is_int(value) -> bool:
+    """An ``int`` proper: JSON ``true`` decodes to a bool, which Python
+    counts as the integer 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepCell:
     """One grid point of a sweep."""
@@ -107,7 +113,7 @@ class SweepSpec:
         if not self.shots:
             raise SweepSpecError("spec needs at least one shots value")
         for shots in self.shots:
-            if not (isinstance(shots, int) and shots >= 1):
+            if not (_is_int(shots) and shots >= 1):
                 raise SweepSpecError(
                     "shots must be integers >= 1, got {!r}".format(shots))
         if len(set(self.shots)) != len(self.shots):
@@ -123,10 +129,14 @@ class SweepSpec:
                 len(set(self.workloads)) != len(self.workloads):
             raise SweepSpecError(
                 "duplicate workloads {}".format(self.workloads))
-        if not (isinstance(self.noise_shots, int) and self.noise_shots >= 1):
+        if not (_is_int(self.noise_shots) and self.noise_shots >= 1):
             raise SweepSpecError(
                 "noise_shots must be an integer >= 1, got {!r}".format(
                     self.noise_shots))
+        if not (_is_int(self.device_seed) and self.device_seed >= 0):
+            raise SweepSpecError(
+                "device_seed must be an integer >= 0, got {!r}".format(
+                    self.device_seed))
         if self.noise is not None and not isinstance(self.noise, NoiseModel):
             raise SweepSpecError(
                 "noise must be a NoiseModel or None, got {!r}".format(
@@ -274,8 +284,7 @@ class SweepSubmission:
             raise SweepSpecError(
                 "submission owner must be a non-empty string, got "
                 "{!r}".format(self.owner))
-        if not isinstance(self.priority, int) or \
-                isinstance(self.priority, bool) or self.priority < 0:
+        if not _is_int(self.priority) or self.priority < 0:
             raise SweepSpecError(
                 "submission priority must be an integer >= 0 "
                 "(lower runs first), got {!r}".format(self.priority))

@@ -218,16 +218,12 @@ def _step_of(instr) -> Tuple[int, int, int, int, int, int]:
 class DecodedProgram:
     """Dense decoded form of one HISQ program.
 
-    ``vector_replays``/``vector_items`` count, per decoded program, how
-    many admitted fast-block slices became one
-    :class:`~repro.core.queues.ReplayBatch` and how many items those
-    batches carried.  The CI perf-smoke gate reads the process-wide
-    mirror (:func:`replay_totals`) to fail loudly if replay ever silently
-    stops batching.
+    Programs with equal content share one instance, so it holds program
+    content only; how often its fast blocks replay is counted process
+    wide (:func:`replay_totals`).
     """
 
-    __slots__ = ("instructions", "n", "steps", "fast_block", "has_recv",
-                 "vector_replays", "vector_items")
+    __slots__ = ("instructions", "n", "steps", "fast_block", "has_recv")
 
     def __init__(self, instructions: Tuple):
         self.instructions = instructions  # strong ref (pins content ids)
@@ -265,8 +261,6 @@ class DecodedProgram:
         #: without one have device-seed-independent timing, which is what
         #: lane fast-forward (:mod:`repro.sim.lanes`) keys on.
         self.has_recv = any(step[0] == OP_RECV for step in steps)
-        self.vector_replays = 0
-        self.vector_items = 0
 
     @classmethod
     def from_artifact(cls, instructions: Tuple, steps: List[tuple],
@@ -276,16 +270,13 @@ class DecodedProgram:
 
         Used by the persistent compile cache's warm load, which stores
         ``steps``/``fast_block`` explicitly and must not re-run
-        ``__init__``'s decode pass.  Replay counters start at zero —
-        they are writer-process state, not program content."""
+        ``__init__``'s decode pass."""
         decoded = cls.__new__(cls)
         decoded.instructions = instructions
         decoded.n = len(instructions)
         decoded.steps = steps
         decoded.fast_block = fast_block
         decoded.has_recv = has_recv
-        decoded.vector_replays = 0
-        decoded.vector_items = 0
         return decoded
 
     @staticmethod
@@ -413,13 +404,13 @@ def decode_cache_stats() -> Dict[str, int]:
 # Replay accounting.
 # ---------------------------------------------------------------------------
 
-#: Process-wide replay counters, mirrored from the per-program ones as the
-#: executor increments them.  ``vector`` counts admitted slices enqueued
-#: as one batch, ``block`` the short slices pushed item by item, and
-#: ``vector_items`` the items carried by batches.  These live in the
-#: observability registry but are always on: the perf-smoke digest gate,
-#: the benchmark ledger and the fast-forward tests read them through
-#: :func:`replay_totals`.
+#: Process-wide replay counters, bumped by the HISQ interpreter
+#: (:class:`~repro.core.node.HISQCore`).  ``vector`` counts admitted
+#: slices enqueued as one batch, ``block`` the short slices pushed item
+#: by item, and ``vector_items`` the items carried by batches.  These
+#: live in the observability registry but are always on: the perf-smoke
+#: digest gate, the benchmark ledger and the fast-forward tests read
+#: them through :func:`replay_totals`.
 REPLAY_VECTOR = _metrics.counter(
     "repro_replay_vector_batches_total",
     "fast-block slices admitted as lazily-drained batches")

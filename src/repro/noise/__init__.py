@@ -16,7 +16,7 @@ from .estimator import (FidelityEstimate, estimate_fidelity,
 from .model import (PRESETS, NoiseModel, NoiseModelError, derive_seed,
                     preset, resolve_noise_model)
 from .sampler import (NoiseSample, NoiseSamplingError, choose_method,
-                      run_noisy_stabilizer, sample_noisy)
+                      sample_noisy)
 
 __all__ = [
     "FidelityEstimate", "NoiseChannelError", "NoiseModel",
@@ -25,6 +25,5 @@ __all__ = [
     "estimate_fidelity", "idle_channels_from_lifetimes",
     "logical_error_rate", "measurement_flip", "pauli_twirled_damping",
     "preset", "record_fidelity", "resolve_noise_model",
-    "run_noisy_stabilizer", "sample_noisy", "survival_fidelity",
-    "wilson_interval",
+    "sample_noisy", "survival_fidelity", "wilson_interval",
 ]

@@ -27,8 +27,9 @@ sample literally the same errors for the same ``(model, seed, shot)``:
 Noise is attached to operation *slots*, not executed branches: a
 conditionally-skipped gate still idles its qubits for the slot, so its
 channel applies either way.  That choice is what lets the frame path
-stay reference-free for error injection — and it is how the companion
-:func:`run_noisy_stabilizer` validation backend behaves too.
+stay reference-free for error injection — and it is how the per-shot
+stabilizer reference in ``tests/noise/reference_sampler.py`` behaves
+too.
 
 Determinism: shot ``s`` draws from ``default_rng(derive_seed("noise",
 seed, s))`` regardless of execution order or chunking, so serial,
@@ -520,61 +521,6 @@ def _sample_statevector(circuit: QuantumCircuit, model: NoiseModel,
                        desynced=np.zeros(shots, dtype=bool),
                        reference_bits=ref_cbits[:, :m],
                        noisy_bits=noisy_cbits[:, :m])
-
-
-# -- validation backend -------------------------------------------------------
-
-def run_noisy_stabilizer(circuit: QuantumCircuit, model: NoiseModel,
-                         shots: int, seed: int = 0,
-                         idle_channels: Optional[Dict[int, PauliChannel]]
-                         = None,
-                         config: Optional[SimulationConfig] = None
-                         ) -> np.ndarray:
-    """Trusted-but-slow reference: per-shot noisy stabilizer execution.
-
-    Consumes exactly the same per-shot site draws as the frame sampler
-    (same compiled program), so on circuits whose measurements are
-    deterministic in every error branch the returned ``(shots,
-    num_clbits)`` record matches the frame path's noisy bits *bit for
-    bit*; elsewhere the two agree in distribution.
-    """
-    if not circuit.is_clifford:
-        raise NoiseSamplingError(
-            "noisy stabilizer execution needs a Clifford circuit")
-    steps, num_sites = compile_noise_program(circuit, model,
-                                             idle_channels, config)
-    out = np.zeros((shots, max(circuit.num_clbits, 1)), dtype=np.int8)
-    for s in range(shots):
-        uniforms = _shot_uniforms(seed, s, num_sites)
-        backend = StabilizerBackend(circuit.num_qubits,
-                                    seed=derive_seed("noise-stab", seed, s))
-        cbits = [0] * circuit.num_clbits
-        for step in steps:
-            if step.kind == "error":
-                pauli = step.error.channel.sample(
-                    float(uniforms[step.error.site]))
-                if pauli is not None:
-                    backend.apply_pauli(pauli, step.error.qubits)
-                continue
-            if step.condition is not None:
-                bit, value = step.condition
-                if cbits[bit] != value:
-                    continue
-            if step.kind == "reset":
-                backend.reset(step.qubits[0])
-                continue
-            if step.kind == "measure":
-                outcome = backend.measure(step.qubits[0])
-                if step.flip_site is not None:
-                    draw = float(uniforms[step.flip_site.site])
-                    if draw < step.flip_site.channel.error_probability:
-                        outcome ^= 1
-                if step.cbit is not None:
-                    cbits[step.cbit] = outcome
-                continue
-            backend.apply_gate(step.name, step.qubits, step.params)
-        out[s, :circuit.num_clbits] = cbits
-    return out[:, :circuit.num_clbits]
 
 
 # -- entry point --------------------------------------------------------------

@@ -15,9 +15,8 @@ Two cost tiers, by design:
   optional.  Their cost is an integer add.
 * **Timing (histograms via :func:`timed`) is gated** on
   :func:`enabled` — the strict ``REPRO_OBS`` environment flag (parsed
-  with the same rules as the fast-path switches) or an explicit
-  :func:`set_enabled`.  When disabled, :func:`timed` never calls
-  ``perf_counter``.
+  by :func:`env_flag`) or an explicit :func:`set_enabled`.  When
+  disabled, :func:`timed` never calls ``perf_counter``.
 
 Everything is deterministic where it matters: :func:`MetricsRegistry.
 snapshot` returns a name-sorted dict of plain numbers, wall-clock only
@@ -28,25 +27,25 @@ service's ``/metrics`` route.
 
 Stdlib only, and a leaf module on purpose: hot-path modules such as
 ``isa/decoded.py`` import it at the top level, so it must not pull in
-anything heavier than ``repro.fastpath``.
+anything heavier than ``repro.errors``.
 """
 
 from __future__ import annotations
 
 import bisect
+import os
 import threading
 import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ReproError
-from ..fastpath import env_flag
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
     "counter", "gauge", "histogram", "register_collector", "snapshot",
     "reset", "enabled", "set_enabled", "timed", "render_prometheus",
-    "format_metric_line", "DEFAULT_BUCKETS",
+    "format_metric_line", "env_flag", "DEFAULT_BUCKETS",
 ]
 
 #: Default histogram bucket upper bounds, in seconds — spans the repo's
@@ -282,6 +281,31 @@ def reset() -> None:
 
 
 # -- the enabled switch ----------------------------------------------------
+
+#: Spellings accepted for boolean ``REPRO_*`` environment switches.
+_TRUTHY = frozenset(("1", "true", "yes", "on", "y", "t", "enabled"))
+_FALSY = frozenset(("", "0", "false", "no", "off", "n", "f", "disabled"))
+
+
+def env_flag(name: str) -> bool:
+    """Parse boolean environment switch ``name`` (strict).
+
+    Whitespace is stripped and case is ignored; unset or falsy spellings
+    return False, truthy spellings return True, and anything else raises
+    :class:`~repro.errors.ReproError` — a switch that silently no-ops on
+    a typo or a stray trailing space is worse than a crash.
+    """
+    raw = os.environ.get(name, "")
+    value = raw.strip().lower()
+    if value in _TRUTHY:
+        return True
+    if value in _FALSY:
+        return False
+    raise ReproError(
+        "unrecognized value {!r} for {} (truthy: {}; falsy: unset, {})".format(
+            raw, name, "/".join(sorted(_TRUTHY)),
+            "/".join(sorted(v for v in _FALSY if v))))
+
 
 _ENABLED: Optional[bool] = None
 

@@ -62,6 +62,7 @@ from __future__ import annotations
 import heapq
 import re
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -83,6 +84,11 @@ _LEASE_LATENCY = _metrics.histogram(
 _QUEUE_DEPTH = _metrics.gauge(
     "repro_service_queue_depth",
     "Queued (unleased) jobs at the last submit/grant")
+
+#: Grants behind the JSON ``lease_latency`` percentiles: the most recent
+#: ones only, so a long-lived service holds and sorts a bounded window
+#: (``_LEASE_LATENCY`` still counts every grant for Prometheus).
+LEASE_LATENCY_WINDOW = 4096
 
 #: A :meth:`SweepTask.cache_key` (sha256 hexdigest); keys name store
 #: files, so a worker-supplied key must match before reaching the store.
@@ -248,8 +254,9 @@ class Scheduler:
         self._verified: set = set()
         #: idempotency_key -> submission id, for retry-safe /submit.
         self._idempotency: Dict[str, str] = {}
-        #: seconds from job enqueue to lease grant (volatile telemetry).
-        self.lease_latencies: List[float] = []
+        #: seconds from job enqueue to lease grant of the most recent
+        #: grants (volatile telemetry).
+        self.lease_latencies = deque(maxlen=LEASE_LATENCY_WINDOW)
 
     # -- submission side ---------------------------------------------------
 
@@ -676,7 +683,8 @@ class Scheduler:
         if latencies:
             ordered = sorted(latencies)
             summary = {
-                "count": len(ordered),
+                # Every grant; the statistics cover the recent window.
+                "count": self.counters.leases_granted,
                 "mean_s": sum(ordered) / len(ordered),
                 "p50_s": ordered[len(ordered) // 2],
                 "p95_s": ordered[min(len(ordered) - 1,

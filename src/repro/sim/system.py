@@ -16,7 +16,6 @@ from typing import Dict, Iterable, List, Optional
 from ..core.config import CENTRAL_ADDRESS, CoreConfig
 from ..core.node import HISQCore
 from ..errors import ExecutionError, SynchronizationError
-from ..fastpath import fastpath_enabled
 # Unused here; benchmarks/e2e/layers.py wraps this binding.
 from ..isa.decoded import decode_program  # noqa: F401
 from ..isa.program import Program
@@ -87,11 +86,10 @@ class ControlSystem:
             neighbor_link_cycles=self.config.neighbor_link_cycles,
             router_hop_cycles=self.config.router_hop_cycles)
         self.cores: Dict[int, HISQCore] = {}
-        fast = fastpath_enabled()
         for address in range(self.topology.num_controllers):
             core = HISQCore("C{}".format(address), address, self.engine,
                             self.telf, config=self.core_config,
-                            strict_timing=strict_timing, fast=fast)
+                            strict_timing=strict_timing)
             core.fabric = self
             self.cores[address] = core
         self.routers: Dict[int, Router] = {}

@@ -4,6 +4,8 @@ Hosts what the per-package test modules used to set up for themselves:
 
 * an ``src`` import-path fallback, so a bare ``pytest`` works even when
   the ``pythonpath`` ini option is unavailable;
+* ``tests/core`` on the import path, so every suite imports the
+  stepwise ``ReferenceCore`` as ``reference_core``;
 * the ``--update-golden`` option for the codegen snapshot tests;
 * deterministic RNG seeding, canned topologies, and the (session-cached)
   serial outcomes of a tiny Figure-15 sweep.
@@ -15,6 +17,9 @@ import sys
 _SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+_CORE_TESTS = os.path.join(os.path.dirname(__file__), "core")
+if _CORE_TESTS not in sys.path:
+    sys.path.append(_CORE_TESTS)
 
 import numpy as np
 import pytest

@@ -1,26 +1,28 @@
 """Fast-forward vs stepwise differential suite.
 
 The pre-decoded fast path (basic-block replay in
-:meth:`repro.core.node.HISQCore._pipeline_run_fast`, which enqueues
-admitted slices of four or more items as one
+:meth:`repro.core.node.HISQCore._pipeline_run`, which enqueues admitted
+slices of four or more items as one
 :class:`~repro.core.queues.ReplayBatch`) must be *exactly* equivalent to
-the original per-instruction interpreter: same makespans, same per-core
-counters, same TELF traces, same stall accounting — across every
-registered synchronization scheme, a sample of registry workloads, and
-randomized ISA programs.  ``REPRO_NO_FASTPATH=1`` selects the legacy
-interpreter, which is the reference behavior here.  Lane-parallel
-multishot is checked against a fresh simulation per shot at the end.
+the per-instruction interpreter: same makespans, same per-core counters,
+same TELF traces, same stall accounting — across every registered
+synchronization scheme, a sample of registry workloads, and randomized
+ISA programs.  :class:`reference_core.ReferenceCore` is that stepwise
+interpreter, the reference behavior here; every reference run checks
+that no fast block replayed.  Lane-parallel multishot is checked against
+a fresh simulation per shot at the end.
 """
 
 import random
 
 import pytest
 
+import repro.sim.system
 from repro.compiler import schemes as scheme_registry
 from repro.compiler.driver import (run_circuit, shot_device_seed,
                                    simulate_shot)
 from repro.core.config import CoreConfig
-from repro.core.node import HISQCore, fastpath_enabled
+from repro.core.node import HISQCore
 from repro.harness import registry
 from repro.isa import decoded
 from repro.isa.assembler import assemble
@@ -29,6 +31,11 @@ from repro.sim import lanes
 from repro.sim.engine import Engine
 from repro.sim.telf import TelfLog
 from repro.testing import random_clifford_circuit
+
+from reference_core import ReferenceCore
+
+#: replay_totals() of a run that replayed no fast block.
+NO_REPLAY = {"vector": 0, "block": 0, "vector_items": 0}
 
 
 def _fingerprint(result):
@@ -46,13 +53,15 @@ def _fingerprint(result):
     }
 
 
-def _run(circuit, scheme, monkeypatch, legacy, **kwargs):
-    if legacy:
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    else:
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    result = run_circuit(circuit, scheme=scheme, backend=None,
-                         record_gate_log=False, **kwargs)
+def _run(circuit, scheme, monkeypatch, reference, **kwargs):
+    decoded.reset_replay_totals()
+    with monkeypatch.context() as patch:
+        if reference:
+            patch.setattr(repro.sim.system, "HISQCore", ReferenceCore)
+        result = run_circuit(circuit, scheme=scheme, backend=None,
+                             record_gate_log=False, **kwargs)
+    if reference:
+        assert decoded.replay_totals() == NO_REPLAY
     return _fingerprint(result)
 
 
@@ -67,9 +76,9 @@ class TestWorkloadDifferential:
                                           monkeypatch):
         spec = registry.get_workload(workload).spec(0.04, 0.25)
         circuit = spec.circuit()
-        fast = _run(circuit, scheme, monkeypatch, legacy=False,
+        fast = _run(circuit, scheme, monkeypatch, reference=False,
                     mesh_kind=spec.mesh_kind)
-        slow = _run(circuit, scheme, monkeypatch, legacy=True,
+        slow = _run(circuit, scheme, monkeypatch, reference=True,
                     mesh_kind=spec.mesh_kind)
         assert fast == slow
 
@@ -81,8 +90,8 @@ class TestWorkloadDifferential:
         circuit = random_clifford_circuit(qubits, depth, seed=seed,
                                           feedback=True)
         for scheme in scheme_registry.scheme_names():
-            fast = _run(circuit, scheme, monkeypatch, legacy=False)
-            slow = _run(circuit, scheme, monkeypatch, legacy=True)
+            fast = _run(circuit, scheme, monkeypatch, reference=False)
+            slow = _run(circuit, scheme, monkeypatch, reference=True)
             assert fast == slow, scheme
 
 
@@ -124,18 +133,18 @@ def _random_program(seed: int) -> str:
     return "\n".join(lines)
 
 
-def _run_bare(source: str, legacy: bool, monkeypatch, depth: int = 1024):
-    if legacy:
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    else:
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+def _run_bare(source: str, reference: bool, depth: int = 1024):
     engine = Engine()
     telf = TelfLog()
-    core = HISQCore("c0", 0, engine, telf,
-                    config=CoreConfig(event_queue_depth=depth))
+    core_class = ReferenceCore if reference else HISQCore
+    core = core_class("c0", 0, engine, telf,
+                      config=CoreConfig(event_queue_depth=depth))
     core.load(assemble(source))
+    replays = decoded.replay_totals()
     core.start()
     engine.run(until=2_000_000)
+    if reference:
+        assert decoded.replay_totals() == replays
     return {
         "counters": core.counters(),
         "regs": core.regs.snapshot(),
@@ -200,26 +209,24 @@ def _short_slice_program(seed: int) -> str:
 
 
 class TestRandomProgramProperty:
-    """Property: decoded execution == legacy execution, instruction-exact."""
+    """Property: decoded execution == stepwise execution, instruction-exact."""
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_random_programs(self, seed, monkeypatch):
+    def test_random_programs(self, seed):
         source = _random_program(seed)
-        fast = _run_bare(source, legacy=False, monkeypatch=monkeypatch)
-        slow = _run_bare(source, legacy=True, monkeypatch=monkeypatch)
+        fast = _run_bare(source, reference=False)
+        slow = _run_bare(source, reference=True)
         assert fast == slow
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_programs_tiny_queue(self, seed, monkeypatch):
+    def test_random_programs_tiny_queue(self, seed):
         """Queue-full stalls must account identically in both modes."""
         source = _random_program(1000 + seed)
-        fast = _run_bare(source, legacy=False, monkeypatch=monkeypatch,
-                         depth=2)
-        slow = _run_bare(source, legacy=True, monkeypatch=monkeypatch,
-                         depth=2)
+        fast = _run_bare(source, reference=False, depth=2)
+        slow = _run_bare(source, reference=True, depth=2)
         assert fast == slow
 
-    def test_burst_emissions_tiny_queue(self, monkeypatch):
+    def test_burst_emissions_tiny_queue(self):
         """Back-to-back codewords through a depth-2 queue stall the
         pipeline; the replay admission logic must fall back exactly."""
         lines = []
@@ -229,49 +236,42 @@ class TestRandomProgramProperty:
                 lines.append("waiti 100")
         lines.append("halt")
         source = "\n".join(lines)
-        fast = _run_bare(source, legacy=False, monkeypatch=monkeypatch,
-                         depth=2)
-        slow = _run_bare(source, legacy=True, monkeypatch=monkeypatch,
-                         depth=2)
+        fast = _run_bare(source, reference=False, depth=2)
+        slow = _run_bare(source, reference=True, depth=2)
         assert fast == slow
         assert fast["counters"]["pipeline_stall"] > 0
 
     @pytest.mark.parametrize("depth", (2, 1024))
     @pytest.mark.parametrize("seed", range(15))
-    def test_emission_runs(self, seed, depth, monkeypatch):
+    def test_emission_runs(self, seed, depth):
         """Long emission runs replay as batches; depth-2 queues force
         replay admission to split them and the pipeline to stall, and
         accounting must still agree."""
         source = _emission_program(2000 + seed)
-        fast = _run_bare(source, legacy=False, monkeypatch=monkeypatch,
-                         depth=depth)
-        slow = _run_bare(source, legacy=True, monkeypatch=monkeypatch,
-                         depth=depth)
+        fast = _run_bare(source, reference=False, depth=depth)
+        slow = _run_bare(source, reference=True, depth=depth)
         assert fast == slow
 
     @pytest.mark.parametrize("depth", (2, 1024))
     @pytest.mark.parametrize("seed", range(8))
-    def test_short_slices(self, seed, depth, monkeypatch):
+    def test_short_slices(self, seed, depth):
         """Slices of under four items never batch: they are pushed item
         by item straight from the block's item columns."""
         source = _short_slice_program(3000 + seed)
         decoded.reset_replay_totals()
-        fast = _run_bare(source, legacy=False, monkeypatch=monkeypatch,
-                         depth=depth)
+        fast = _run_bare(source, reference=False, depth=depth)
         totals = decoded.replay_totals()
         assert totals["block"] > 0
         assert totals["vector"] == totals["vector_items"] == 0
-        slow = _run_bare(source, legacy=True, monkeypatch=monkeypatch,
-                         depth=depth)
+        slow = _run_bare(source, reference=True, depth=depth)
         assert fast == slow
 
 
 class TestBatchedReplay:
     """The fast path must really batch, not quietly push item by item."""
 
-    def test_workload_replay_batches(self, monkeypatch):
+    def test_workload_replay_batches(self):
         """The CI perf-smoke assertion, in miniature."""
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
         spec = registry.get_workload("bv_n400").spec(0.04, 0.25)
         decoded.clear_decode_caches()
         decoded.reset_replay_totals()
@@ -281,39 +281,39 @@ class TestBatchedReplay:
         assert totals["vector"] > 0
         assert totals["vector_items"] >= 4 * totals["vector"]
 
-    def test_deep_queue_forms_batches(self, monkeypatch):
+    def test_deep_queue_forms_batches(self):
         """With a roomy queue the emission programs take the batch path
         (otherwise the tiny-queue differential proves nothing)."""
         decoded.reset_replay_totals()
-        _run_bare(_emission_program(3), legacy=False,
-                  monkeypatch=monkeypatch)
+        _run_bare(_emission_program(3), reference=False)
         assert decoded.replay_totals()["vector"] > 0
 
-    def test_per_program_counters(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
+    def test_per_program_counters(self):
+        """One program's run moves the process-wide replay counters."""
         decoded.clear_decode_caches()
         source = "\n".join(["waiti 3\ncw.i.i 0,{}".format(i + 1)
                             for i in range(8)]) + "\nhalt"
         engine = Engine()
         core = HISQCore("c0", 0, engine, TelfLog())
         core.load(assemble(source))
+        before = decoded.replay_totals()
         core.start()
         engine.run(until=100_000)
-        assert core._decoded.vector_replays > 0
-        assert core._decoded.vector_items > 0
+        after = decoded.replay_totals()
+        assert after["vector"] - before["vector"] > 0
+        assert after["vector_items"] - before["vector_items"] > 0
         assert core.counters()["codewords"] == 8
 
-    def test_short_slice_pushes_items(self, monkeypatch):
+    def test_short_slice_pushes_items(self):
         """A slice of under four items is pushed item by item and counted
-        under ``replay_totals()["block"]``, matching the legacy loop."""
+        under ``replay_totals()["block"]``, matching the stepwise loop."""
         source = "waiti 1\ncw.i.i 0,1\nwaiti 2\ncw.i.i 0,2\nhalt"
         decoded.clear_decode_caches()
         decoded.reset_replay_totals()
-        fast = _run_bare(source, legacy=False, monkeypatch=monkeypatch)
+        fast = _run_bare(source, reference=False)
         assert decoded.replay_totals() == {"vector": 0, "block": 1,
                                            "vector_items": 0}
-        assert fast == _run_bare(source, legacy=True,
-                                 monkeypatch=monkeypatch)
+        assert fast == _run_bare(source, reference=True)
 
 
 class TestLaneDifferential:
@@ -363,36 +363,38 @@ class TestLaneDifferential:
         seeds = {s["device_seed"] for s in result.shot_stats}
         assert len(seeds) == 5
 
-    def test_no_fastpath_env_keeps_lanes(self, monkeypatch):
-        """``REPRO_NO_FASTPATH`` swaps the interpreter, not the lane
-        mode: a static set still fast-forwards, to the same stats."""
+    def test_reference_core_keeps_lanes(self, monkeypatch):
+        """The reference swaps the interpreter, not the lane mode: a
+        static set still fast-forwards, to the same stats."""
         spec = registry.get_workload("qft_n300").spec(0.04, 0.0)
         circuit = spec.circuit()
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
         fast = run_circuit(circuit, scheme="bisp", backend=None,
                            record_gate_log=False, shots=3,
                            mesh_kind=spec.mesh_kind)
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
+        monkeypatch.setattr(repro.sim.system, "HISQCore", ReferenceCore)
         lanes.reset_lane_totals()
+        decoded.reset_replay_totals()
         slow = run_circuit(circuit, scheme="bisp", backend=None,
                            record_gate_log=False, shots=3,
                            mesh_kind=spec.mesh_kind)
+        assert decoded.replay_totals() == NO_REPLAY
         assert slow.lane_mode == "fastforward"
         assert lanes.lane_totals() == {"fastforward": 2, "replayed": 0}
         assert slow.shot_stats == fast.shot_stats
 
 
-class TestFastpathToggle:
-    def test_env_disables_decode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        assert not fastpath_enabled()
-        core = HISQCore("c0", 0, Engine(), TelfLog())
-        core.load(assemble("halt"))
-        assert core._decoded is None
-        monkeypatch.delenv("REPRO_NO_FASTPATH")
-        assert fastpath_enabled()
-        core.load(assemble("halt"))
-        assert core._decoded is not None
+class TestDecodeOnLoad:
+    def test_reference_never_decodes(self):
+        """The stepwise reference interprets the program as written:
+        loading and running it leaves the decode caches untouched."""
+        decoded.clear_decode_caches()
+        engine = Engine()
+        core = ReferenceCore("c0", 0, engine, TelfLog())
+        core.load(assemble("waiti 5\ncw.i.i 0,1\nhalt"))
+        core.start()
+        engine.run(until=10_000)
+        assert core.counters()["codewords"] == 1
+        assert decoded.decode_cache_stats()["by_content"] == 0
 
     def test_decode_cache_shared_across_loads(self):
         program = assemble("waiti 5\ncw.i.i 0,1\nwaiti 4\ncw.i.i 0,2\nhalt")
@@ -405,8 +407,6 @@ class TestFastpathToggle:
         engine = Engine()
         core = HISQCore("c0", 0, engine, TelfLog())
         core.load(program)
-        if core._decoded is None:
-            pytest.skip("fast path disabled in this environment")
         program.instructions.pop()  # drop halt
         program.extend(assemble("cw.i.i 0,7\nhalt").instructions)
         core.start()
@@ -419,8 +419,6 @@ class TestFastpathToggle:
         engine = Engine()
         core = HISQCore("c0", 0, engine, TelfLog())
         core.load(program)
-        if core._decoded is None:
-            pytest.skip("fast path disabled in this environment")
         # Swap one emission for a wait without changing the length.
         program.instructions[3] = assemble("waiti 11\nhalt").instructions[0]
         core.start()

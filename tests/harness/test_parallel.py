@@ -14,13 +14,12 @@ from repro.compiler.driver import run_circuit
 from repro.diskcache import ORPHAN_TMP_SECONDS, PickleDirStore
 from repro.errors import ReproError
 from repro.harness import fig15_suite
-from repro.harness.parallel import (CellResult, SweepExecutionError,
-                                    SweepTask, clear_cell_caches,
-                                    run_cell, run_tasks, tasks_from_spec)
+from repro.harness.parallel import (CellResult, SweepTask,
+                                    clear_cell_caches, run_cell, run_tasks,
+                                    tasks_from_spec)
 from repro.harness.runner import outcomes_from_rows
 from repro.harness.spec import SweepSpec
 from repro.harness.sweep import run_sweep
-from repro.isa import decoded
 from repro.sim.config import SimulationConfig
 
 SCALE = 0.02
@@ -231,57 +230,6 @@ class TestOrphanTmpSweep:
         assert rows[0]["makespan_cycles"] > 0
         assert list(cache_dir.glob("*.tmp")) == []
         assert len(list(cache_dir.glob("*.pkl"))) == 2
-
-
-class TestAmbientFastpathFlag:
-    """``REPRO_NO_FASTPATH`` is read from the running process's
-    environment, never captured into the task record."""
-
-    def test_flag_not_in_tasks_or_cache_key(self, monkeypatch):
-        """Both interpreters are bit-identical by contract, so the tasks
-        (and the cache entries they key) are shared between them."""
-        monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-        fast_task, = tasks_from_spec(tiny())
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        legacy_task, = tasks_from_spec(tiny())
-        assert legacy_task == fast_task
-        assert legacy_task.cache_key() == fast_task.cache_key()
-
-    def test_run_cell_reads_ambient_flag(self, monkeypatch):
-        """The same task runs the legacy interpreter under the flag —
-        observable because legacy never decodes — and yields the same
-        cell."""
-        task, = tasks_from_spec(tiny())
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-        clear_cell_caches()
-        decoded.clear_decode_caches()
-        legacy_cell = run_cell(task)
-        assert decoded.decode_cache_stats()["by_content"] == 0
-        monkeypatch.delenv("REPRO_NO_FASTPATH")
-        clear_cell_caches()
-        fast_cell = run_cell(task)
-        assert decoded.decode_cache_stats()["by_content"] > 0
-        assert legacy_cell == fast_cell
-
-
-@pytest.mark.parallel
-class TestSpawnFlagPropagation:
-    def test_no_fastpath_reaches_spawn_workers(self, monkeypatch):
-        """The hatch is read from each worker's own environment, which a
-        spawn pool inherits at creation.  A value the strict parser
-        rejects proves it: grid building in the parent never reads the
-        flag, so every cell must fail inside its worker, naming it."""
-        monkeypatch.setenv("REPRO_NO_FASTPATH", "bogus")
-        with pytest.raises(SweepExecutionError) as caught:
-            run_sweep(tiny(schemes=SCHEMES), processes=2,
-                      start_method="spawn")
-        failures = caught.value.failures
-        assert sorted(task.scheme for task, _ in failures) == \
-            ["bisp", "lockstep"]
-        for _, error in failures:
-            assert "_guarded_run_cell" in error, error
-            assert "ReproError" in error, error
-            assert "'bogus' for REPRO_NO_FASTPATH" in error, error
 
 
 class TestReclaimLock:

@@ -73,9 +73,16 @@ class TestSweepSpec:
         {"shots": (0,)},
         {"shots": (1.5,)},
         {"shots": (2, 2)},
+        {"shots": (True,)},
         {"substitution_fraction": 2.0},
         {"workloads": ()},
         {"workloads": ("bv_n400", "bv_n400")},
+        {"noise_shots": True},
+        {"device_seed": None},
+        {"device_seed": -1},
+        {"device_seed": "abc"},
+        {"device_seed": True},
+        {"device_seed": 1.0},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(SweepSpecError):

@@ -4,17 +4,20 @@ The cascade is the only region-sync implementation: each member's
 booking climbs the router tree, and the group's destination router
 broadcasts the common start time Tm back down (Figure 8).  These tests
 check its timing against closed-form tree arithmetic, its per-router
-diagnostics, and that the fast interpreter and the
-``REPRO_NO_FASTPATH=1`` reference agree on it.
+diagnostics, and that the fast interpreter and the stepwise
+``ReferenceCore`` agree on it.
 """
 
 import pytest
 
+import repro.sim.system
 from repro.compiler import compile_circuit, run_circuit
 from repro.isa import assemble, decoded
 from repro.network.sync_plan import sync_plan_totals
 from repro.quantum import QuantumCircuit
 from repro.sim import ControlSystem
+
+from reference_core import ReferenceCore
 
 #: Members under one leaf router, on two leaf routers, and on three.
 MEMBER_SETS = [[0, 1], [0, 19], [0, 9, 19]]
@@ -157,21 +160,23 @@ class TestInterpreters:
     @pytest.mark.parametrize("members", MEMBER_SETS)
     def test_fast_matches_legacy(self, members, syncs, shape, monkeypatch):
         prints = {}
-        for flag in ("0", "1"):
-            monkeypatch.setenv("REPRO_NO_FASTPATH", flag)
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setattr(repro.sim.system, "HISQCore",
+                                    ReferenceCore)
             decoded.reset_replay_totals()
             system, _ = _region_system(members, syncs, emit=False)
-            prints[flag] = _fingerprint(system, system.run())
+            prints[reference] = _fingerprint(system, system.run())
             totals = decoded.replay_totals()
-            if flag == "0":
+            if reference:
+                assert totals == {"vector": 0, "block": 0,
+                                  "vector_items": 0}
+            else:
                 # One admitted slice per member, all of one shape.
                 assert totals[shape] == len(members)
                 assert sum(totals[k] for k in ("vector", "block")) == \
                     len(members)
-            else:
-                assert totals == {"vector": 0, "block": 0,
-                                  "vector_items": 0}
-        assert prints["0"] == prints["1"]
+        assert prints[False] == prints[True]
 
     def test_compiled_region_sync_circuit(self, monkeypatch):
         """A compiled circuit with long-range CNOTs (region sync groups,
@@ -184,15 +189,21 @@ class TestInterpreters:
         compilation = compile_circuit(circuit, mesh_kind="line")
         assert compilation.sync_groups
         runs = {}
-        for flag in ("0", "1"):
-            monkeypatch.setenv("REPRO_NO_FASTPATH", flag)
+        for reference in (False, True):
+            if reference:
+                monkeypatch.setattr(repro.sim.system, "HISQCore",
+                                    ReferenceCore)
             before = sync_plan_totals()["fallback"]
+            decoded.reset_replay_totals()
             run = run_circuit(circuit, mesh_kind="line", device_seed=5,
                               record_gate_log=False,
                               compilation=compilation)
             epochs = sync_plan_totals()["fallback"] - before
             assert epochs > 0
-            runs[flag] = (run.makespan_cycles, run.stats.sync_stall_cycles,
-                          run.system.device.lifetimes_ns(),
-                          list(run.system.telf._raw), epochs)
-        assert runs["0"] == runs["1"]
+            totals = decoded.replay_totals()
+            assert (totals["vector"] + totals["block"] == 0) == reference
+            runs[reference] = (run.makespan_cycles,
+                               run.stats.sync_stall_cycles,
+                               run.system.device.lifetimes_ns(),
+                               list(run.system.telf._raw), epochs)
+        assert runs[False] == runs[True]

@@ -8,10 +8,11 @@ from repro.fidelity import (FidelityEstimate, circuit_fidelity,
                             estimate_fidelity, wilson_interval)
 from repro.noise import (NoiseModel, NoiseSamplingError, choose_method,
                          idle_channels_from_lifetimes, record_fidelity,
-                         run_noisy_stabilizer, sample_noisy,
-                         survival_fidelity)
+                         sample_noisy, survival_fidelity)
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.statevector import run_multishot
+
+from reference_sampler import run_noisy_stabilizer
 
 DEPOLARIZING = NoiseModel(gate_1q=0.05, gate_2q=0.1, measure_flip=0.02)
 

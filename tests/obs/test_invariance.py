@@ -4,18 +4,22 @@
 *before* the observability layer existed (``repro.obs`` never imported,
 no counters in the hot path) — the strongest form of the "obs never
 imported" reference, frozen as a constant.  Both interpreters (the fast
-path and the ``REPRO_NO_FASTPATH=1`` reference) x instrumentation state
-must still produce it bit-for-bit: the counters are pure additions, the
+path and the stepwise ``ReferenceCore``) x instrumentation state must
+still produce it bit-for-bit: the counters are pure additions, the
 timing histograms only read clocks, and neither may perturb simulated
 time, fidelity, or row ordering.
 """
 
 import pytest
 
+import repro.sim.system
 from repro.harness.benchjson import make_bench
 from repro.harness.spec import SweepSpec
 from repro.harness.sweep import run_sweep
+from repro.isa import decoded
 from repro.obs import metrics
+
+from reference_core import ReferenceCore
 
 #: results_sha256 of SPEC on the pre-observability build (all paths).
 FROZEN_DIGEST = \
@@ -25,8 +29,7 @@ SPEC = SweepSpec(workloads=("bv_n400", "repetition_d25"),
                  schemes=("bisp", "lockstep"),
                  scales=(0.05,), shots=(1, 2))
 
-#: ``REPRO_NO_FASTPATH`` value per interpreter.
-INTERPRETERS = {"fast": "0", "legacy": "1"}
+INTERPRETERS = ("fast", "legacy")
 
 
 def _digest():
@@ -36,29 +39,41 @@ def _digest():
     return doc["results_sha256"]
 
 
+def _interpreter_digest(interpreter, monkeypatch):
+    """The sweep digest with every ControlSystem built on
+    ``interpreter``; only the fast side may replay fast blocks."""
+    if interpreter == "legacy":
+        monkeypatch.setattr(repro.sim.system, "HISQCore", ReferenceCore)
+    decoded.reset_replay_totals()
+    digest = _digest()
+    totals = decoded.replay_totals()
+    replays = totals["vector"] + totals["block"]
+    assert (replays == 0) == (interpreter == "legacy"), totals
+    return digest
+
+
 @pytest.fixture(autouse=True)
 def _obs_reset():
     yield
     metrics.set_enabled(None)
 
 
-@pytest.mark.parametrize("interpreter", sorted(INTERPRETERS))
+@pytest.mark.parametrize("interpreter", INTERPRETERS)
 class TestDigestInvariance:
     def test_disabled_matches_pre_obs_build(self, interpreter, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTPATH", INTERPRETERS[interpreter])
         metrics.set_enabled(False)
-        assert _digest() == FROZEN_DIGEST
+        assert _interpreter_digest(interpreter, monkeypatch) == \
+            FROZEN_DIGEST
 
     def test_enabled_matches_pre_obs_build(self, interpreter, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_FASTPATH", INTERPRETERS[interpreter])
         metrics.set_enabled(True)
-        assert _digest() == FROZEN_DIGEST
+        assert _interpreter_digest(interpreter, monkeypatch) == \
+            FROZEN_DIGEST
 
 
-def test_enabled_actually_observes_timings(monkeypatch):
+def test_enabled_actually_observes_timings():
     """Guard against the gate being stuck off: with REPRO_OBS forced on
     a sweep must land samples in the phase histograms."""
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
     metrics.set_enabled(True)
     hist = metrics.histogram("repro_cell_phase_seconds",
                              labels={"phase": "simulate"})
@@ -67,10 +82,9 @@ def test_enabled_actually_observes_timings(monkeypatch):
     assert hist.count > before
 
 
-def test_counters_move_with_obs_disabled(monkeypatch):
+def test_counters_move_with_obs_disabled():
     """Counters are the always-on tier: they advance even with timing
     instrumentation off (CI gates read them)."""
-    monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
     metrics.set_enabled(False)
     cells = metrics.counter("repro_sweep_cells_run_total")
     sims = metrics.counter("repro_simulations_total")

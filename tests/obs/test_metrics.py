@@ -4,8 +4,14 @@ import pytest
 
 from repro.errors import ReproError
 from repro.obs import metrics
-from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
-                               MetricsRegistry, render_prometheus)
+from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Histogram,
+                               MetricsRegistry, env_flag, render_prometheus)
+
+TRUTHY = ["1", "true", "yes", "on", "y", "t", "enabled",
+          "TRUE", "Yes", "ON", "EnAbLeD", " 1 ", "\ttrue\n", "1 "]
+FALSY = ["", "0", "false", "no", "off", "n", "f", "disabled",
+         "FALSE", "No", "OFF", " 0 ", "  "]
+GARBAGE = ["2", "maybe", "ja", "enable", "o", "none", "null", "-1"]
 
 
 @pytest.fixture
@@ -113,6 +119,43 @@ class TestEnabledGate:
             assert metrics.enabled() is False
         finally:
             monkeypatch.delenv("REPRO_OBS", raising=False)
+            metrics.set_enabled(None)
+
+
+class TestEnvFlag:
+    """Strict parsing of the ``REPRO_OBS`` switch.  A spelling that
+    silently parsed as "off" would drop timing samples while a check
+    claims they were taken, so every recognized spelling is enumerated
+    and anything else raises."""
+
+    @pytest.mark.parametrize("value", TRUTHY)
+    def test_truthy_spellings(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", value)
+        assert env_flag("REPRO_OBS") is True
+
+    @pytest.mark.parametrize("value", FALSY)
+    def test_falsy_spellings(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", value)
+        assert env_flag("REPRO_OBS") is False
+
+    def test_unset_is_false(self, monkeypatch):
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        assert env_flag("REPRO_OBS") is False
+
+    @pytest.mark.parametrize("value", GARBAGE)
+    def test_garbage_raises(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", value)
+        with pytest.raises(ReproError, match="REPRO_OBS"):
+            env_flag("REPRO_OBS")
+
+    def test_error_names_variable_and_value(self, monkeypatch):
+        monkeypatch.setenv("REPRO_OBS", "bogus")
+        metrics.set_enabled(None)
+        try:
+            with pytest.raises(ReproError, match="'bogus' for REPRO_OBS"):
+                metrics.enabled()
+        finally:
+            monkeypatch.delenv("REPRO_OBS")
             metrics.set_enabled(None)
 
 

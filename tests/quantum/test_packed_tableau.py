@@ -127,8 +127,8 @@ class TestPackedDefaults:
 
     @pytest.mark.parametrize("value", ["1", "bogus"])
     def test_no_fastpath_keeps_packed_layout(self, value, monkeypatch):
-        """``REPRO_NO_FASTPATH`` flips only the HISQ interpreter: the
-        tableau never reads it (``bogus`` would raise at a read)."""
+        """The retired ``REPRO_NO_FASTPATH`` switch leaves the tableau
+        packed and its outcomes unchanged, whatever its value."""
         circuit = random_clifford_circuit(66, 40, seed=4, feedback=True)
         monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
         want = StabilizerBackend(66, seed=4).run_circuit(circuit)

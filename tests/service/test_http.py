@@ -103,6 +103,24 @@ class TestRoutes:
         assert status == 400
         assert "error" in body
 
+    @pytest.mark.parametrize("seed", [None, -1, "abc", True])
+    def test_bad_device_seed_400(self, tmp_path, seed):
+        """A seed that is not a non-negative integer is refused up front:
+        ``null`` would draw OS entropy in every cell, ``true`` alias 1."""
+        async def scenario():
+            server = await start_server(tmp_path)
+            try:
+                return await http_request(
+                    server.host, server.port, "POST", "/submit",
+                    {"spec": {"workloads": ["bv_n400"], "scales": [SCALE],
+                              "device_seed": seed}})
+            finally:
+                await server.close()
+
+        status, body = asyncio.run(scenario())
+        assert status == 400, body
+        assert "device_seed" in body["error"]
+
     def test_unknown_submission_404(self, tmp_path):
         async def scenario():
             server = await start_server(tmp_path)

@@ -14,7 +14,8 @@ import pytest
 
 from repro.harness.parallel import SweepTask, run_cell, tasks_from_spec
 from repro.harness.spec import SweepSpec, SweepSubmission
-from repro.service.scheduler import Scheduler, ServiceError
+from repro.service.scheduler import (LEASE_LATENCY_WINDOW, Scheduler,
+                                     ServiceError)
 from repro.service.store import CellStore
 
 from repro.testing import subprocess_env
@@ -313,6 +314,20 @@ class TestMetrics:
         assert metrics["lease_latency"]["count"] == 1
         assert metrics["submissions"] == {"running": 1, "done": 0,
                                           "failed": 0}
+
+    def test_lease_latency_window_is_bounded(self, tmp_path, tiny_spec):
+        """Past the window, the JSON summary keeps counting every grant
+        while it holds (and sorts) only the most recent ones."""
+        scheduler = make_scheduler(tmp_path)
+        scheduler.submit(SweepSubmission(spec=tiny_spec))
+        grants = LEASE_LATENCY_WINDOW + 10
+        for _ in range(grants):
+            job = scheduler.lease("w0")
+            scheduler.release("w0", job["key"], job["lease"])
+        assert len(scheduler.lease_latencies) == LEASE_LATENCY_WINDOW
+        summary = scheduler.metrics()["lease_latency"]
+        assert summary["count"] == grants
+        assert 0.0 <= summary["p50_s"] <= summary["max_s"]
 
     def test_counters_to_dict_sums(self, tmp_path):
         scheduler = make_scheduler(tmp_path)
