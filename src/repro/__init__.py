@@ -14,10 +14,15 @@ Quick start::
     circuit = circuits.build_ghz(5)
     result = compiler.run_circuit(circuit, scheme="bisp")
     print(result.makespan_ns, "ns")
+
+``repro.analog`` (the calibration experiments and their scipy fits) is
+not imported with the package: import it explicitly
+(``from repro.analog import CalibrationBench``).  Sweeps, pool workers
+and service processes each start a fresh interpreter and never use it.
 """
 
-from . import (analog, circuits, compiler, core, fidelity, hardware,
-               harness, isa, network, quantum, sim, sync)
+from . import (circuits, compiler, core, fidelity, hardware, harness, isa,
+               network, quantum, sim, sync)
 from .compiler import compile_circuit, run_circuit
 from .quantum import QuantumCircuit
 from .sim import ControlSystem, SimulationConfig

@@ -75,7 +75,7 @@ from .schemes import get_scheme, origin_module
 #: Bump whenever the payload layout, Program, DecodedProgram or the
 #: simulation semantics change incompatibly — old entries are keyed away
 #: instead of deserialized wrongly (the salt is part of the hash key).
-COMPILE_CACHE_VERSION = 1
+COMPILE_CACHE_VERSION = 2
 
 COMPILE_CACHE_HITS = _metrics.counter(
     "repro_compile_cache_hits_total",

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
-
-import networkx as nx
+from typing import Dict, List, Set, Tuple
 
 from ..errors import TopologyError
 
@@ -31,8 +29,10 @@ class Topology:
     """
 
     num_controllers: int
-    mesh: nx.Graph
-    tree: nx.DiGraph  # edges parent -> child
+    #: controller -> its mesh neighbors (every controller has an entry)
+    mesh: Dict[int, Set[int]]
+    #: router -> its children (routers or controllers), in creation order
+    tree: Dict[int, List[int]]
     parent: Dict[int, int]
     router_base: int
     neighbor_link_cycles: int = 4
@@ -40,14 +40,14 @@ class Topology:
 
     @property
     def routers(self) -> List[int]:
-        """Router addresses, root first (BFS order)."""
-        return [n for n in self.tree.nodes if n >= self.router_base]
+        """Router addresses in creation order: the routers directly above
+        the controllers first, the root last."""
+        return list(self.tree)
 
     @property
     def root(self) -> int:
         """Address of the root router."""
-        roots = [n for n in self.tree.nodes
-                 if n >= self.router_base and n not in self.parent]
+        roots = [n for n in self.tree if n not in self.parent]
         if len(roots) != 1:
             raise TopologyError("tree must have exactly one root, found "
                                 "{}".format(roots))
@@ -55,14 +55,14 @@ class Topology:
 
     def children(self, router: int) -> List[int]:
         """Children (routers or controllers) of ``router``."""
-        return sorted(self.tree.successors(router))
+        return sorted(self.tree.get(router, ()))
 
     def is_router(self, address: int) -> bool:
         return address >= self.router_base
 
     def are_neighbors(self, a: int, b: int) -> bool:
         """True if controllers ``a`` and ``b`` share a mesh edge."""
-        return self.mesh.has_edge(a, b)
+        return b in self.mesh.get(a, ())
 
     def path_to_ancestor(self, node: int, ancestor: int) -> List[int]:
         """Nodes from ``node`` up to ``ancestor`` (inclusive of both)."""
@@ -132,7 +132,7 @@ class Topology:
         stack = [router]
         while stack:
             node = stack.pop()
-            for child in self.tree.successors(node):
+            for child in self.tree.get(node, ()):
                 if self.is_router(child):
                     stack.append(child)
                 else:
@@ -178,31 +178,33 @@ def build_topology(num_controllers: int, fanout: int = 8,
     if fanout < 2:
         raise TopologyError("router fan-out must be at least 2")
 
-    mesh = nx.Graph()
-    mesh.add_nodes_from(range(num_controllers))
+    edges: List[Tuple[int, int]] = []
     if mesh_kind == "custom":
         for a, b in (mesh_edges or []):
             if not (0 <= a < num_controllers and 0 <= b < num_controllers):
                 raise TopologyError("mesh edge ({}, {}) out of range".format(
                     a, b))
             if a != b:
-                mesh.add_edge(a, b)
+                edges.append((a, b))
     elif mesh_kind == "grid":
         rows, cols = grid_dimensions(num_controllers)
         for idx in range(num_controllers):
             r, c = divmod(idx, cols)
             if c + 1 < cols and idx + 1 < num_controllers:
-                mesh.add_edge(idx, idx + 1)
+                edges.append((idx, idx + 1))
             if (r + 1) * cols + c < num_controllers:
-                mesh.add_edge(idx, (r + 1) * cols + c)
+                edges.append((idx, (r + 1) * cols + c))
     elif mesh_kind == "line":
-        for idx in range(num_controllers - 1):
-            mesh.add_edge(idx, idx + 1)
+        edges.extend((idx, idx + 1) for idx in range(num_controllers - 1))
     elif mesh_kind != "none":
         raise TopologyError("unknown mesh kind {!r}".format(mesh_kind))
+    mesh: Dict[int, Set[int]] = {c: set() for c in range(num_controllers)}
+    for a, b in edges:
+        mesh[a].add(b)
+        mesh[b].add(a)
 
     # Balanced fanout-ary router tree over the controllers.
-    tree = nx.DiGraph()
+    tree: Dict[int, List[int]] = {}
     parent: Dict[int, int] = {}
     router_base = num_controllers
     next_router = router_base
@@ -210,7 +212,7 @@ def build_topology(num_controllers: int, fanout: int = 8,
     if len(level) == 1:
         # A single controller still gets one root router above it.
         root = next_router
-        tree.add_edge(root, level[0])
+        tree[root] = [level[0]]
         parent[level[0]] = root
         next_router += 1
     while len(level) > 1:
@@ -219,8 +221,8 @@ def build_topology(num_controllers: int, fanout: int = 8,
             group = level[start:start + fanout]
             router = next_router
             next_router += 1
+            tree[router] = group
             for member in group:
-                tree.add_edge(router, member)
                 parent[member] = router
             next_level.append(router)
         level = next_level

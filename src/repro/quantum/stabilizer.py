@@ -23,9 +23,11 @@ from ..errors import QuantumStateError
 from .circuit import QuantumCircuit
 
 #: 16-bit popcount table: popcount of an arbitrary array = table lookup
-#: over its uint16 view, then sum.
-_POP16 = np.array([bin(value).count("1") for value in range(1 << 16)],
-                  dtype=np.uint8)
+#: over its uint16 view, then sum.  Built by unpacking the bits of every
+#: uint16, not by a per-value loop: this module loads in every sweep and
+#: service process, noisy or not.
+_POP16 = np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8)
+                       ).reshape(-1, 16).sum(axis=1, dtype=np.uint8)
 
 
 def _popcount(words: np.ndarray) -> int:

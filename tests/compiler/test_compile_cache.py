@@ -17,6 +17,7 @@ from repro.compiler.cache import (COMPILE_CACHE_VERSION, CompileCache,
 from repro.diskcache import PickleDirStore
 from repro.harness import registry
 from repro.isa import decoded
+from repro.network.topology import build_topology
 from repro.sim.config import SimulationConfig
 from repro.testing import subprocess_env
 
@@ -62,6 +63,14 @@ class TestRoundTrip:
         assert second is not first  # a fresh deserialized object
         assert second.scheme == first.scheme
         assert sorted(second.programs) == sorted(first.programs)
+        # The topology rides in ``meta`` as plain dicts, which compare by
+        # content: the loaded one equals a fresh build of the same shape.
+        config = second.config
+        assert second.topology == build_topology(
+            second.qmap.num_controllers, fanout=config.router_fanout,
+            mesh_kind=second.mesh_kind,
+            neighbor_link_cycles=config.neighbor_link_cycles,
+            router_hop_cycles=config.router_hop_cycles)
 
     def test_no_cache_is_plain_compile(self):
         before = compile_cache_totals()

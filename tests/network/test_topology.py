@@ -1,5 +1,7 @@
 """Hybrid topology: mesh shapes, router tree, latency computation."""
 
+import math
+
 import pytest
 
 from repro.errors import TopologyError
@@ -124,3 +126,53 @@ class TestPathsAndLatency:
                               router_hop_cycles=8)
         assert topo.max_downstream_cycles(topo.root, [0, 5]) == 16
         assert topo.max_downstream_cycles(topo.parent[0], [0, 1]) == 8
+
+
+def _custom_edges(num):
+    """Irregular edges; some repeat reversed, some are self-loops."""
+    return [(i, (3 * i + 1) % num) for i in range(num)]
+
+
+class TestShapeInvariants:
+    """What the simulator and compiler read from a topology, across mesh
+    kinds and sizes 1-70."""
+
+    @pytest.mark.parametrize("mesh_kind", ["line", "grid", "custom", "none"])
+    @pytest.mark.parametrize("fanout", [2, 4, 8])
+    def test_invariants(self, mesh_kind, fanout):
+        for num in range(1, 71):
+            edges = _custom_edges(num) if mesh_kind == "custom" else None
+            topo = build_topology(num, fanout=fanout, mesh_kind=mesh_kind,
+                                  mesh_edges=edges)
+            # Router order (ControlSystem builds, resets and drains routers
+            # in it): creation order, so every router comes before its
+            # parent and the root is last -- e.g. 20 controllers under
+            # fan-out 4 give routers 20..27 with root 27.
+            expected_routers, level = 1 if num == 1 else 0, num
+            while level > 1:
+                level = math.ceil(level / fanout)
+                expected_routers += level
+            assert topo.routers == list(range(num, num + expected_routers))
+            assert topo.root == topo.routers[-1]
+            assert all(topo.parent[r] > r for r in topo.routers[:-1])
+            # children(): sorted, and exactly the nodes naming it parent.
+            for router in topo.routers:
+                assert topo.children(router) == sorted(
+                    node for node, up in topo.parent.items() if up == router)
+            # Mesh: symmetric, no self-loops, controllers only.
+            unknown = (-1, num + expected_routers, 10 ** 6)
+            for a in range(num):
+                assert not topo.are_neighbors(a, a)
+                for b in range(a + 1, num):
+                    assert topo.are_neighbors(a, b) == \
+                        topo.are_neighbors(b, a)
+                for other in topo.routers + list(unknown):
+                    assert not topo.are_neighbors(a, other)
+                    assert not topo.are_neighbors(other, a)
+            for router in topo.routers:
+                assert not topo.are_neighbors(router, router)
+            if mesh_kind == "custom":
+                assert {(a, b) for a in range(num) for b in range(num)
+                        if topo.are_neighbors(a, b)} == \
+                    {pair for a, b in edges if a != b
+                     for pair in ((a, b), (b, a))}

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reference_tableau import ReferenceTableau
+from repro.quantum import stabilizer
 from repro.quantum.stabilizer import StabilizerBackend, run_stabilizer
 from repro.testing import random_clifford_circuit
 
@@ -152,6 +153,14 @@ class TestPackedDefaults:
                       if callable(getattr(ReferenceTableau, name))}
         assert overridden == {"__init__", "_row_bits", "h", "s", "cx",
                               "_rowsum", "measure"}
+
+    def test_popcount_table_matches_per_value_count(self):
+        """The vectorized 16-bit popcount table equals the per-value
+        count on all 65,536 entries."""
+        reference = np.array([bin(value).count("1")
+                              for value in range(1 << 16)], dtype=np.uint8)
+        assert stabilizer._POP16.dtype == np.uint8
+        assert np.array_equal(stabilizer._POP16, reference)
 
     def test_run_stabilizer_facade(self):
         circuit = random_clifford_circuit(5, 30, seed=9, feedback=True)
