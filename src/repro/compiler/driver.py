@@ -34,10 +34,6 @@ _COMPILATIONS = _metrics.counter(
     "repro_compilations_total", "circuits compiled")
 _SIMULATIONS = _metrics.counter(
     "repro_simulations_total", "simulation runs (shot 0 of each cell)")
-_COMPILE_SECONDS = _metrics.histogram(
-    "repro_compile_seconds", "wall-clock per compile_circuit call")
-_SIMULATE_SECONDS = _metrics.histogram(
-    "repro_simulate_seconds", "wall-clock per system.run call")
 _ENGINE_EVENTS = _metrics.counter(
     "repro_engine_events_total", "discrete events processed")
 _ENGINE_FAR = _metrics.counter(
@@ -76,24 +72,18 @@ class CompilationResult:
     def build_system(self, backend=None, device_seed: int = 12345,
                      strict_timing: bool = False,
                      record_gate_log: bool = True,
-                     record_telf: bool = True,
-                     noise_model=None,
-                     noise_seed: int = 0x5EED) -> ControlSystem:
+                     record_telf: bool = True) -> ControlSystem:
         """Instantiate a ready-to-run :class:`ControlSystem`.
 
-        ``noise_model`` (a :class:`repro.noise.model.NoiseModel`) arms
-        the device's error-injection hooks; measurement outcomes then
-        include readout flips and backend states pick up sampled Pauli
-        errors after every gate.
+        The device is noiseless; noisy outcomes are estimated separately
+        by :mod:`repro.noise.sampler` from the compiled timing.
         """
         system = ControlSystem(
             self.qmap.num_controllers, config=self.config,
             mesh_kind=self.mesh_kind, topology=self.topology,
             backend=backend,
             device_seed=device_seed, strict_timing=strict_timing,
-            record_gate_log=record_gate_log, record_telf=record_telf,
-            noise_model=noise_model,
-            noise_seed=noise_seed)
+            record_gate_log=record_gate_log, record_telf=record_telf)
         for address, program in self.programs.items():
             system.load_program(address, program)
         for address, table in self.codeword_tables.items():
@@ -115,8 +105,7 @@ def compile_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
     listing every registered scheme.
     """
     _COMPILATIONS.value += 1
-    with _trace.span("compile", cat="compile"), \
-            _metrics.timed(_COMPILE_SECONDS):
+    with _trace.span("compile", cat="compile"):
         return _compile_circuit(circuit, scheme, config,
                                 qubits_per_controller, mesh_kind)
 
@@ -234,8 +223,6 @@ def run_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
                 record_gate_log: bool = True,
                 record_telf: bool = True,
                 shots: int = 1,
-                noise_model=None,
-                noise_seed: int = 0x5EED,
                 compilation: Optional[CompilationResult] = None
                 ) -> RunResult:
     """Compile, simulate and collect statistics in one call.
@@ -249,9 +236,9 @@ def run_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
     (``RunResult.lane_mode == "fastforward"``); otherwise every lane
     replays on one timing-only system rewound between shots
     (``"replay"``).  The quantum-state ``backend``, if any, is attached
-    to shot 0 only; extra shots are timing-only.  ``noise_model`` arms
-    the device's error-injection hooks for shot 0 (see
-    :meth:`CompilationResult.build_system`).
+    to shot 0 only; extra shots are timing-only.  The simulation is
+    noiseless: noisy fidelity comes from :mod:`repro.noise.sampler`
+    (``estimate_fidelity``) on the compiled circuit's timing.
 
     A pre-built ``compilation`` (from :func:`compile_circuit`, e.g. the
     sweep harness's per-process memo) skips the compile step; the
@@ -267,12 +254,9 @@ def run_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
     system = compilation.build_system(backend=backend,
                                       device_seed=device_seed,
                                       record_gate_log=record_gate_log,
-                                      record_telf=record_telf,
-                                      noise_model=noise_model,
-                                      noise_seed=noise_seed)
+                                      record_telf=record_telf)
     _SIMULATIONS.value += 1
-    with _trace.span("simulate", cat="sim", scheme=compilation.scheme), \
-            _metrics.timed(_SIMULATE_SECONDS):
+    with _trace.span("simulate", cat="sim", scheme=compilation.scheme):
         stats = system.run(until=until)
     _ENGINE_EVENTS.value += stats.events_processed
     _ENGINE_FAR.value += stats.engine_far_events

@@ -47,7 +47,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CompilationError
-from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .codegen import LoweredProgram, lower_circuit
 from .lockstep_gen import lower_lockstep
@@ -110,21 +109,12 @@ class Scheme:
         Returns ``(lowered, pass_stats)`` where ``pass_stats`` merges
         every pass's returned statistics (later passes win on key
         collisions)."""
-        with _trace.span("lower", cat="compile", scheme=self.name), \
-                _metrics.timed(_metrics.histogram(
-                    "repro_compile_pass_seconds",
-                    "wall-clock per compiler pipeline step",
-                    labels={"pass": "lower", "scheme": self.name})):
+        with _trace.span("lower", cat="compile", scheme=self.name):
             lowered = self.lower(circuit, qmap, topology, config)
         stats: Dict[str, int] = {}
         for pipeline_pass in self.passes:
             with _trace.span(pipeline_pass.name, cat="compile",
-                             scheme=self.name), \
-                    _metrics.timed(_metrics.histogram(
-                        "repro_compile_pass_seconds",
-                        "wall-clock per compiler pipeline step",
-                        labels={"pass": pipeline_pass.name,
-                                "scheme": self.name})):
+                             scheme=self.name):
                 result = pipeline_pass.run(lowered, config)
             if result:
                 stats.update(result)

@@ -145,10 +145,10 @@ class PickleDirStore:
         finally:
             handle.close()
 
-    def sweep_orphan_tmps(self,
-                          ttl_seconds: float = ORPHAN_TMP_SECONDS) -> int:
-        """Delete orphaned ``*.tmp`` files; returns how many were removed
-        (0 when another process already holds the reclaim lock)."""
+    def sweep_orphan_tmps(self) -> int:
+        """Delete orphaned ``*.tmp`` files (dead writer, or older than
+        :data:`ORPHAN_TMP_SECONDS`); returns how many were removed (0
+        when another process already holds the reclaim lock)."""
         with self._reclaim_lock() as acquired:
             if not acquired:
                 return 0
@@ -164,7 +164,7 @@ class PickleDirStore:
                     continue  # already gone (concurrent sweep or writer)
                 pid = _pid_of_tmp(name)
                 dead_writer = pid is not None and not _pid_alive(pid)
-                if dead_writer or now - mtime > ttl_seconds:
+                if dead_writer or now - mtime > ORPHAN_TMP_SECONDS:
                     try:
                         os.unlink(path)
                         removed += 1

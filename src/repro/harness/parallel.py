@@ -51,11 +51,6 @@ _CACHE_MISSES = _metrics.counter(
     "repro_sweep_cache_misses_total", "sweep cells actually executed")
 _CELLS_RUN = _metrics.counter(
     "repro_sweep_cells_run_total", "run_cell invocations")
-_PHASE_SECONDS = {
-    phase: _metrics.histogram(
-        "repro_cell_phase_seconds", "wall-clock per sweep-cell phase",
-        labels={"phase": phase})
-    for phase in ("compile", "simulate", "noise")}
 
 #: Bump when CellResult or the simulation semantics change incompatibly —
 #: stale cache entries are keyed away instead of deserialized wrongly.
@@ -321,10 +316,10 @@ def run_cell_timed(task: SweepTask
     The phase dict (``compile`` / ``simulate`` / ``noise`` / ``total``)
     always carries real timings — three ``perf_counter`` pairs per cell
     are noise against a cell's runtime — and feeds the service worker's
-    ``/complete`` report; the obs histograms only record when timing
-    instrumentation is enabled.  When tracing is active the cell runs
-    with TELF recording on and its simulated-cycle events are merged
-    into the live trace next to the wall-clock spans.
+    ``/complete`` report (``phase_seconds`` on ``/status``).  When
+    tracing is active the same phases show as spans, the cell runs with
+    TELF recording on, and its simulated-cycle events are merged into
+    the live trace next to the wall-clock spans.
 
     Workloads are resolved by name through the registry.  A fresh
     ``spawn`` worker starts with an empty registry, so the task's
@@ -400,9 +395,6 @@ def run_cell_timed(task: SweepTask
     phases["simulate"] = t2 - t1
     phases["noise"] = t3 - t2
     phases["total"] = time.perf_counter() - t_start
-    if _metrics.enabled():
-        for phase, hist in _PHASE_SECONDS.items():
-            hist.observe(phases[phase])
     return cell, phases
 
 
@@ -479,19 +471,23 @@ def clear_cell_caches() -> None:
     _CELL_COMPILATIONS.clear()
 
 
-def _gc_batched(tasks: Sequence[SweepTask], every: int = 8):
+#: Cells between the explicit collections of :func:`_gc_batched`.
+_GC_EVERY = 8
+
+
+def _gc_batched(tasks: Sequence[SweepTask]):
     """Yield tasks with the cyclic GC paused between collections.
 
     A sweep cell allocates millions of short-lived tuples and a couple of
     reference cycles (core <-> system); letting the generational collector
     walk the whole heap every few ten-thousand allocations costs 15-25% of
     serial sweep wall-clock.  Pausing the collector and doing one explicit
-    ``gc.collect`` every ``every`` cells keeps memory bounded while taking
-    the collector off the hot path.  The cycles held between collections
-    are at most two systems per cell: shot 0's, plus one reused lane
-    system for multishot cells (:mod:`repro.sim.lanes` rewinds it per
-    lane instead of building one per shot).  The collector's previous
-    state is restored even when a cell raises.
+    ``gc.collect`` every :data:`_GC_EVERY` cells keeps memory bounded
+    while taking the collector off the hot path.  The cycles held between
+    collections are at most two systems per cell: shot 0's, plus one
+    reused lane system for multishot cells (:mod:`repro.sim.lanes`
+    rewinds it per lane instead of building one per shot).  The
+    collector's previous state is restored even when a cell raises.
     """
     import gc
 
@@ -502,7 +498,7 @@ def _gc_batched(tasks: Sequence[SweepTask], every: int = 8):
     gc.disable()
     try:
         for index, task in enumerate(tasks):
-            if index and index % every == 0:
+            if index and index % _GC_EVERY == 0:
                 # Generation-1 pass: frees the previous cells' system
                 # graphs (young cycles) without walking the long-lived
                 # heap of caches and registries.
@@ -601,7 +597,7 @@ def run_tasks(tasks: Sequence[SweepTask],
             finished = map(_guarded_run_cell, _gc_batched(misses))
         else:
             # A fresh pool per call: its workers start from the current
-            # environment (REPRO_OBS, for one) under fork and spawn alike.
+            # environment under fork and spawn alike.
             context = multiprocessing.get_context(start_method)
             # chunksize=1: cell runtimes vary by orders of magnitude
             # across workloads, so fine-grained dispatch load-balances.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
@@ -37,6 +38,35 @@ def _is_int(value) -> bool:
     """An ``int`` proper: JSON ``true`` decodes to a bool, which Python
     counts as the integer 1."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite non-bool ``int`` or ``float``."""
+    return _is_int(value) or (isinstance(value, float)
+                              and math.isfinite(value))
+
+
+#: Inclusive lower bounds on :class:`SimulationConfig` fields; every
+#: other field only has to be >= 0.  ``cycle_ns`` divides every
+#: duration, so it must also be nonzero.
+_CONFIG_FLOORS = {"classical_cpi": 1, "event_queue_depth": 1,
+                  "router_fanout": 2}
+
+
+def _validate_config(config: SimulationConfig) -> None:
+    """Type and range of every :class:`SimulationConfig` field: an int
+    field takes an ``int``, a float field an ``int`` or ``float``."""
+    for spec_field in fields(SimulationConfig):
+        name, value = spec_field.name, getattr(config, spec_field.name)
+        if isinstance(spec_field.default, float):
+            ok, kind = _is_real(value), "a number"
+        else:
+            ok, kind = _is_int(value), "an integer"
+        floor = _CONFIG_FLOORS.get(name, 0)
+        if not ok or value < floor or (name == "cycle_ns" and value == 0):
+            raise SweepSpecError("config.{} must be {} {} {}, got {!r}".format(
+                name, kind, ">" if name == "cycle_ns" else ">=", floor,
+                value))
 
 
 @dataclass(frozen=True)
@@ -105,9 +135,9 @@ class SweepSpec:
         if not self.scales:
             raise SweepSpecError("spec needs at least one scale")
         for scale in self.scales:
-            if not 0.0 < scale <= 1.0:
+            if not (_is_real(scale) and 0.0 < scale <= 1.0):
                 raise SweepSpecError(
-                    "scale must be in (0, 1], got {}".format(scale))
+                    "scale must be a number in (0, 1], got {!r}".format(scale))
         if len(set(self.scales)) != len(self.scales):
             raise SweepSpecError("duplicate scales {}".format(self.scales))
         if not self.shots:
@@ -118,10 +148,11 @@ class SweepSpec:
                     "shots must be integers >= 1, got {!r}".format(shots))
         if len(set(self.shots)) != len(self.shots):
             raise SweepSpecError("duplicate shots {}".format(self.shots))
-        if not 0.0 <= self.substitution_fraction <= 1.0:
+        if not (_is_real(self.substitution_fraction)
+                and 0.0 <= self.substitution_fraction <= 1.0):
             raise SweepSpecError(
-                "substitution_fraction must be in [0, 1], got {}".format(
-                    self.substitution_fraction))
+                "substitution_fraction must be a number in [0, 1], "
+                "got {!r}".format(self.substitution_fraction))
         if self.workloads is not None and not self.workloads:
             raise SweepSpecError(
                 "workloads must be None (= all registered) or non-empty")
@@ -137,6 +168,12 @@ class SweepSpec:
             raise SweepSpecError(
                 "device_seed must be an integer >= 0, got {!r}".format(
                     self.device_seed))
+        if self.config is not None:
+            if not isinstance(self.config, SimulationConfig):
+                raise SweepSpecError(
+                    "config must be a SimulationConfig or None, got "
+                    "{!r}".format(type(self.config).__name__))
+            _validate_config(self.config)
         if self.noise is not None and not isinstance(self.noise, NoiseModel):
             raise SweepSpecError(
                 "noise must be a NoiseModel or None, got {!r}".format(

@@ -7,16 +7,14 @@ directly — a :class:`Counter` increment is one attribute add on a
 ``__slots__`` object, cheap enough for the simulator's admission-batch
 granularity (never per event or per queue item).
 
-Two cost tiers, by design:
-
-* **Counters and gauges are always live.**  They replace what used to be
-  ad-hoc module globals (``isa.decoded._REPLAY_TOTALS``, the sweep-cache
-  hit tallies) and several CI gates read them, so they cannot be
-  optional.  Their cost is an integer add.
-* **Timing (histograms via :func:`timed`) is gated** on
-  :func:`enabled` — the strict ``REPRO_OBS`` environment flag (parsed
-  by :func:`env_flag`) or an explicit :func:`set_enabled`.  When
-  disabled, :func:`timed` never calls ``perf_counter``.
+One cost tier: every instrument is always live.  Counters and gauges
+replace what used to be ad-hoc module globals
+(``isa.decoded._REPLAY_TOTALS``, ``sim.lanes._LANE_TOTALS``, the
+sweep-cache hit tallies) and several CI gates read them; their cost is
+an integer add.  The simulator and compiler record no wall-clock here:
+where their time goes is what :mod:`repro.obs.trace` spans show, and
+the one histogram (the service's lease latency) is observed off the
+hot path.
 
 Everything is deterministic where it matters: :func:`MetricsRegistry.
 snapshot` returns a name-sorted dict of plain numbers, wall-clock only
@@ -33,10 +31,7 @@ anything heavier than ``repro.errors``.
 from __future__ import annotations
 
 import bisect
-import os
 import threading
-import time
-from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ReproError
@@ -44,13 +39,12 @@ from ..errors import ReproError
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
     "counter", "gauge", "histogram", "register_collector", "snapshot",
-    "reset", "enabled", "set_enabled", "timed", "render_prometheus",
-    "format_metric_line", "env_flag", "DEFAULT_BUCKETS",
+    "reset", "render_prometheus", "format_metric_line", "DEFAULT_BUCKETS",
 ]
 
 #: Default histogram bucket upper bounds, in seconds — spans the repo's
-#: observed range from a sub-millisecond compiler pass to a multi-second
-#: cold sweep cell.
+#: observed range from a sub-millisecond lease grant on an idle queue to
+#: one that waited out multi-second cold sweep cells.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0)
 
@@ -278,71 +272,6 @@ def snapshot() -> Dict[str, float]:
 
 def reset() -> None:
     REGISTRY.reset()
-
-
-# -- the enabled switch ----------------------------------------------------
-
-#: Spellings accepted for boolean ``REPRO_*`` environment switches.
-_TRUTHY = frozenset(("1", "true", "yes", "on", "y", "t", "enabled"))
-_FALSY = frozenset(("", "0", "false", "no", "off", "n", "f", "disabled"))
-
-
-def env_flag(name: str) -> bool:
-    """Parse boolean environment switch ``name`` (strict).
-
-    Whitespace is stripped and case is ignored; unset or falsy spellings
-    return False, truthy spellings return True, and anything else raises
-    :class:`~repro.errors.ReproError` — a switch that silently no-ops on
-    a typo or a stray trailing space is worse than a crash.
-    """
-    raw = os.environ.get(name, "")
-    value = raw.strip().lower()
-    if value in _TRUTHY:
-        return True
-    if value in _FALSY:
-        return False
-    raise ReproError(
-        "unrecognized value {!r} for {} (truthy: {}; falsy: unset, {})".format(
-            raw, name, "/".join(sorted(_TRUTHY)),
-            "/".join(sorted(v for v in _FALSY if v))))
-
-
-_ENABLED: Optional[bool] = None
-
-
-def enabled() -> bool:
-    """Whether *timing* instrumentation is on (``REPRO_OBS``, strict).
-
-    Parsed lazily on first call so tests and CLIs can set the variable
-    after import; override with :func:`set_enabled`.
-    """
-    global _ENABLED
-    if _ENABLED is None:
-        _ENABLED = env_flag("REPRO_OBS")
-    return _ENABLED
-
-
-def set_enabled(value: Optional[bool]) -> None:
-    """Force timing instrumentation on/off; ``None`` re-reads the env."""
-    global _ENABLED
-    _ENABLED = None if value is None else bool(value)
-
-
-@contextmanager
-def timed(hist: Histogram):
-    """Observe the block's wall-clock into ``hist`` when enabled.
-
-    The disabled path touches no clock: one flag check, no
-    ``perf_counter`` calls.
-    """
-    if not enabled():
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        hist.observe(time.perf_counter() - start)
 
 
 # -- Prometheus text exposition --------------------------------------------

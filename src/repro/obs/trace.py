@@ -54,20 +54,18 @@ _EVENTS: List[dict] = []
 _ACTIVE = False
 _T0_NS = 0
 _LOCK = threading.Lock()
-_NAMED_THREADS: Dict[int, str] = {}
 
 
 def tracing_active() -> bool:
     return _ACTIVE
 
 
-def start_tracing(clear: bool = True) -> None:
-    """Begin collecting events; timestamps are relative to this call."""
+def start_tracing() -> None:
+    """Drop buffered events and begin collecting; timestamps are
+    relative to this call."""
     global _ACTIVE, _T0_NS
     with _LOCK:
-        if clear:
-            del _EVENTS[:]
-            _NAMED_THREADS.clear()
+        del _EVENTS[:]
         _T0_NS = time.perf_counter_ns()
         _ACTIVE = True
         pid = os.getpid()
@@ -184,11 +182,9 @@ def add_telf_events(records, config=None) -> int:
     return len(events)
 
 
-def export(path: Optional[str] = None,
-           extra_events: Iterable[dict] = ()) -> dict:
+def export(path: Optional[str] = None) -> dict:
     """The trace document; written as JSON when ``path`` is given."""
-    doc = {"traceEvents": trace_events() + list(extra_events),
-           "displayTimeUnit": "ms"}
+    doc = {"traceEvents": trace_events(), "displayTimeUnit": "ms"}
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)

@@ -186,19 +186,6 @@ class StabilizerBackend:
             if label != "I":
                 gates[label](qubit)
 
-    def apply_channel(self, channel, qubits, rng=None) -> Optional[str]:
-        """Sample a :class:`~repro.noise.channels.PauliChannel` error and
-        apply it; returns the sampled Pauli string (None = identity).
-
-        ``rng`` defaults to the backend's own stream — pass a dedicated
-        noise RNG to keep measurement streams undisturbed.
-        """
-        rng = rng if rng is not None else self.rng
-        pauli = channel.sample(float(rng.random()))
-        if pauli is not None:
-            self.apply_pauli(pauli, qubits)
-        return pauli
-
     # -- measurement --------------------------------------------------------------
 
     def _rowsum(self, h: int, i: int) -> None:

@@ -240,30 +240,6 @@ class StatevectorBackend:
                 self.apply_gate(op.name, op.qubits, op.params)
         return cbits
 
-    def apply_pauli(self, pauli: str, qubits: Sequence[int]) -> None:
-        """Apply a Pauli string (e.g. ``"XZ"``) to ``qubits`` in order."""
-        for label, qubit in zip(pauli.upper(), qubits):
-            if label != "I":
-                self.apply_gate(label.lower(), (qubit,))
-
-    def apply_channel(self, channel, qubits: Sequence[int],
-                      rng=None) -> Optional[str]:
-        """Sample a :class:`~repro.noise.channels.PauliChannel` error and
-        apply it; returns the sampled Pauli string (None = identity).
-
-        ``rng`` defaults to the backend's own stream — pass a dedicated
-        noise RNG to keep measurement streams undisturbed.  Deliberately
-        mirrors ``StabilizerBackend.apply_channel`` (duck-typed by the
-        device hook; a shared base would create a quantum <-> noise
-        import cycle): keep the sampling convention in sync with
-        ``PauliChannel.sample``.
-        """
-        rng = rng if rng is not None else self.rng
-        pauli = channel.sample(float(rng.random()))
-        if pauli is not None:
-            self.apply_pauli(pauli, qubits)
-        return pauli
-
     def fidelity(self, other: "StatevectorBackend") -> float:
         """|<self|other>|^2."""
         if other.num_qubits != self.num_qubits:
@@ -372,24 +348,6 @@ class BatchedStatevectorBackend:
         for label, qubit in zip(pauli.upper(), qubits):
             if label != "I":
                 self.apply_gate(label.lower(), (qubit,), active=active)
-
-    def apply_channel(self, channel, qubits: Sequence[int],
-                      rng) -> np.ndarray:
-        """Sample one error per shot from ``channel`` and apply them.
-
-        ``rng`` must be a dedicated noise Generator (one draw per shot,
-        in shot order) so the per-shot measurement streams stay aligned
-        with the noiseless backends.  Returns the per-shot term index
-        (``len(channel.terms)`` = identity).
-        """
-        bounds, paulis = channel.cumulative()
-        draws = rng.random(self.shots)
-        index = np.searchsorted(bounds, draws, side="right")
-        for term in np.unique(index):
-            if term >= len(paulis):
-                continue
-            self.apply_pauli(paulis[term], qubits, active=index == term)
-        return index
 
     # -- convenience ----------------------------------------------------------
 

@@ -33,9 +33,16 @@ from ..obs import log as obs_log
 
 _log = obs_log.get_logger("repro.service.client")
 
-#: Default first backoff sleep and cap for request retries (seconds).
+#: First backoff sleep (seconds) of request retries, of the
+#: :func:`wait_healthy` probes and of the :func:`wait_done` polls; every
+#: backoff caps at ``RETRY_BACKOFF_CAP``.
 RETRY_BACKOFF_BASE = 0.1
+HEALTH_POLL_BASE = 0.2
+DONE_POLL_BASE = 0.25
 RETRY_BACKOFF_CAP = 2.0
+
+#: Retry budget of each :func:`wait_done` status poll.
+DONE_POLL_RETRIES = 3
 
 
 class ServiceClientError(ReproError):
@@ -54,14 +61,14 @@ class ServiceClientError(ReproError):
         self.transient = transient
 
 
-def backoff_intervals(base: float = RETRY_BACKOFF_BASE,
-                      cap: float = RETRY_BACKOFF_CAP,
+def backoff_intervals(base: float, cap: float,
                       rng: Optional[random.Random] = None
                       ) -> Iterator[float]:
-    """Capped exponential backoff with full jitter: each sleep is drawn
-    uniformly from ``(0, min(cap, base * 2**n)]``.  Jitter is wall-clock
-    shaping only — it never touches result bytes — so plain ``random``
-    is fine here where the simulation itself must use derived seeds."""
+    """Capped exponential backoff with jitter: sleep ``n`` is drawn
+    uniformly from ``[c/2, c)``, ``c = min(cap, base * 2**n)``.  Jitter
+    is wall-clock shaping only — it never touches result bytes — so
+    plain ``random`` is fine here where the simulation itself must use
+    derived seeds."""
     rng = rng or random
     attempt = 0
     while True:
@@ -73,9 +80,7 @@ def backoff_intervals(base: float = RETRY_BACKOFF_BASE,
 def request(url: str, method: str, path: str,
             payload: Optional[Dict] = None,
             timeout: float = 60.0,
-            retries: int = 0,
-            backoff_base: float = RETRY_BACKOFF_BASE,
-            backoff_cap: float = RETRY_BACKOFF_CAP) -> Dict:
+            retries: int = 0) -> Dict:
     """One JSON request against the service; returns the decoded body.
 
     Non-2xx responses raise :class:`ServiceClientError` carrying the
@@ -86,7 +91,7 @@ def request(url: str, method: str, path: str,
     service route is, provided ``/submit`` carries an idempotency key.
     """
     last: Optional[ServiceClientError] = None
-    sleeps = backoff_intervals(backoff_base, backoff_cap)
+    sleeps = backoff_intervals(RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP)
     for attempt in range(max(0, retries) + 1):
         try:
             return _request_once(url, method, path, payload, timeout)
@@ -146,15 +151,13 @@ def healthz(url: str, timeout: float = 5.0) -> bool:
         return False
 
 
-def wait_healthy(url: str, timeout: float = 30.0,
-                 interval: float = 0.2,
-                 max_interval: float = 2.0) -> None:
+def wait_healthy(url: str, timeout: float = 30.0) -> None:
     """Block until ``/healthz`` answers (CI boots the service in the
     background and needs a readiness barrier).  Probes back off
-    exponentially from ``interval`` to ``max_interval`` with jitter;
-    the ``timeout`` deadline is unchanged."""
+    exponentially from ``HEALTH_POLL_BASE`` with jitter; the ``timeout``
+    deadline is unchanged."""
     deadline = time.monotonic() + timeout
-    sleeps = backoff_intervals(interval, max_interval)
+    sleeps = backoff_intervals(HEALTH_POLL_BASE, RETRY_BACKOFF_CAP)
     while time.monotonic() < deadline:
         if healthz(url):
             return
@@ -223,21 +226,19 @@ def metrics_text(url: str, timeout: float = 60.0) -> str:
                                  transient=True) from None
 
 
-def wait_done(url: str, submission_id: str, timeout: float = 600.0,
-              interval: float = 0.25,
-              max_interval: float = 2.0,
-              poll_retries: int = 3) -> Dict:
+def wait_done(url: str, submission_id: str,
+              timeout: float = 600.0) -> Dict:
     """Poll ``/status`` until the submission leaves ``running``; returns
     the final status (state ``done`` or ``failed``).
 
-    Polls back off exponentially from ``interval`` to ``max_interval``
-    with jitter (deadline semantics unchanged), and each transient poll
-    failure — the status GET is idempotent — retries within
-    ``poll_retries`` instead of aborting the whole wait."""
+    Polls back off exponentially from ``DONE_POLL_BASE`` with jitter
+    (deadline semantics unchanged), and each transient poll failure —
+    the status GET is idempotent — retries within ``DONE_POLL_RETRIES``
+    instead of aborting the whole wait."""
     deadline = time.monotonic() + timeout
-    sleeps = backoff_intervals(interval, max_interval)
+    sleeps = backoff_intervals(DONE_POLL_BASE, RETRY_BACKOFF_CAP)
     while True:
-        current = status(url, submission_id, retries=poll_retries)
+        current = status(url, submission_id, retries=DONE_POLL_RETRIES)
         if current["state"] != "running":
             return current
         if time.monotonic() >= deadline:

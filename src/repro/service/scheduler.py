@@ -75,9 +75,8 @@ from ..harness.sweep import sweep_rows
 from ..obs import metrics as _metrics
 from .store import CellStore
 
-#: Lease-grant latency (enqueue -> grant), observed unconditionally:
-#: the grant path runs per cell, not per event, so the perf_counter
-#: cost is noise and /metrics stays meaningful without REPRO_OBS.
+#: Lease-grant latency (enqueue -> grant): the grant path runs per
+#: cell, not per event, so the perf_counter cost is noise.
 _LEASE_LATENCY = _metrics.histogram(
     "repro_service_lease_latency_seconds",
     "Seconds from job enqueue to lease grant")

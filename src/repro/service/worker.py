@@ -72,6 +72,9 @@ CHAOS_CRASH_EXIT = 86
 #: scheduler, so retrying a dropped response is always safe).
 REPORT_RETRIES = 4
 
+#: Consecutive failed ``/lease`` polls before :func:`work_loop` gives up.
+MAX_CONNECT_FAILURES = 30
+
 
 class _Heartbeat:
     """Daemon thread beating ``POST /heartbeat`` for one leased cell.
@@ -148,7 +151,6 @@ def work_loop(url: str,
               poll_seconds: float = 5.0,
               idle_exit_seconds: Optional[float] = None,
               max_cells: Optional[int] = None,
-              max_connect_failures: int = 30,
               compile_cache_dir: Optional[str] = None,
               drain: Optional[threading.Event] = None,
               verbose: bool = False) -> int:
@@ -158,7 +160,7 @@ def work_loop(url: str,
     ``idle_exit_seconds`` (both default to "never"), or ``drain`` is
     set (graceful SIGTERM: finish the in-flight cell, release anything
     unrunnable, exit).  Connection failures back off and retry;
-    ``max_connect_failures`` consecutive ones raise (the scheduler is
+    ``MAX_CONNECT_FAILURES`` consecutive ones raise (the scheduler is
     gone for good).
     """
     wid = worker_id or "worker-{}".format(os.getpid())
@@ -178,7 +180,7 @@ def work_loop(url: str,
             connect_failures = 0
         except ServiceClientError as exc:
             connect_failures += 1
-            if connect_failures >= max_connect_failures:
+            if connect_failures >= MAX_CONNECT_FAILURES:
                 raise
             (_log.info if verbose else _log.debug)(
                 "lease_failed", worker=wid, error=str(exc),

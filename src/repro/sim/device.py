@@ -103,33 +103,20 @@ class QuantumDevice:
 
     def __init__(self, engine, telf, config: SimulationConfig,
                  backend=None, seed: int = 12345,
-                 record_gate_log: bool = True,
-                 noise_model=None, noise_seed: int = 0x5EED):
+                 record_gate_log: bool = True):
         self.engine = engine
         self.telf = telf
         self.config = config
         self.backend = backend
-        #: optional :class:`repro.noise.model.NoiseModel` (duck-typed to
-        #: avoid a sim <-> noise import cycle); draws come from a
-        #: dedicated stream so enabling noise never perturbs the
-        #: existing measurement-sampling RNG.
-        self.noise_model = noise_model
-        self.noise_seed = noise_seed
         self.record_gate_log = record_gate_log
         self._measurement_cycles = config.measurement_cycles
         self.reset(seed)
 
     def reset(self, seed: int) -> None:
-        """Reseed both RNG streams and drop every run record: activity,
-        gate log, unmatched halves, forced outcomes, memos and tallies.
-        The backend, if any, is the caller's to reset."""
+        """Reseed the measurement RNG and drop every run record:
+        activity, gate log, unmatched halves, forced outcomes, memos and
+        tallies.  The backend, if any, is the caller's to reset."""
         self.rng = np.random.default_rng(seed)
-        self.noise_rng = np.random.default_rng(self.noise_seed)
-        self.noise_events = 0
-        #: (name, qubits) -> resolved channel list; the model is frozen,
-        #: so identical gate slots reuse one channel object instead of
-        #: rebuilding (validate + sort) on every event in the hot loop.
-        self._noise_channels: Dict[tuple, list] = {}
         #: gate-arity -> cycles (avoids a float divmod per gate event).
         self._gate_cycles_memo: Dict[int, int] = {}
         self.gate_log: List[Tuple[int, str, Tuple[int, ...]]] = []
@@ -234,18 +221,6 @@ class QuantumDevice:
             self.gate_log.append((now, name, qubits))
         if self.backend is not None:
             self.backend.apply_gate(name, qubits, tuple(params))
-            if self.noise_model is not None:
-                key = (name, qubits)
-                channels = self._noise_channels.get(key)
-                if channels is None:
-                    channels = self.noise_model.gate_channels(
-                        name, qubits, self.config.ns(duration))
-                    self._noise_channels[key] = channels
-                for noise_qubits, channel in channels:
-                    if self.backend.apply_channel(
-                            channel, noise_qubits,
-                            rng=self.noise_rng) is not None:
-                        self.noise_events += 1
 
     def _handle_measure(self, core, qubit: int, now: int) -> None:
         duration = self._measurement_cycles
@@ -261,13 +236,6 @@ class QuantumDevice:
             outcome = self.backend.measure(qubit)
         else:
             outcome = int(self.rng.integers(0, 2))
-        if self.noise_model is not None and \
-                self.noise_model.measure_flip > 0.0:
-            # Readout error: the *reported* bit flips; the post-
-            # measurement state is untouched.
-            if self.noise_rng.random() < self.noise_model.measure_flip:
-                outcome ^= 1
-                self.noise_events += 1
         self.telf.log(now, "device", "meas", port=qubit, value=outcome)
         self.engine.after(duration,
                           lambda: core.deliver_message(ACQ_ADDRESS, outcome))

@@ -28,21 +28,26 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..isa.decoded import decode_program
+from ..obs import metrics as _metrics
 
-#: Process-wide lane accounting: shots satisfied by static fast-forward
-#: vs shots that ran a full per-lane replay.
-_LANE_TOTALS: Dict[str, int] = {"fastforward": 0, "replayed": 0}
+LANES_FASTFORWARD = _metrics.counter(
+    "repro_lanes_fastforward_total",
+    "extra shots satisfied by fanning out one static reference lane")
+LANES_REPLAYED = _metrics.counter(
+    "repro_lanes_replayed_total",
+    "extra shots that ran a full per-lane replay")
 
 
 def lane_totals() -> Dict[str, int]:
     """Copy of the process-wide lane counters."""
-    return dict(_LANE_TOTALS)
+    return {"fastforward": LANES_FASTFORWARD.value,
+            "replayed": LANES_REPLAYED.value}
 
 
 def reset_lane_totals() -> None:
     """Zero the lane counters (benchmarks, tests)."""
-    for key in _LANE_TOTALS:
-        _LANE_TOTALS[key] = 0
+    LANES_FASTFORWARD.value = 0
+    LANES_REPLAYED.value = 0
 
 
 def static_timing(compilation) -> bool:
@@ -113,8 +118,8 @@ def run_extra_shots(compilation, device_seed: int, shots: int,
                  "makespan_cycles": makespan,
                  "sync_stall_cycles": sync_stall}
                 for s in range(1, shots)]
-        _LANE_TOTALS["fastforward"] += shots - 1
+        LANES_FASTFORWARD.value += shots - 1
         return rest, "fastforward"
     rest = _replay_lanes(compilation, device_seed, shots, until)
-    _LANE_TOTALS["replayed"] += shots - 1
+    LANES_REPLAYED.value += shots - 1
     return rest, "replay"

@@ -71,8 +71,7 @@ class ControlSystem:
                  device_seed: int = 12345,
                  strict_timing: bool = False,
                  record_gate_log: bool = True,
-                 record_telf: bool = True,
-                 noise_model=None, noise_seed: int = 0x5EED):
+                 record_telf: bool = True):
         self.config = config or SimulationConfig()
         self.core_config = core_config or CoreConfig(
             event_queue_depth=self.config.event_queue_depth,
@@ -102,9 +101,7 @@ class ControlSystem:
             self.routers[address] = router
         self.device = QuantumDevice(self.engine, self.telf, self.config,
                                     backend=backend, seed=device_seed,
-                                    record_gate_log=record_gate_log,
-                                    noise_model=noise_model,
-                                    noise_seed=noise_seed)
+                                    record_gate_log=record_gate_log)
         self.codeword_tables: Dict[int, dict] = {a: {} for a in self.cores}
         self.sync_groups: Dict[int, List[int]] = {}
         self._group_target: Dict[int, int] = {}

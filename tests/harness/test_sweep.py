@@ -83,6 +83,15 @@ class TestSweepSpec:
         {"device_seed": "abc"},
         {"device_seed": True},
         {"device_seed": 1.0},
+        {"scales": (True,)},
+        {"substitution_fraction": True},
+        {"config": SimulationConfig(cycle_ns=True)},
+        {"config": SimulationConfig(cycle_ns=0)},
+        {"config": SimulationConfig(classical_cpi=0)},
+        {"config": SimulationConfig(event_queue_depth=0)},
+        {"config": SimulationConfig(router_fanout="8")},
+        {"config": SimulationConfig(neighbor_link_cycles=-3)},
+        {"config": SimulationConfig(measurement_ns=-300)},
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(SweepSpecError):

@@ -1,5 +1,4 @@
-"""Noise end to end: sweep determinism, BENCH schema v2, CLI, device
-hooks.
+"""Noise end to end: sweep determinism, BENCH schema v2, CLI.
 
 The non-negotiable property: the same ``NoiseModel`` + seed produces
 bit-identical shot tables — and therefore byte-identical BENCH rows —
@@ -13,7 +12,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.compiler.driver import run_circuit
 from repro.harness.benchjson import (BENCH_SCHEMA_VERSION, BenchSchemaError,
                                      load_bench, make_bench, validate_bench,
                                      write_bench)
@@ -22,7 +20,6 @@ from repro.harness.spec import SweepSpec, SweepSpecError
 from repro.harness.sweep import main as sweep_main
 from repro.harness.sweep import run_sweep
 from repro.noise import NoiseModel, preset
-from repro.quantum.statevector import StatevectorBackend
 from repro.quantum.teleport import build_long_range_cnot_circuit
 
 NOISY_SPEC = SweepSpec(workloads=("bv_n400", "repetition_d25"),
@@ -236,46 +233,6 @@ class TestSweepCliNoise:
         spec = SweepSpec.from_json(capsys.readouterr().out)
         assert spec.noise == preset("damping_150us")
         assert spec.noise_shots == 64
-
-
-class TestDeviceHooks:
-    def test_noise_model_flips_backend_state(self):
-        circuit = build_long_range_cnot_circuit(3)
-        loud = NoiseModel(gate_1q=0.5, gate_2q=0.5, measure_flip=0.5)
-        noiseless = run_circuit(
-            circuit, scheme="bisp",
-            backend=StatevectorBackend(circuit.num_qubits, seed=1),
-            device_seed=9)
-        noisy = run_circuit(
-            circuit, scheme="bisp",
-            backend=StatevectorBackend(circuit.num_qubits, seed=1),
-            device_seed=9, noise_model=loud)
-        assert noiseless.system.device.noise_events == 0
-        assert noisy.system.device.noise_events > 0
-
-    def test_device_noise_is_deterministic(self):
-        circuit = build_long_range_cnot_circuit(3)
-        model = NoiseModel(measure_flip=0.3)
-
-        def meas_values(seed):
-            result = run_circuit(circuit, scheme="bisp", backend=None,
-                                 device_seed=9, noise_model=model,
-                                 noise_seed=seed)
-            return [r.value for r in result.system.telf.records
-                    if r.kind == "meas"]
-
-        assert meas_values(5) == meas_values(5)
-        # Different noise seeds must eventually flip differently.
-        assert len({tuple(meas_values(seed)) for seed in range(16)}) > 1
-
-    def test_default_stays_noiseless(self):
-        # No noise model: the pre-noise RNG streams are untouched, so
-        # existing seeds reproduce historical outcomes.
-        circuit = build_long_range_cnot_circuit(3)
-        a = run_circuit(circuit, scheme="bisp", backend=None, device_seed=9)
-        b = run_circuit(circuit, scheme="bisp", backend=None, device_seed=9)
-        assert a.makespan_cycles == b.makespan_cycles
-        assert a.system.device.noise_events == 0
 
 
 def test_noisy_bits_shape_and_dtype():

@@ -5,13 +5,7 @@ import pytest
 from repro.errors import ReproError
 from repro.obs import metrics
 from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Histogram,
-                               MetricsRegistry, env_flag, render_prometheus)
-
-TRUTHY = ["1", "true", "yes", "on", "y", "t", "enabled",
-          "TRUE", "Yes", "ON", "EnAbLeD", " 1 ", "\ttrue\n", "1 "]
-FALSY = ["", "0", "false", "no", "off", "n", "f", "disabled",
-         "FALSE", "No", "OFF", " 0 ", "  "]
-GARBAGE = ["2", "maybe", "ja", "enable", "o", "none", "null", "-1"]
+                               MetricsRegistry, render_prometheus)
 
 
 @pytest.fixture
@@ -94,71 +88,6 @@ class TestRegistry:
         assert snap["repro_h_count"] == 0
 
 
-class TestEnabledGate:
-    def test_timed_observes_only_when_enabled(self):
-        h = Histogram("repro_gate_seconds")
-        metrics.set_enabled(False)
-        try:
-            with metrics.timed(h):
-                pass
-            assert h.count == 0
-            metrics.set_enabled(True)
-            with metrics.timed(h):
-                pass
-            assert h.count == 1
-        finally:
-            metrics.set_enabled(None)
-
-    def test_env_flag_lazy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "1")
-        metrics.set_enabled(None)
-        try:
-            assert metrics.enabled() is True
-            monkeypatch.setenv("REPRO_OBS", "0")
-            metrics.set_enabled(None)
-            assert metrics.enabled() is False
-        finally:
-            monkeypatch.delenv("REPRO_OBS", raising=False)
-            metrics.set_enabled(None)
-
-
-class TestEnvFlag:
-    """Strict parsing of the ``REPRO_OBS`` switch.  A spelling that
-    silently parsed as "off" would drop timing samples while a check
-    claims they were taken, so every recognized spelling is enumerated
-    and anything else raises."""
-
-    @pytest.mark.parametrize("value", TRUTHY)
-    def test_truthy_spellings(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", value)
-        assert env_flag("REPRO_OBS") is True
-
-    @pytest.mark.parametrize("value", FALSY)
-    def test_falsy_spellings(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", value)
-        assert env_flag("REPRO_OBS") is False
-
-    def test_unset_is_false(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS", raising=False)
-        assert env_flag("REPRO_OBS") is False
-
-    @pytest.mark.parametrize("value", GARBAGE)
-    def test_garbage_raises(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", value)
-        with pytest.raises(ReproError, match="REPRO_OBS"):
-            env_flag("REPRO_OBS")
-
-    def test_error_names_variable_and_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "bogus")
-        metrics.set_enabled(None)
-        try:
-            with pytest.raises(ReproError, match="'bogus' for REPRO_OBS"):
-                metrics.enabled()
-        finally:
-            monkeypatch.delenv("REPRO_OBS")
-            metrics.set_enabled(None)
-
-
 class TestPrometheusRendering:
     def test_render_counters_gauges(self, registry):
         registry.counter("repro_a_total", "things done").inc(3)
@@ -204,6 +133,7 @@ class TestProcessRegistry:
         import repro.harness.parallel  # noqa: F401
         import repro.isa.decoded  # noqa: F401
         import repro.service.scheduler  # noqa: F401
+        import repro.sim.lanes  # noqa: F401
 
         names = {inst.name for inst in metrics.REGISTRY.instruments()}
         expected = {
@@ -215,8 +145,6 @@ class TestProcessRegistry:
             "repro_replay_block_batches_total",
             "repro_compilations_total",
             "repro_simulations_total",
-            "repro_compile_seconds",
-            "repro_simulate_seconds",
             "repro_engine_events_total",
             "repro_engine_far_events_total",
             "repro_engine_window_advances_total",
@@ -224,7 +152,8 @@ class TestProcessRegistry:
             "repro_sweep_cache_hits_total",
             "repro_sweep_cache_misses_total",
             "repro_sweep_cells_run_total",
-            "repro_cell_phase_seconds",
+            "repro_lanes_fastforward_total",
+            "repro_lanes_replayed_total",
             "repro_service_lease_latency_seconds",
             "repro_service_queue_depth",
         }

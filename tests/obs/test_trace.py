@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from repro.compiler.driver import compile_circuit
+from repro.compiler.schemes import get_scheme, scheme_names
 from repro.obs import trace
+from repro.quantum.teleport import build_long_range_cnot_circuit
 from repro.sim.config import SimulationConfig
 from repro.sim.telf import TelfRecord
 from repro.testing import subprocess_env
@@ -55,6 +58,28 @@ class TestSpans:
         assert doc["displayTimeUnit"] == "ms"
         assert json.loads(path.read_text()) == doc
         assert trace.validate_trace(doc) == []
+
+
+class TestCompilerSpans:
+    """Per-pass compile time shows on spans: a traced compile opens
+    ``compile`` around ``lower`` and then one span per pipeline pass, in
+    ``Scheme.passes`` order, each tagged with its scheme."""
+
+    @pytest.mark.parametrize("name", scheme_names())
+    def test_compile_span_holds_lower_then_each_pass(self, tracing, name):
+        compile_circuit(build_long_range_cnot_circuit(3), scheme=name)
+        events = trace.trace_events()
+        assert trace.validate_events(events) == []
+        spans = [e for e in events if e["ph"] in ("B", "E")]
+        steps = ["lower"] + [p.name for p in get_scheme(name).passes]
+        want = [("B", "compile")]
+        for step in steps:
+            want += [("B", step), ("E", step)]
+        want.append(("E", "compile"))
+        assert [(e["ph"], e["name"]) for e in spans] == want
+        assert {e["cat"] for e in spans} == {"compile"}
+        assert all(e["args"] == {"scheme": name} for e in spans
+                   if e["ph"] == "B" and e["name"] != "compile")
 
 
 class TestTelfMerge:

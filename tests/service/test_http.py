@@ -103,6 +103,29 @@ class TestRoutes:
         assert status == 400
         assert "error" in body
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"scales": [True]}, "scale"),
+        ({"config": {"router_fanout": "8"}}, "config.router_fanout"),
+    ], ids=["bool_scale", "string_fanout"])
+    def test_bad_spec_value_400(self, tmp_path, fields, named):
+        """A spec value of the wrong type is refused up front: ``true``
+        as a scale would run at scale 1 under a ``"scale": true`` row,
+        and a string fanout would fail every cell on the workers."""
+        async def scenario():
+            server = await start_server(tmp_path)
+            try:
+                spec = dict({"workloads": ["bv_n400"], "scales": [SCALE]},
+                            **fields)
+                return await http_request(
+                    server.host, server.port, "POST", "/submit",
+                    {"spec": spec})
+            finally:
+                await server.close()
+
+        status, body = asyncio.run(scenario())
+        assert status == 400, body
+        assert named in body["error"]
+
     @pytest.mark.parametrize("seed", [None, -1, "abc", True])
     def test_bad_device_seed_400(self, tmp_path, seed):
         """A seed that is not a non-negative integer is refused up front:

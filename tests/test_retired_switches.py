@@ -1,17 +1,21 @@
-"""Retired fast-path switches are read nowhere.
+"""Retired switches are read nowhere.
 
 ``REPRO_NO_FASTPATH`` used to select the stepwise HISQ interpreter and
 ``REPRO_NO_LANES`` the per-shot lane replay; both references now live
 next to the tests that compare against them (``tests/core/
-reference_core.py``, ``simulate_shot``).  Each fast path has one
-implementation chosen by the program alone, so setting a retired switch
-— even to a value a strict parser would reject — must change nothing.
+reference_core.py``, ``simulate_shot``).  ``REPRO_OBS`` used to turn on
+timing histograms beside the trace spans, which now carry that timing.
+Each path has one implementation, so setting a retired switch — even to
+a value a strict parser would reject — must change nothing.
 """
+
+import subprocess
+import sys
 
 import pytest
 
 from repro.compiler.driver import compile_circuit
-from repro.harness.benchjson import make_bench
+from repro.harness.benchjson import load_bench, make_bench
 from repro.harness.spec import SweepSpec
 from repro.harness.sweep import run_sweep
 from repro.isa import decoded
@@ -19,7 +23,8 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.stabilizer import run_stabilizer
 from repro.quantum.statevector import StatevectorBackend, run_multishot
 from repro.sim import lanes
-from repro.testing import random_clifford_circuit, random_dynamic_circuit
+from repro.testing import (random_clifford_circuit, random_dynamic_circuit,
+                           subprocess_env)
 
 #: Small recv-bearing grid: single- and multishot cells, both schemes.
 SWEEP = SweepSpec(workloads=("bv_n400", "repetition_d25"),
@@ -61,6 +66,24 @@ class TestRetiredSwitches:
         decoded.reset_replay_totals()
         assert _sweep_digest() == want
         assert decoded.replay_totals()["vector"] > 0
+
+    @pytest.mark.parametrize("value", ["1", "bogus"])
+    def test_sweep_cli_ignores_obs(self, value, tmp_path):
+        """``REPRO_OBS`` neither fails the sweep CLI nor changes its
+        digest.  The CLI runs in a fresh process: the switch used to be
+        parsed once per process, on first use."""
+        env = subprocess_env()
+        env["REPRO_OBS"] = value
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.harness.sweep",
+             "--workloads", *SWEEP.workloads, "--schemes", *SWEEP.schemes,
+             "--scale", *map(str, SWEEP.scales),
+             "--shots", *map(str, SWEEP.shots), "--processes", "1",
+             "--quiet", "--out", str(tmp_path), "--name", "retired"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        doc = load_bench(str(tmp_path / "BENCH_retired.json"))
+        assert doc["results_sha256"] == _sweep_digest()
 
     @pytest.mark.parametrize("value", ["1", "nope..."])
     def test_retired_lanes_switch_is_ignored(self, value, monkeypatch):
