@@ -1,5 +1,6 @@
 """Sweep specs, BENCH artifacts, regression gate, sweep CLI."""
 
+import dataclasses
 import os
 
 import pytest
@@ -127,6 +128,67 @@ class TestSweepSpec:
         assert spec.schemes is None
         assert SweepSpec.from_json(spec.to_json()) == spec
         assert spec.resolved_schemes() == scheme_names()
+
+
+#: Every ``SimulationConfig`` field, so a field added later is checked too.
+CONFIG_FIELDS = list(dataclasses.fields(SimulationConfig))
+
+#: Least value a spec may give a config field; every other field takes 0.
+#: ``cycle_ns`` is the one strict bound: it must be > 0.
+CONFIG_FLOORS = {"classical_cpi": 1, "event_queue_depth": 1,
+                 "router_fanout": 2}
+
+
+def config_spec(name, value):
+    """Decode a spec whose ``config`` sets one field, as ``/submit`` does."""
+    return SweepSpec.from_dict({"config": {name: value}})
+
+
+class TestSpecConfigFields:
+    """``SweepSpec`` checks each ``config`` field's type and lower bound
+    up front, so a bad value is a ``SweepSpecError`` (HTTP 400) and not a
+    sweep that runs wrong or fails every cell on the workers."""
+
+    @pytest.mark.parametrize("field", CONFIG_FIELDS, ids=lambda f: f.name)
+    def test_rejects_non_numbers(self, field):
+        for value in (True, False, "8", None, [8], {"ns": 8}):
+            with pytest.raises(SweepSpecError,
+                               match=r"config\.{} ".format(field.name)):
+                config_spec(field.name, value)
+
+    @pytest.mark.parametrize("field", CONFIG_FIELDS, ids=lambda f: f.name)
+    def test_lower_bound(self, field):
+        floor = CONFIG_FLOORS.get(field.name, 0)
+        for value in (floor - 1, -1000):
+            with pytest.raises(SweepSpecError,
+                               match=r"config\.{} ".format(field.name)):
+                config_spec(field.name, value)
+        if field.name == "cycle_ns":
+            with pytest.raises(SweepSpecError, match=r"config\.cycle_ns "):
+                config_spec(field.name, 0)
+            floor = 0.5
+        spec = config_spec(field.name, floor)
+        assert getattr(spec.config, field.name) == floor
+        assert SweepSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("field", CONFIG_FIELDS, ids=lambda f: f.name)
+    def test_number_kind(self, field):
+        """An int field takes only an int; a float field takes any finite
+        int or float."""
+        default = field.default
+        if isinstance(default, float):
+            accepted = (int(default), default + 0.5)
+            rejected = (float("inf"), float("nan"))
+        else:
+            accepted = (default + 1,)
+            rejected = (float(default), default + 0.5)
+        for value in accepted:
+            spec = config_spec(field.name, value)
+            assert getattr(spec.config, field.name) == value
+        for value in rejected:
+            with pytest.raises(SweepSpecError,
+                               match=r"config\.{} ".format(field.name)):
+                config_spec(field.name, value)
 
 
 class TestExecution:
