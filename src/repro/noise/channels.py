@@ -19,6 +19,7 @@ the proxy is the exact zero-error-survival of this channel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
@@ -162,9 +163,14 @@ def _pauli_product(a: str, b: str) -> str:
     return "".join(out)
 
 
+@functools.lru_cache(maxsize=256)
 def depolarizing(probability: float, num_qubits: int = 1) -> PauliChannel:
     """Uniform depolarizing channel: each non-identity Pauli string on
-    ``num_qubits`` qubits occurs with ``probability / (4**n - 1)``."""
+    ``num_qubits`` qubits occurs with ``probability / (4**n - 1)``.
+
+    Cached: a noise program asks for the same few channels at every
+    gate slot, and the (frozen) channel is built and validated once.
+    """
     if not 0.0 <= probability <= 1.0:
         raise NoiseChannelError(
             "depolarizing probability must be in [0, 1], got {}".format(

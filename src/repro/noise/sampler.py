@@ -31,13 +31,30 @@ stay reference-free for error injection — and it is how the per-shot
 stabilizer reference in ``tests/noise/reference_sampler.py`` behaves
 too.
 
-Determinism: shot ``s`` draws from ``default_rng(derive_seed("noise",
-seed, s))`` regardless of execution order or chunking, so serial,
-parallel, and cache-replayed sweeps produce byte-identical shot tables.
+Determinism: shot ``s`` draws ``default_rng(derive_seed("noise", seed,
+s)).random(num_sites)`` regardless of execution order or chunking, so
+serial, parallel, and cache-replayed sweeps produce byte-identical shot
+tables.
+
+Cost model.  A cell's site draws are one ``(shots, num_sites)`` block.
+:func:`_uniform_block` fills it without building a generator per shot:
+it runs ``SeedSequence``'s entropy mixing for every shot of the chunk
+as one vectorized pass (:func:`_seed_words`), derives each shot's PCG64
+``(state, inc)`` the way numpy seeds it, and sets that on one reused
+``PCG64`` before drawing the shot's row.  Error injection is sparse:
+each site first selects the shots whose draw falls below the channel's
+error bound, and only those rows are binned and XORed (frames) or masked
+(statevector); a frame-path site costs a fixed handful of numpy calls
+however many shots err.  Each distinct channel's inverse-sampling
+tables are built once (:func:`_site_table`).
+``tests/noise/reference_sampler.py`` keeps the per-shot
+``default_rng`` draws and the dense all-shots injection as the
+references the fast paths are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -69,6 +86,37 @@ class NoiseSamplingError(ReproError):
 
 # -- compiled noise program ---------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class _SiteTable:
+    """Inverse-sampling tables of one channel, shared by all its sites.
+
+    A draw ``u`` errs when ``u < error_bound`` (``bounds[-1]``, or 0.0
+    for a channel without terms); its term is then
+    ``searchsorted(bounds, u, side="right")``.  Row ``t`` of ``x``/``z``
+    holds term ``t``'s X/Z bit per qubit position.
+    """
+
+    bounds: np.ndarray
+    error_bound: float
+    x: np.ndarray
+    z: np.ndarray
+    paulis: Tuple[str, ...]
+
+
+@functools.lru_cache(maxsize=1024)
+def _site_table(channel: PauliChannel) -> _SiteTable:
+    bounds, paulis = channel.cumulative()
+    bits = np.array([[PAULI_BITS[c] for c in p] for p in paulis],
+                    dtype=np.uint8).reshape(len(paulis), channel.num_qubits,
+                                            2)
+    cumulative = np.array(bounds, dtype=np.float64)
+    # Shared by every site and cell: read-only, like the channel itself.
+    bits.flags.writeable = cumulative.flags.writeable = False
+    return _SiteTable(bounds=cumulative,
+                      error_bound=bounds[-1] if bounds else 0.0,
+                      x=bits[:, :, 0], z=bits[:, :, 1], paulis=paulis)
+
+
 @dataclass(frozen=True)
 class _ErrorSite:
     """One noise-injection point: a channel on ``qubits`` at site index
@@ -77,21 +125,13 @@ class _ErrorSite:
     site: int
     qubits: Tuple[int, ...]
     channel: PauliChannel
-    #: cumulative probability bounds and per-term (x, z) masks.
-    bounds: Tuple[float, ...]
-    term_x: Tuple[Tuple[int, ...], ...]
-    term_z: Tuple[Tuple[int, ...], ...]
-    paulis: Tuple[str, ...]
+    table: _SiteTable
 
 
 def _error_site(site: int, qubits: Tuple[int, ...],
                 channel: PauliChannel) -> _ErrorSite:
-    bounds, paulis = channel.cumulative()
-    term_x = tuple(tuple(PAULI_BITS[c][0] for c in p) for p in paulis)
-    term_z = tuple(tuple(PAULI_BITS[c][1] for c in p) for p in paulis)
     return _ErrorSite(site=site, qubits=qubits, channel=channel,
-                      bounds=bounds, term_x=term_x, term_z=term_z,
-                      paulis=paulis)
+                      table=_site_table(channel))
 
 
 @dataclass(frozen=True)
@@ -188,17 +228,95 @@ def compile_noise_program(circuit: QuantumCircuit, model: NoiseModel,
     return steps, sites
 
 
-def _shot_uniforms(seed: int, shot: int, num_sites: int) -> np.ndarray:
-    """Shot ``shot``'s site draws — independent of chunking/order."""
-    rng = np.random.default_rng(derive_seed("noise", seed, shot))
-    return rng.random(num_sites)
+# -- per-shot draw streams ----------------------------------------------------
+#
+# ``default_rng(e)`` for a 32-bit int ``e`` is ``PCG64(SeedSequence(e))``.
+# The constants below are SeedSequence's hash constants and PCG64's
+# 128-bit multiplier.  The sequence of hash multipliers does not depend
+# on the entropy, so the whole mixing runs as uint32 arithmetic over a
+# vector of entropies (uint64 products of 32-bit factors, masked).
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _hash_constants(init: int, mult: int, count: int) -> List[np.uint64]:
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return [np.uint64(c) for c in constants]
+
+
+#: ``hashmix`` call ``k`` XORs with entry ``k`` and multiplies by entry
+#: ``k + 1``: 16 calls mix a 4-word pool, 8 generate the PCG64 seed.
+_MIX_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L = np.uint64(0xCA01F9DD)
+_MIX_MULT_R = np.uint64(0x4973F715)
+_U32 = np.uint64(_MASK32)
+_XSHIFT = np.uint64(16)
+
+
+def _hashmix(value: np.ndarray, constants: List[np.uint64],
+             call: int) -> np.ndarray:
+    value = ((value ^ constants[call]) * constants[call + 1]) & _U32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _U32
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` for each 32-bit
+    ``e`` in ``entropy``, as one ``(len(entropy), 4)`` uint64 array."""
+    entropy = np.asarray(entropy, dtype=np.uint64)
+    zero = np.zeros_like(entropy)
+    # A one-word entropy fills pool word 0; the rest hash zeros.
+    pool = [_hashmix(entropy, _MIX_CONSTANTS, 0)] + [
+        _hashmix(zero, _MIX_CONSTANTS, call) for call in (1, 2, 3)]
+    call = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst],
+                                 _hashmix(pool[src], _MIX_CONSTANTS, call))
+                call += 1
+    words = [_hashmix(pool[i % 4], _STATE_CONSTANTS, i) for i in range(8)]
+    # Little-endian pairs of uint32 words make each uint64.
+    return np.stack([words[2 * i] | (words[2 * i + 1] << np.uint64(32))
+                     for i in range(4)], axis=1)
 
 
 def _uniform_block(seed: int, shot_offset: int, shots: int,
                    num_sites: int) -> np.ndarray:
+    """Site draws of shots ``shot_offset .. shot_offset + shots - 1``.
+
+    Row ``s`` equals ``default_rng(derive_seed("noise", seed,
+    shot_offset + s)).random(num_sites)`` bit for bit: each shot's PCG64
+    is seeded the way ``pcg64_set_seed`` seeds it from the
+    SeedSequence words, on one reused generator.
+    """
     block = np.empty((shots, num_sites), dtype=np.float64)
-    for s in range(shots):
-        block[s] = _shot_uniforms(seed, shot_offset + s, num_sites)
+    if not num_sites:
+        return block
+    entropy = [derive_seed("noise", seed, shot_offset + s)
+               for s in range(shots)]
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    pcg = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0,
+             "uinteger": 0}
+    for row, (seed_hi, seed_lo, inc_hi, inc_lo) in enumerate(
+            _seed_words(entropy).tolist()):
+        inc = (((inc_hi << 64) | inc_lo) << 1 | 1) & _MASK128
+        pcg["inc"] = inc
+        pcg["state"] = ((inc + ((seed_hi << 64) | seed_lo)) * _PCG64_MULT
+                        + inc) & _MASK128
+        bit_generator.state = state
+        generator.random(out=block[row])
     return block
 
 
@@ -323,21 +441,29 @@ def _conjugate_frame(name: str, params, qubits, fx: np.ndarray,
         "no frame propagation rule for gate {!r}".format(name))
 
 
+def _erring_shots(table: _SiteTable, draws: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """(rows, terms): the shots whose draw errs and each one's term.
+
+    Under ``side="right"`` a draw lands past the last bin (identity)
+    exactly when it is not below ``bounds[-1]``, so only the erring rows
+    are binned.
+    """
+    rows = np.flatnonzero(draws < table.error_bound)
+    if not rows.size:
+        return rows, rows  # both empty: most sites at low rates
+    return rows, np.searchsorted(table.bounds, draws[rows], side="right")
+
+
 def _apply_error_to_frames(site: _ErrorSite, draws: np.ndarray,
                            fx: np.ndarray, fz: np.ndarray) -> None:
-    """XOR sampled Pauli errors into the frames of every shot."""
-    if not site.bounds:
+    """XOR sampled Pauli errors into the frames of the erring shots."""
+    rows, terms = _erring_shots(site.table, draws)
+    if not rows.size:
         return
-    index = np.searchsorted(site.bounds, draws, side="right")
-    for term in np.unique(index):
-        if term >= len(site.bounds):
-            continue  # identity bin
-        rows = index == term
-        for position, qubit in enumerate(site.qubits):
-            if site.term_x[term][position]:
-                fx[rows, qubit] ^= 1
-            if site.term_z[term][position]:
-                fz[rows, qubit] ^= 1
+    cells = (rows[:, None], list(site.qubits))
+    fx[cells] ^= site.table.x[terms]
+    fz[cells] ^= site.table.z[terms]
 
 
 def _reference_trace(circuit: QuantumCircuit, seed: int):
@@ -460,15 +586,12 @@ def _sample_statevector(circuit: QuantumCircuit, model: NoiseModel,
     for step in steps:
         if step.kind == "error":
             site = step.error
-            if not site.bounds:
-                continue
-            index = np.searchsorted(site.bounds, uniforms[:, site.site],
-                                    side="right")
-            for term in np.unique(index):
-                if term >= len(site.bounds):
-                    continue
-                noisy.apply_pauli(site.paulis[term], site.qubits,
-                                  active=index == term)
+            rows, terms = _erring_shots(site.table, uniforms[:, site.site])
+            for term in sorted(set(terms.tolist())):
+                active = np.zeros(shots, dtype=bool)
+                active[rows[terms == term]] = True
+                noisy.apply_pauli(site.table.paulis[term], site.qubits,
+                                  active=active)
             continue
         ref_active = noisy_active = None
         if step.condition is not None:

@@ -2,7 +2,6 @@
 
 from .circuit import Operation, QuantumCircuit
 from .gates import gate_arity, gate_matrix, is_clifford
-from .qasm import from_qasm, to_qasm
 from .stabilizer import StabilizerBackend, run_stabilizer
 from .statevector import (BatchedStatevectorBackend, StatevectorBackend,
                           measurement_counts, run_multishot, run_statevector)
@@ -13,7 +12,7 @@ __all__ = [
     "BatchedStatevectorBackend", "Operation", "QuantumCircuit",
     "StabilizerBackend", "StatevectorBackend", "append_long_range_cnot",
     "build_long_range_cnot_circuit", "build_swap_cnot_circuit",
-    "classical_bits_needed", "from_qasm", "gate_arity", "gate_matrix",
-    "is_clifford", "measurement_counts", "run_multishot", "run_stabilizer",
-    "run_statevector", "to_qasm",
+    "classical_bits_needed", "gate_arity", "gate_matrix", "is_clifford",
+    "measurement_counts", "run_multishot", "run_stabilizer",
+    "run_statevector",
 ]
