@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ReproError
-from ..noise.model import derive_seed
+from ..noise.model import derive_seed, finite_real
 from ..obs import log as obs_log
 from ..obs import metrics as _metrics
 
@@ -109,14 +109,13 @@ class FaultRule:
             raise ChaosError(
                 "unknown fault {!r} for site {!r} (known: {})".format(
                     self.fault, self.site, list(faults)))
-        if not isinstance(self.rate, (int, float)) or \
-                not 0.0 < float(self.rate) <= 1.0:
+        if not finite_real(self.rate) or not 0.0 < self.rate <= 1.0:
             raise ChaosError(
-                "{}/{}: rate must be in (0, 1], got {!r}".format(
+                "{}/{}: rate must be a number in (0, 1], got {!r}".format(
                     self.site, self.fault, self.rate))
-        if not isinstance(self.arg, (int, float)) or float(self.arg) < 0:
+        if not finite_real(self.arg) or self.arg < 0:
             raise ChaosError(
-                "{}/{}: arg must be a number >= 0, got {!r}".format(
+                "{}/{}: arg must be a finite number >= 0, got {!r}".format(
                     self.site, self.fault, self.arg))
         if not isinstance(self.max_injections, int) or \
                 isinstance(self.max_injections, bool) or \

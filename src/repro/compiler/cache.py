@@ -301,7 +301,6 @@ def _decode(payload: dict, circuit) -> CompilationResult:
     # interned repeats across cells.
     step_pool = [_step_of(instr) for instr in instr_pool]
 
-    off_np = payload["cols"][3]
     (pos_col, push_col, kind_col, off_col, a_col, b_col, cwi_col,
      cwp_col) = [column.tolist() for column in payload["cols"]]
     blocks = []
@@ -313,8 +312,7 @@ def _decode(payload: dict, circuit) -> CompilationResult:
         blocks.append(FastBlock(
             start, n, pos_col[p0:p1], push_col[p0:p1],
             cwi_col[c0:c1], cwp_col[c0:c1], kind_col[k0:k1],
-            a_col[k0:k1], b_col[k0:k1], off_col[k0:k1],
-            off_np[k0:k1].copy()))
+            a_col[k0:k1], b_col[k0:k1], off_col[k0:k1]))
         p0, k0, c0 = p1, k1, c1
 
     index_array = payload["idx"]

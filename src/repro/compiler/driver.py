@@ -36,11 +36,6 @@ _SIMULATIONS = _metrics.counter(
     "repro_simulations_total", "simulation runs (shot 0 of each cell)")
 _ENGINE_EVENTS = _metrics.counter(
     "repro_engine_events_total", "discrete events processed")
-_ENGINE_FAR = _metrics.counter(
-    "repro_engine_far_events_total",
-    "events scheduled beyond the timing-wheel window")
-_ENGINE_ADVANCES = _metrics.counter(
-    "repro_engine_window_advances_total", "timing-wheel re-anchors")
 _QUEUE_HIGH_WATER = _metrics.gauge(
     "repro_queue_depth_high_water",
     "peak logical TCU-queue depth seen by any core")
@@ -259,8 +254,6 @@ def run_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
     with _trace.span("simulate", cat="sim", scheme=compilation.scheme):
         stats = system.run(until=until)
     _ENGINE_EVENTS.value += stats.events_processed
-    _ENGINE_FAR.value += stats.engine_far_events
-    _ENGINE_ADVANCES.value += stats.engine_window_advances
     _QUEUE_HIGH_WATER.track_max(stats.max_queue_depth)
     result = RunResult(compilation=compilation, system=system, stats=stats)
     if shots > 1:

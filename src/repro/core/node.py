@@ -246,16 +246,12 @@ class HISQCore:
                     k = hi - lo
                     if k:
                         if k >= 4:
-                            # Resolve every position of the slice in one
-                            # bulk add and enqueue a single lazily-drained
-                            # batch (k logical items).
-                            if k >= 16:
-                                positions = (
-                                    base + block.item_off_np[lo:hi]).tolist()
-                            else:
-                                off = block.item_off
-                                positions = [base + off[i]
-                                             for i in range(lo, hi)]
+                            # Resolve every position of the slice and
+                            # enqueue a single lazily-drained batch (k
+                            # logical items).
+                            off = block.item_off
+                            positions = [base + off[i]
+                                         for i in range(lo, hi)]
                             append_item(ReplayBatch(
                                 positions, block.item_kinds, block.item_a,
                                 block.item_b, lo, hi))

@@ -75,8 +75,8 @@ class ReplayBatch:
     Instead of constructing one NamedTuple per item, the replay path
     enqueues a single batch that *references* the block's structure-of-
     arrays columns (``kinds``/``a``/``b``, block-absolute, shared and
-    immutable) plus the slice's resolved timeline positions (computed
-    with one bulk add over the block's offset array).  The TCU drains
+    immutable) plus the slice's resolved timeline positions (the entry
+    position plus each item offset of the slice).  The TCU drains
     elements in place by advancing ``cursor``; each element counts as one
     logical queue item for depth/stall accounting (see
     :attr:`ItemQueue.depth` and the ``_count`` bookkeeping), so timing is

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..compiler import schemes as scheme_registry
 from ..compiler.schemes import SchemeRegistryError
 from ..errors import ReproError
-from ..noise.model import NoiseModel
+from ..noise.model import NoiseModel, finite_real
 from ..sim.config import SimulationConfig
 from . import registry
 
@@ -38,12 +37,6 @@ def _is_int(value) -> bool:
     """An ``int`` proper: JSON ``true`` decodes to a bool, which Python
     counts as the integer 1."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A finite non-bool ``int`` or ``float``."""
-    return _is_int(value) or (isinstance(value, float)
-                              and math.isfinite(value))
 
 
 #: Inclusive lower bounds on :class:`SimulationConfig` fields; every
@@ -59,7 +52,7 @@ def _validate_config(config: SimulationConfig) -> None:
     for spec_field in fields(SimulationConfig):
         name, value = spec_field.name, getattr(config, spec_field.name)
         if isinstance(spec_field.default, float):
-            ok, kind = _is_real(value), "a number"
+            ok, kind = finite_real(value), "a number"
         else:
             ok, kind = _is_int(value), "an integer"
         floor = _CONFIG_FLOORS.get(name, 0)
@@ -135,7 +128,7 @@ class SweepSpec:
         if not self.scales:
             raise SweepSpecError("spec needs at least one scale")
         for scale in self.scales:
-            if not (_is_real(scale) and 0.0 < scale <= 1.0):
+            if not (finite_real(scale) and 0.0 < scale <= 1.0):
                 raise SweepSpecError(
                     "scale must be a number in (0, 1], got {!r}".format(scale))
         if len(set(self.scales)) != len(self.scales):
@@ -148,7 +141,7 @@ class SweepSpec:
                     "shots must be integers >= 1, got {!r}".format(shots))
         if len(set(self.shots)) != len(self.shots):
             raise SweepSpecError("duplicate shots {}".format(self.shots))
-        if not (_is_real(self.substitution_fraction)
+        if not (finite_real(self.substitution_fraction)
                 and 0.0 <= self.substitution_fraction <= 1.0):
             raise SweepSpecError(
                 "substitution_fraction must be a number in [0, 1], "

@@ -28,8 +28,6 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..obs import metrics as _metrics
 
 # ---------------------------------------------------------------------------
@@ -127,13 +125,11 @@ class FastBlock:
     ``item_kinds`` / ``item_off`` / ``item_a`` / ``item_b``
         One TCU item per item-pushing instruction, in program order, as
         structure-of-arrays columns: its kind (``ITEM_*``), its position
-        offset inside the block and its two operands.
-    ``item_off_np``
-        ``item_off`` as a NumPy int64 array.  The executor admits a slice,
-        adds the entry position to ``item_off_np[lo:hi]`` in one array op,
-        and enqueues a single :class:`~repro.core.queues.ReplayBatch` that
-        the TCU drains straight from the columns — no per-item tuple is
-        ever built.
+        offset inside the block and its two operands.  The executor
+        admits a slice, adds the entry position to each ``item_off``
+        entry of the slice, and enqueues a single
+        :class:`~repro.core.queues.ReplayBatch` that the TCU drains
+        straight from the columns — no per-item tuple is ever built.
     ``cw_idx`` / ``cw_pushes``
         Offsets of codeword instructions and their ``pushes`` values, for
         the queue-space admission check (only ``cw.*`` stalls on a full
@@ -141,13 +137,12 @@ class FastBlock:
     """
 
     __slots__ = ("start", "n", "pos_cum", "pushes", "cw_idx", "cw_pushes",
-                 "cw_last", "item_kinds", "item_a", "item_b", "item_off",
-                 "item_off_np")
+                 "cw_last", "item_kinds", "item_a", "item_b", "item_off")
 
     def __init__(self, start: int, n: int, pos_cum: List[int],
                  pushes: List[int], cw_idx: List[int], cw_pushes: List[int],
                  item_kinds: List[int], item_a: List[int],
-                 item_b: List[int], item_off: List[int], item_off_np=None):
+                 item_b: List[int], item_off: List[int]):
         self.start = start
         self.n = n
         self.pos_cum = pos_cum
@@ -162,10 +157,6 @@ class FastBlock:
         self.item_a = item_a
         self.item_b = item_b
         self.item_off = item_off
-        # The compile cache's warm load passes a slice of its stored
-        # column instead of paying one array build per block.
-        self.item_off_np = (np.array(item_off, dtype=np.int64)
-                            if item_off_np is None else item_off_np)
 
     def replay_end(self, start: int, budget: int, free: int) -> int:
         """Largest offset ``e`` such that replaying ``[start, e)`` is

@@ -15,6 +15,7 @@ e.g. ``--noise depolarizing_1e3``.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -26,6 +27,14 @@ from .channels import PauliChannel, depolarizing, measurement_flip, \
 
 class NoiseModelError(ReproError):
     """Raised when a noise model is malformed."""
+
+
+def finite_real(value) -> bool:
+    """A finite non-bool ``int`` or ``float``.  JSON ``true`` decodes to a
+    bool, which Python counts as the integer 1, and ``NaN``/``Infinity``
+    decode to floats that slip past range checks."""
+    return (isinstance(value, int) and not isinstance(value, bool)) or \
+        (isinstance(value, float) and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -56,12 +65,20 @@ class NoiseModel:
         items = (self.overrides.items()
                  if isinstance(self.overrides, dict) else self.overrides)
         try:
-            normalized = tuple(sorted((str(name), float(rate))
-                                      for name, rate in items))
+            pairs = [(str(name), rate) for name, rate in items]
         except (TypeError, ValueError) as exc:
             raise NoiseModelError(
                 "overrides must map gate names to rates: {}".format(
                     exc)) from None
+        for name, rate in pairs:
+            # Checked before float() erases the difference: True would
+            # otherwise become rate 1.0.
+            if not finite_real(rate):
+                raise NoiseModelError(
+                    "overrides: rate for {!r} must be a finite number, "
+                    "got {!r}".format(name, rate))
+        normalized = tuple(sorted((name, float(rate))
+                                  for name, rate in pairs))
         object.__setattr__(self, "overrides", normalized)
         self.validate()
 
@@ -69,9 +86,10 @@ class NoiseModel:
         for label, rate in (("gate_1q", self.gate_1q),
                             ("gate_2q", self.gate_2q),
                             ("measure_flip", self.measure_flip)):
-            if not 0.0 <= rate <= 1.0:
+            if not finite_real(rate) or not 0.0 <= rate <= 1.0:
                 raise NoiseModelError(
-                    "{} must be in [0, 1], got {}".format(label, rate))
+                    "{} must be a number in [0, 1], got {!r}".format(
+                        label, rate))
         names = [name for name, _ in self.overrides]
         if len(set(names)) != len(names):
             raise NoiseModelError(
@@ -83,16 +101,16 @@ class NoiseModel:
                 raise NoiseModelError(
                     "override rate for {!r} must be in [0, 1], got {}"
                     .format(name, rate))
+        for label, value in (("t1_us", self.t1_us), ("t2_us", self.t2_us)):
+            if value is not None and (not finite_real(value)
+                                      or value <= 0):
+                raise NoiseModelError(
+                    "{} must be a finite number > 0, got {!r}".format(
+                        label, value))
         if self.t1_us is None and self.t2_us is not None:
             raise NoiseModelError("t2_us requires t1_us")
         if self.t1_us is not None:
-            if self.t1_us <= 0:
-                raise NoiseModelError(
-                    "t1_us must be positive, got {}".format(self.t1_us))
             t2 = self.t2_us if self.t2_us is not None else self.t1_us
-            if t2 <= 0:
-                raise NoiseModelError(
-                    "t2_us must be positive, got {}".format(t2))
             if t2 > 2 * self.t1_us + 1e-12:
                 raise NoiseModelError(
                     "t2_us cannot exceed 2 * t1_us ({} > {})".format(

@@ -336,11 +336,7 @@ class ControlSystem:
         stats.makespan_cycles = max(
             (core.last_event_time for core in self.cores.values()),
             default=0)
-        wheel = self.engine.wheel_stats()
-        stats.events_processed = wheel["events_processed"]
-        stats.engine_far_events = wheel["far_events"]
-        stats.engine_window_advances = wheel["window_advances"]
-        stats.engine_max_pending = wheel["max_pending"]
+        stats.events_processed = self.engine.events_processed
         stats.max_queue_depth = max(
             (core.queue_high_water for core in self.cores.values()),
             default=0)

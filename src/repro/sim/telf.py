@@ -156,9 +156,6 @@ class ExecutionStats:
     makespan_cycles: int = 0
     #: Engine/queue telemetry (deterministic; filled by ``System.run``).
     events_processed: int = 0
-    engine_far_events: int = 0
-    engine_window_advances: int = 0
-    engine_max_pending: int = 0
     max_queue_depth: int = 0
     per_core: Dict[str, Dict[str, int]] = field(default_factory=dict)
 

@@ -64,6 +64,36 @@ class TestValidation:
                 FaultRule(site="http", fault="drop",
                           rate=rate).validate()
 
+    @pytest.mark.parametrize("field, good, bad", [
+        ("rate", (1, 0.5, 1.0),
+         (True, False, "0.5", None, [1], float("nan"), float("inf"),
+          float("-inf"), 0, -0.5, 1.5)),
+        ("arg", (0, 0.5, 3),
+         (True, False, "1", None, [1], float("nan"), float("inf"),
+          float("-inf"), -1, -0.5)),
+    ])
+    def test_rate_and_arg_values(self, field, good, bad):
+        """``rate`` is a finite non-bool real in (0, 1] and ``arg`` one
+        >= 0.  ``rate: true`` used to fire on every opportunity, and
+        ``arg: NaN`` reached ``time.sleep`` in the worker."""
+        for value in good:
+            FaultRule(site="worker", fault="delay",
+                      **{field: value}).validate()
+        for value in bad:
+            with pytest.raises(ChaosError, match=field):
+                FaultRule(site="worker", fault="delay",
+                          **{field: value}).validate()
+            with pytest.raises(ChaosError, match=field):
+                FaultPlan.from_dict({"seed": 1, "rules": [
+                    {"site": "worker", "fault": "delay", field: value}]})
+
+    def test_nan_in_plan_file_rejected(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text('{"seed": 1, "rules": [{"site": "worker", '
+                        '"fault": "delay", "arg": NaN}]}')
+        with pytest.raises(ChaosError, match="arg"):
+            load_plan(str(path))
+
     def test_bad_attempts_rejected(self):
         with pytest.raises(ChaosError, match="attempts"):
             FaultRule(site="worker", fault="sigterm",

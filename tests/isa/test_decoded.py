@@ -1,8 +1,6 @@
 """HISQ pre-decode: dense steps, fast-block item columns and the decode
 caches."""
 
-import numpy as np
-
 from repro.isa.assembler import assemble
 from repro.isa.decoded import (ITEM_CW, ITEM_SEND, ITEM_SYNC_N, ITEM_SYNC_R,
                                MIN_FAST_BLOCK, OP_CW_II, OP_HALT, OP_WAITI,
@@ -40,8 +38,6 @@ class TestDecode:
         assert block.pushes == [0, 0, 1, 1, 2, 2]
         assert block.item_kinds == [ITEM_CW, ITEM_CW]
         assert block.item_off == [5, 9]
-        assert block.item_off_np.tolist() == [5, 9]
-        assert block.item_off_np.dtype == np.int64
         assert (block.item_a, block.item_b) == ([0, 0], [1, 2])
         assert (block.cw_idx, block.cw_pushes, block.cw_last) == \
             ([1, 3], [0, 1], 1)
@@ -92,8 +88,6 @@ class TestDecode:
         program = _program(waiti(1), nop(), waiti(2), nop(), halt())
         block = decode_program(program).fast_block[0]
         assert block.item_kinds == block.item_off == []
-        assert block.item_off_np.shape == (0,)
-        assert block.item_off_np.dtype == np.int64
 
     def test_same_object_cached(self):
         program = assemble("waiti 5\ncw.i.i 0,1\nwaiti 2\ncw.i.i 0,2\nhalt")

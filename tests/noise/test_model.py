@@ -1,5 +1,7 @@
 """NoiseModel round-tripping, validation, presets, channel resolution."""
 
+import json
+
 import pytest
 
 from repro.noise import (PRESETS, NoiseModel, NoiseModelError, derive_seed,
@@ -61,6 +63,76 @@ class TestValidation:
     def test_invalid_models_rejected(self, kwargs):
         with pytest.raises(NoiseModelError):
             NoiseModel(**kwargs)
+
+
+#: Every numeric field of a model, with the text its errors must name.
+FIELDS = {"gate_1q": "gate_1q", "gate_2q": "gate_2q",
+          "measure_flip": "measure_flip", "overrides": "override",
+          "t1_us": "t1_us", "t2_us": "t2_us"}
+
+#: field -> (accepted values, out-of-range values).
+RANGES = {
+    "gate_1q": ((0, 1, 0.25), (-0.1, 1.5)),
+    "gate_2q": ((0, 1, 0.25), (-0.1, 1.5)),
+    "measure_flip": ((0, 1, 0.25), (-0.1, 1.5)),
+    "overrides": ((0, 1, 0.25), (-0.1, 1.5)),
+    "t1_us": ((100, 50.5), (0, -1.0)),
+    "t2_us": ((100, 199.5), (0, -1.0)),
+}
+
+
+def model_data(field, value):
+    """A model dict that sets ``field`` (and anything it needs) to
+    ``value``: overrides take a per-gate rate, and t2_us needs t1_us."""
+    if field == "overrides":
+        return {"overrides": {"cz": value}}
+    if field == "t2_us":
+        return {"t1_us": 100.0, "t2_us": value}
+    return {field: value}
+
+
+class TestFieldValues:
+    """Each numeric field takes only a finite, non-bool real in its range.
+    Anything else is a ``NoiseModelError`` that names the field, never a
+    model that samples the wrong thing: JSON ``true`` used to pass as
+    rate 1, and a ``NaN`` lifetime as no damping at all."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_rejects_non_numbers(self, field):
+        values = [True, False, "0.5", [0.5], {"p": 0.5}]
+        if field not in ("t1_us", "t2_us"):  # None switches damping off
+            values.append(None)
+        for value in values:
+            with pytest.raises(NoiseModelError, match=FIELDS[field]):
+                NoiseModel.from_dict(model_data(field, value))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_rejects_non_finite(self, field):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(NoiseModelError, match=FIELDS[field]):
+                NoiseModel.from_dict(model_data(field, value))
+            # json.dumps writes NaN / Infinity, which json.loads accepts.
+            text = json.dumps(model_data(field, value))
+            with pytest.raises(NoiseModelError, match=FIELDS[field]):
+                NoiseModel.from_json(text)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_range(self, field):
+        accepted, rejected = RANGES[field]
+        for value in accepted:
+            model = NoiseModel.from_dict(model_data(field, value))
+            assert NoiseModel.from_json(model.to_json()) == model
+        for value in rejected:
+            with pytest.raises(NoiseModelError, match=FIELDS[field]):
+                NoiseModel.from_dict(model_data(field, value))
+
+    def test_constructor_checks_types_too(self):
+        with pytest.raises(NoiseModelError, match="gate_2q"):
+            NoiseModel(gate_2q=True)
+        with pytest.raises(NoiseModelError, match="t1_us"):
+            NoiseModel(t1_us=float("nan"))
+        with pytest.raises(NoiseModelError, match="override"):
+            NoiseModel(overrides={"cz": True})
 
 
 class TestChannels:

@@ -146,8 +146,6 @@ class TestProcessRegistry:
             "repro_compilations_total",
             "repro_simulations_total",
             "repro_engine_events_total",
-            "repro_engine_far_events_total",
-            "repro_engine_window_advances_total",
             "repro_queue_depth_high_water",
             "repro_sweep_cache_hits_total",
             "repro_sweep_cache_misses_total",

@@ -144,6 +144,23 @@ class TestRoutes:
         assert status == 400, body
         assert "device_seed" in body["error"]
 
+    def test_nan_noise_lifetime_400(self, tmp_path):
+        """The body parser takes ``NaN``; the noise model must refuse it
+        instead of running every cell without damping."""
+        async def scenario():
+            server = await start_server(tmp_path)
+            try:
+                return await http_request(
+                    server.host, server.port, "POST", "/submit",
+                    {"spec": {"workloads": ["bv_n400"], "scales": [SCALE],
+                              "noise": {"t1_us": float("nan")}}})
+            finally:
+                await server.close()
+
+        status, body = asyncio.run(scenario())
+        assert status == 400, body
+        assert "t1_us" in body["error"]
+
     def test_unknown_submission_404(self, tmp_path):
         async def scenario():
             server = await start_server(tmp_path)

@@ -21,6 +21,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TREES = ("tests", "benchmarks", "examples")
 
 
+#: Import names whose distribution (the name ``requirements.txt``
+#: lists) differs.
+DISTRIBUTIONS = {"yaml": "pyyaml"}
+
+
 def _normalize(name):
     return name.lower().replace("-", "_")
 
@@ -98,7 +103,8 @@ class TestRequirementsManifest:
         missing = {name: where
                    for name, where in _imported_modules().items()
                    if name not in local and not _is_stdlib(name)
-                   and _normalize(name) not in listed}
+                   and _normalize(DISTRIBUTIONS.get(name, name))
+                   not in listed}
         assert not missing, (
             "imported but not in requirements.txt: {}".format(missing))
 
@@ -106,7 +112,7 @@ class TestRequirementsManifest:
         # Guards the scan itself: these are imported today, and each is
         # classified the way the manifest check relies on.
         imported = _imported_modules()
-        for name in ("numpy", "pytest", "hypothesis"):
+        for name in ("numpy", "pytest", "hypothesis", "yaml"):
             assert name in imported
             assert not _is_stdlib(name)
         for name in ("os", "json", "hashlib", "math"):
