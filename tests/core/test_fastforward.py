@@ -315,6 +315,32 @@ class TestBatchedReplay:
                                            "vector_items": 0}
         assert fast == _run_bare(source, reference=True)
 
+    def test_replay_counts_pinned(self):
+        """Exact replay counts and summed makespans of a small grid: every
+        scheme on two registry workloads at scale 0.05, plus one 4-shot
+        recv-bearing cell whose lanes all replay.  A change to slice
+        admission moves the counts even when every timing still agrees
+        with the stepwise reference."""
+        decoded.reset_replay_totals()
+        makespans = 0
+        for workload in ("bv_n400", "logical_t_n432"):
+            spec = registry.get_workload(workload).spec(0.05)
+            circuit = spec.circuit()
+            for scheme in scheme_registry.scheme_names():
+                result = run_circuit(circuit, scheme=scheme, backend=None,
+                                     record_gate_log=False,
+                                     mesh_kind=spec.mesh_kind)
+                makespans += result.makespan_cycles
+        spec = registry.get_workload("qft_n300").spec(0.05)
+        result = run_circuit(spec.circuit(), scheme="lockstep", backend=None,
+                             record_gate_log=False, shots=4,
+                             mesh_kind=spec.mesh_kind)
+        assert result.lane_mode == "replay"
+        makespans += sum(result.shot_makespans)
+        assert decoded.replay_totals() == {"vector": 1150, "block": 478,
+                                           "vector_items": 8762}
+        assert makespans == 73071
+
 
 class TestLaneDifferential:
     """Every multishot lane, fast-forwarded or replayed, against one
