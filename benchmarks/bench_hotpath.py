@@ -6,15 +6,16 @@ Figure-15 sweep runs serially once per interpreter —
 * ``legacy`` — the per-instruction interpreter, ``ReferenceCore`` from
   ``tests/core/reference_core.py`` (loaded by file path),
 * ``vector`` — the default fast path: pre-decode + basic-block replay,
-  where admitted slices enqueue one :class:`~repro.core.queues.ReplayBatch`
-  over the block's pre-compiled item columns instead of per-item
-  NamedTuples
+  where each admitted slice extends the TCU queue with its
+  ``(position, kind, a, b)`` items, built from the block's pre-compiled
+  item columns, in one call
 
 — and records per-interpreter wall-clocks plus deterministic result rows
 in ``BENCH_hotpath.json``.  Both must be *bit-identical* (same per-cell
 makespans, stalls and lifetimes); only the clock may differ.  The vector
-row also carries the batch-replay counters, so the CI digest gate fails
-if replay silently stops batching.
+row also carries the replay counters, so the CI digest gate
+(``ci/perf_smoke``) fails if replay silently stops admitting long
+slices.
 
 A second benchmark times lane-parallel multishot on a static (recv-free)
 workload: the lane engine fans one reference lane across all shots, so
@@ -119,8 +120,8 @@ def test_sweep_interpreters(bench_recorder, scale):
           "({:.2f}x; vs cold legacy {:.2f}x)".format(
               warm_seconds["legacy"], warm_seconds["vector"], warm_speedup,
               seconds["legacy"] / warm_seconds["vector"]))
-    print("vector replays: {} batches / {} items  (short slices pushed "
-          "item by item: {})".format(totals["vector"]["vector"],
+    print("vector replays: {} slices of 4+ items / {} items  (shorter "
+          "slices: {})".format(totals["vector"]["vector"],
                                      totals["vector"]["vector_items"],
                                      totals["vector"]["block"]))
 
@@ -133,7 +134,8 @@ def test_sweep_interpreters(bench_recorder, scale):
                                     for r in rows[tier]))
         if tier == "vector":
             # Deterministic (serial sweep, fixed tasks): digest-gated in
-            # CI so replay that silently stops batching fails the build.
+            # CI so replay that silently stops admitting long slices
+            # fails the build.
             row["vector_batches"] = totals[tier]["vector"]
             row["vector_items"] = totals[tier]["vector_items"]
         bench_recorder.add(
@@ -149,7 +151,7 @@ def test_sweep_interpreters(bench_recorder, scale):
     # against the fast path silently regressing to the legacy cost.
     assert rows["vector"] == rows["legacy"]
     assert makespan_sum > 0
-    # The fast path must actually batch, and legacy must never replay.
+    # The fast path must actually replay, and legacy must never replay.
     assert totals["vector"]["vector"] > 0, totals["vector"]
     assert totals["legacy"] == {"vector": 0, "block": 0, "vector_items": 0}
     assert speedup_vector >= MIN_SWEEP_SPEEDUP, seconds

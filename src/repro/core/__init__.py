@@ -3,13 +3,11 @@
 from .config import ACQ_ADDRESS, ANY_SOURCE, CENTRAL_ADDRESS, CoreConfig
 from .message_unit import MessageUnit
 from .node import HISQCore
-from .queues import (EmitCodeword, ItemQueue, Resync, SendMessage,
-                     SyncNearby, SyncRegion)
+from .queues import ItemQueue
 from .sync_unit import SyncUnit
 from .timer import AbsoluteTimer
 
 __all__ = [
     "ACQ_ADDRESS", "ANY_SOURCE", "CENTRAL_ADDRESS", "AbsoluteTimer",
-    "CoreConfig", "EmitCodeword", "HISQCore", "ItemQueue", "MessageUnit",
-    "Resync", "SendMessage", "SyncNearby", "SyncRegion", "SyncUnit",
+    "CoreConfig", "HISQCore", "ItemQueue", "MessageUnit", "SyncUnit",
 ]

@@ -23,16 +23,19 @@ Fast path
 Programs are pre-decoded (:mod:`repro.isa.decoded`) into dense opcode
 tuples plus *fast blocks*: maximal straight-line runs of deterministic
 timeline instructions.  The pipeline replays a fast block's precompiled
-item columns in bulk — an admitted slice of four or more items becomes
-one lazily-drained :class:`~repro.core.queues.ReplayBatch` instead of a
+item columns in bulk — an admitted slice extends the TCU queue with its
+``(position, kind, a, b)`` items in one call instead of a
 per-instruction fetch/decode/dispatch — and falls back to stepwise
 execution at branches, feedback receives, device interactions and
-whenever the TCU queue could fill.  Replay is engineered to be *exactly*
-equivalent to stepwise execution: same instruction counts per scheduler
-activation (so continuations land on the same cycles), same queue
-contents, same TELF traces, counters and stall accounting.  The
-per-instruction interpreter it must match is ``ReferenceCore`` in
-``tests/core/reference_core.py``; the differential suites run both.
+whenever the TCU queue could fill.  Every item, replayed or pushed
+stepwise, has that one tuple shape (:mod:`repro.core.queues`), so the
+TCU loop reads, pops and issues it in one place.  Replay is engineered
+to be *exactly* equivalent to stepwise execution: same instruction
+counts per scheduler activation (so continuations land on the same
+cycles), same queue contents, same TELF traces, counters and stall
+accounting.  The per-instruction interpreter it must match is
+``ReferenceCore`` in ``tests/core/reference_core.py``; the differential
+suites run both.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import ExecutionError, TimingViolation
-from ..isa.decoded import REPLAY_BLOCK, REPLAY_VECTOR, REPLAY_VECTOR_ITEMS
+from ..isa.decoded import (ITEM_CW, ITEM_RESYNC, ITEM_SEND, ITEM_SYNC_N,
+                           ITEM_SYNC_R, REPLAY_BLOCK, REPLAY_VECTOR,
+                           REPLAY_VECTOR_ITEMS)
 from ..isa.decoded import (CW_OPS, OP_ADD, OP_ADDI, OP_AND, OP_ANDI,
                            OP_AUIPC, OP_BEQ, OP_BGE, OP_BGEU, OP_BLT,
                            OP_BLTU, OP_BNE, OP_CW_II, OP_CW_IR, OP_CW_RI,
@@ -54,8 +59,7 @@ from ..isa.program import Program
 from ..isa.registers import RegisterFile, to_signed
 from .config import CENTRAL_ADDRESS, CoreConfig
 from .message_unit import MessageUnit
-from .queues import (EmitCodeword, ItemQueue, ReplayBatch, Resync,
-                     SendMessage, SyncNearby, SyncRegion)
+from .queues import ItemQueue
 from .sync_unit import SyncUnit
 from .timer import AbsoluteTimer
 
@@ -105,7 +109,7 @@ class HISQCore:
         self._fast_ctx = (
             decoded.steps, decoded.n, decoded.fast_block, _IS_CW,
             self.config.classical_cpi, self.config.batch_limit,
-            queue, queue._items.append, queue.push, queue.depth)
+            queue, queue._items, queue.push, queue.depth)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -212,7 +216,7 @@ class HISQCore:
         if self._halted or self._pipeline_blocked:
             return
         (steps, nsteps, fast_block, is_cw, cpi, budget,
-         queue, append_item, push_item, depth) = self._fast_ctx
+         queue, items, push_item, depth) = self._fast_ctx
         regs = self.regs
         engine = self.engine
         pc = self.pc
@@ -230,7 +234,7 @@ class HISQCore:
             block = fast_block[pc]
             if block is not None:
                 j = pc - block.start
-                free = depth - queue._count
+                free = depth - len(items)
                 pushes_j = block.pushes[j]
                 # Whole-tail admission with one comparison; partial
                 # replays go through the bisect-based replay_end.
@@ -245,42 +249,19 @@ class HISQCore:
                     base = position - block.pos_cum[j]
                     k = hi - lo
                     if k:
+                        off = block.item_off
+                        kinds = block.item_kinds
+                        a_col = block.item_a
+                        b_col = block.item_b
+                        items.extend([(base + off[i], kinds[i], a_col[i],
+                                       b_col[i]) for i in range(lo, hi)])
                         if k >= 4:
-                            # Resolve every position of the slice and
-                            # enqueue a single lazily-drained batch (k
-                            # logical items).
-                            off = block.item_off
-                            positions = [base + off[i]
-                                         for i in range(lo, hi)]
-                            append_item(ReplayBatch(
-                                positions, block.item_kinds, block.item_a,
-                                block.item_b, lo, hi))
                             REPLAY_VECTOR.value += 1
                             REPLAY_VECTOR_ITEMS.value += k
                         else:
-                            # Too short to batch: one NamedTuple per item.
-                            kinds = block.item_kinds
-                            offs = block.item_off
-                            a_col = block.item_a
-                            b_col = block.item_b
-                            for i in range(lo, hi):
-                                kind = kinds[i]
-                                if kind == 0:
-                                    append_item(EmitCodeword(
-                                        base + offs[i], a_col[i], b_col[i]))
-                                elif kind == 1:
-                                    append_item(SyncNearby(base + offs[i],
-                                                           a_col[i]))
-                                elif kind == 2:
-                                    append_item(SyncRegion(
-                                        base + offs[i], a_col[i], b_col[i]))
-                                else:
-                                    append_item(SendMessage(
-                                        base + offs[i], a_col[i], b_col[i]))
                             REPLAY_BLOCK.value += 1
-                        queue._count += k
-                        if queue._count > queue.high_water:
-                            queue.high_water = queue._count
+                        if len(items) > queue.high_water:
+                            queue.high_water = len(items)
                     consumed = e - j
                     pc += consumed
                     position = base + block.pos_cum[e]
@@ -296,7 +277,7 @@ class HISQCore:
                 # below, which re-checks the live queue and stalls exactly
                 # like the per-instruction reference.
             op, rd, rs1, rs2, imm, imm2 = steps[pc]
-            if is_cw[op] and queue._count >= depth:
+            if is_cw[op] and len(items) >= depth:
                 self.pc = pc
                 self.position = position
                 self.instructions_executed += executed
@@ -329,15 +310,13 @@ class HISQCore:
             if op == OP_WAITI:
                 position += imm
             elif op == OP_CW_II:
-                push_item(EmitCodeword(position, imm, imm2))
+                push_item((position, ITEM_CW, imm, imm2))
                 self.pc = next_pc
                 self.position = position
                 self._tcu_kick()
             elif op == OP_SYNC:
-                if imm2:
-                    push_item(SyncRegion(position, imm, imm2))
-                else:
-                    push_item(SyncNearby(position, imm))
+                push_item((position, ITEM_SYNC_R if imm2 else ITEM_SYNC_N,
+                           imm, imm2))
                 self.pc = next_pc
                 self.position = position
                 self._tcu_kick()
@@ -356,7 +335,7 @@ class HISQCore:
                                                               addr))
                 regs.write(rd, self.memory.get(addr, 0))
             elif op == OP_SEND:
-                push_item(SendMessage(position, imm, regs.read(rs1)))
+                push_item((position, ITEM_SEND, imm, regs.read(rs1)))
                 self.pc = next_pc
                 self.position = position
                 self._tcu_kick()
@@ -371,25 +350,25 @@ class HISQCore:
             elif op == OP_NOP:
                 pass
             elif op == OP_SEND_I:
-                push_item(SendMessage(position, imm, imm2))
+                push_item((position, ITEM_SEND, imm, imm2))
                 self.pc = next_pc
                 self.position = position
                 self._tcu_kick()
             elif op == OP_WAITR:
                 position += to_signed(regs.read(rs1))
             elif op == OP_CW_IR:
-                push_item(EmitCodeword(position, imm, regs.read(rs2)))
+                push_item((position, ITEM_CW, imm, regs.read(rs2)))
                 self.pc = next_pc
                 self.position = position
                 self._tcu_kick()
             elif op == OP_CW_RI:
-                push_item(EmitCodeword(position, regs.read(rs1), imm2))
+                push_item((position, ITEM_CW, regs.read(rs1), imm2))
                 self.pc = next_pc
                 self.position = position
                 self._tcu_kick()
             elif op == OP_CW_RR:
-                push_item(EmitCodeword(position, regs.read(rs1),
-                                       regs.read(rs2)))
+                push_item((position, ITEM_CW, regs.read(rs1),
+                           regs.read(rs2)))
                 self.pc = next_pc
                 self.position = position
                 self._tcu_kick()
@@ -503,7 +482,7 @@ class HISQCore:
                 timer.advance_to(position,
                                  max(timer.wall_of(position), earliest))
         else:
-            self._tcu_enqueue(Resync(position, earliest, exact=exact))
+            self._tcu_enqueue((position, ITEM_RESYNC, earliest, exact))
         self._pipeline_blocked = False
         self.engine.after(self.config.classical_cpi, self._pipeline_entry)
 
@@ -538,184 +517,102 @@ class HISQCore:
         """
         engine = self.engine
         queue = self._queue
-        items_dq = queue._items
-        popleft = items_dq.popleft
+        items = queue._items
+        popleft = items.popleft
         depth = queue.depth
         tcu_cb = self._tcu_loop_cb
         timer = self.timer
         telf_raw = self._telf_raw
         name = self.name
-        while True:
-            if not items_dq:
-                self._tcu_busy = False
-                return
-            item = items_dq[0]
-            cls = item.__class__
-            if cls is ReplayBatch:
-                # Head element of a replay batch: same issue logic as a
-                # plain item, read straight from the block's SoA columns.
-                cur = item.cursor
-                position = item.positions[cur]
-                idx = item.lo + cur
-                kind = item.kinds[idx]
-            else:
-                position = item[0]
-                kind = -1
+        while items:
+            position, kind, a, b = items[0]
             if position < timer.position:
                 self._violation(
                     "item at position {} is behind the timer cursor "
                     "{}".format(position, timer.position))
                 position = timer.position
-            if self._sync_state is not None:
-                if position >= self._sync_state["fence"] or \
-                        cls is SyncNearby or cls is SyncRegion or \
-                        kind == 1 or kind == 2:
-                    # Blocked until the in-flight sync resolves.
-                    self._tcu_busy = False
+            if self._sync_state is not None and (
+                    position >= self._sync_state["fence"] or
+                    kind == ITEM_SYNC_N or kind == ITEM_SYNC_R):
+                # Blocked until the in-flight sync resolves.
+                break
+            if kind != ITEM_RESYNC:
+                # Inline wall_of/advance_to: ``position`` is already
+                # clamped to the cursor, so ``wall_of`` cannot raise and
+                # any excess of the (clamped) target over nominal is stall
+                # time.
+                now = engine.now
+                target = timer.wall + (position - timer.position)
+                if target < now:
+                    self._violation(
+                        "item at position {} is {} cycles late".format(
+                            position, now - target))
+                    timer.stall_cycles += now - target
+                    target = now
+                elif target > now:
+                    engine.at(target, tcu_cb)
                     return
-            if cls is Resync:
-                popleft()
-                queue._count -= 1
-                waiter = queue._space_waiter
-                if waiter is not None and queue._count < depth:
-                    queue._space_waiter = None
-                    waiter()
-                if item.exact:
-                    timer.realign_to(position, item.earliest_wall)
-                else:
-                    target = max(timer.wall_of(position),
-                                 item.earliest_wall)
-                    timer.advance_to(position, target)
-                continue
-            # Inline wall_of/advance_to: ``position`` is already
-            # clamped to the cursor, so ``wall_of`` cannot raise and any
-            # excess of the (clamped) target over nominal is stall time.
-            now = engine.now
-            target = timer.wall + (position - timer.position)
-            if target < now:
-                self._violation(
-                    "item at position {} is {} cycles late".format(
-                        position, now - target))
-                timer.stall_cycles += now - target
-                target = now
-            elif target > now:
-                engine.at(target, tcu_cb)
-                return
-            timer.position = position
-            timer.wall = target
-            if cls is ReplayBatch:
-                # Consume one logical item: advance the cursor, drop the
-                # batch when drained, and wake a space-waiter exactly as a
-                # per-item pop would.
-                a = item.a[idx]
-                b = item.b[idx]
-                item.cursor = cur + 1
-                if idx + 1 == item.hi:
-                    popleft()
-                queue._count -= 1
-                waiter = queue._space_waiter
-                if waiter is not None and queue._count < depth:
-                    queue._space_waiter = None
-                    waiter()
-                if kind == 0:
-                    self.codewords_emitted += 1
-                    self.last_event_time = target
-                    if telf_raw is not None:
-                        telf_raw.append((target, name, "cw", a, b, ""))
-                    if self.fabric is not None:
-                        self.fabric.emit_codeword(self, a, b)
-                    continue
-                if kind == 3:
-                    self.messages_sent += 1
-                    self.last_event_time = target
-                    if telf_raw is not None:
-                        telf_raw.append((target, name, "msg_tx", a, b, ""))
-                    self.fabric.send_message(self, a, b)
-                    continue
-                if kind == 1:
-                    self._book_nearby_sync(SyncNearby(position, a),
-                                           position, target)
-                    continue
-                self._book_region_sync(SyncRegion(position, a, b),
-                                       position, target)
-                continue
-            if cls is EmitCodeword:
-                popleft()
-                queue._count -= 1
-                waiter = queue._space_waiter
-                if waiter is not None and queue._count < depth:
-                    queue._space_waiter = None
-                    waiter()
+                timer.position = position
+                timer.wall = target
+            popleft()
+            waiter = queue._space_waiter
+            if waiter is not None and len(items) < depth:
+                queue._space_waiter = None
+                waiter()
+            if kind == ITEM_CW:
                 self.codewords_emitted += 1
                 self.last_event_time = target
                 if telf_raw is not None:
-                    telf_raw.append((target, name, "cw", item[1], item[2],
-                                     ""))
+                    telf_raw.append((target, name, "cw", a, b, ""))
                 if self.fabric is not None:
-                    self.fabric.emit_codeword(self, item[1], item[2])
-                continue
-            if cls is SendMessage:
-                popleft()
-                queue._count -= 1
-                waiter = queue._space_waiter
-                if waiter is not None and queue._count < depth:
-                    queue._space_waiter = None
-                    waiter()
+                    self.fabric.emit_codeword(self, a, b)
+            elif kind == ITEM_SEND:
                 self.messages_sent += 1
                 self.last_event_time = target
                 if telf_raw is not None:
-                    telf_raw.append((target, name, "msg_tx", item[1],
-                                     item[2], ""))
-                self.fabric.send_message(self, item[1], item[2])
-                continue
-            if cls is SyncNearby:
-                queue.pop()
-                self._book_nearby_sync(item, position, target)
-                continue
-            if cls is SyncRegion:
-                queue.pop()
-                self._book_region_sync(item, position, target)
-                continue
-            raise ExecutionError("{}: unknown TCU item {!r}".format(
-                name, item))
+                    telf_raw.append((target, name, "msg_tx", a, b, ""))
+                self.fabric.send_message(self, a, b)
+            elif kind == ITEM_SYNC_N:
+                self._book_nearby_sync(a, position, target)
+            elif kind == ITEM_SYNC_R:
+                self._book_region_sync(a, b, position, target)
+            elif b:
+                timer.realign_to(position, a)
+            else:
+                timer.advance_to(position, max(timer.wall_of(position), a))
+        self._tcu_busy = False
 
     # -- BISP nearby (booking + two conditions, Figure 4) ------------------
 
-    def _book_nearby_sync(self, item: SyncNearby, position: int,
-                          booking_wall: int) -> None:
-        self.timer.advance_to(position, booking_wall)
-        countdown = self.fabric.sync_signal(self, item.target)
-        self.telf.log(booking_wall, self.name, "sync_book", port=item.target,
+    def _book_nearby_sync(self, target: int, position: int,
+                          wall: int) -> None:
+        countdown = self.fabric.sync_signal(self, target)
+        self.telf.log(wall, self.name, "sync_book", port=target,
                       value=countdown)
         self._sync_state = {
-            "kind": "nearby",
-            "item": item,
+            "port": target,
             "fence": position + countdown,
-            "booking_wall": booking_wall,
-            "booked_time": booking_wall + countdown,
+            "booked_time": wall + countdown,
         }
         # Condition I: the N-cycle countdown completes.
-        self.engine.at(booking_wall + countdown, self._nearby_count_done)
+        self.engine.at(wall + countdown, self._nearby_count_done)
 
     def _nearby_count_done(self) -> None:
         # Condition II: the neighbor's signal must have been received.
-        item = self._sync_state["item"]
-        self.sync_unit.wait_for_signal(item.target, self._finish_sync)
+        self.sync_unit.wait_for_signal(self._sync_state["port"],
+                                       self._finish_sync)
 
     # -- BISP region (booked time-point + router Tm, section 4.3) ----------
 
-    def _book_region_sync(self, item: SyncRegion, position: int,
-                          booking_wall: int) -> None:
-        self.timer.advance_to(position, booking_wall)
-        booked_time = booking_wall + item.delta
-        self.fabric.send_booking(self, item.group, booked_time)
-        self.telf.log(booking_wall, self.name, "sync_book", port=item.group,
+    def _book_region_sync(self, group: int, delta: int, position: int,
+                          wall: int) -> None:
+        booked_time = wall + delta
+        self.fabric.send_booking(self, group, booked_time)
+        self.telf.log(wall, self.name, "sync_book", port=group,
                       value=booked_time)
         self._sync_state = {
-            "kind": "region",
-            "item": item,
-            "fence": position + item.delta,
-            "booking_wall": booking_wall,
+            "port": group,
+            "fence": position + delta,
             "booked_time": booked_time,
         }
         self.sync_unit.wait_for_time_point(self._region_tm_received)
@@ -744,12 +641,10 @@ class HISQCore:
         state = self._sync_state
         self._sync_state = None
         resume = self.engine.now
-        target_port = (state["item"].target
-                       if state["kind"] == "nearby" else state["item"].group)
         self.timer.advance_to(state["fence"], resume)
         self.syncs_completed += 1
         self.last_event_time = resume
-        self.telf.log(resume, self.name, "sync_done", port=target_port,
+        self.telf.log(resume, self.name, "sync_done", port=state["port"],
                       value=resume - state["booked_time"])
         self._tcu_kick()
 

@@ -104,11 +104,15 @@ _IS_FAST = [op in _FAST_OPS for op in range(64)]
 #: Minimum run length worth the replay-entry overhead.
 MIN_FAST_BLOCK = 4
 
-#: Item-template kinds inside a fast block.
+#: Kinds of TCU item, in fast-block item columns and in the
+#: ``(position, kind, a, b)`` tuples of the TCU queue
+#: (:mod:`repro.core.queues` documents each kind's ``a`` and ``b``).
+#: Only the first four occur inside a fast block.
 ITEM_CW = 0
 ITEM_SYNC_N = 1
 ITEM_SYNC_R = 2
 ITEM_SEND = 3
+ITEM_RESYNC = 4
 
 
 class FastBlock:
@@ -126,10 +130,9 @@ class FastBlock:
         One TCU item per item-pushing instruction, in program order, as
         structure-of-arrays columns: its kind (``ITEM_*``), its position
         offset inside the block and its two operands.  The executor
-        admits a slice, adds the entry position to each ``item_off``
-        entry of the slice, and enqueues a single
-        :class:`~repro.core.queues.ReplayBatch` that the TCU drains
-        straight from the columns — no per-item tuple is ever built.
+        admits a slice and extends the TCU queue with one
+        ``(entry position + offset, kind, a, b)`` tuple per item of the
+        slice — the same items stepwise execution would push one by one.
     ``cw_idx`` / ``cw_pushes``
         Offsets of codeword instructions and their ``pushes`` values, for
         the queue-space admission check (only ``cw.*`` stalls on a full
@@ -397,20 +400,21 @@ def decode_cache_stats() -> Dict[str, int]:
 
 #: Process-wide replay counters, bumped by the HISQ interpreter
 #: (:class:`~repro.core.node.HISQCore`).  ``vector`` counts admitted
-#: slices enqueued as one batch, ``block`` the short slices pushed item
-#: by item, and ``vector_items`` the items carried by batches.  These
+#: slices of four or more items, ``vector_items`` the items in them, and
+#: ``block`` the shorter slices; every slice enters the TCU queue the
+#: same way, so the four-item threshold only labels the counts.  These
 #: live in the observability registry but are always on: the perf-smoke
 #: digest gate, the benchmark ledger and the fast-forward tests read
 #: them through :func:`replay_totals`.
 REPLAY_VECTOR = _metrics.counter(
     "repro_replay_vector_batches_total",
-    "fast-block slices admitted as lazily-drained batches")
+    "admitted fast-block slices of four or more TCU items")
 REPLAY_VECTOR_ITEMS = _metrics.counter(
     "repro_replay_vector_items_total",
-    "TCU items carried inside admitted batches")
+    "TCU items in admitted fast-block slices of four or more items")
 REPLAY_BLOCK = _metrics.counter(
     "repro_replay_block_batches_total",
-    "fast-block slices under four items pushed item by item")
+    "admitted fast-block slices of one to three TCU items")
 
 
 def replay_totals() -> Dict[str, int]:

@@ -24,7 +24,8 @@ Client routes
 
 Worker routes
     ``POST /lease`` (``{"worker", "max_wait", "pid"}`` — long-polls up
-    to ``max_wait`` s, a number clamped to :data:`MAX_LEASE_WAIT`) ·
+    to ``max_wait`` s, a finite number clamped to
+    :data:`MAX_LEASE_WAIT`) ·
     ``POST /complete`` (``{"worker", "key", "lease", "result"}`` or
     ``{"stored": true}``, optionally plus ``"timings"`` = per-phase
     seconds) · ``POST /fail`` (``{"worker", "key", "lease",
@@ -59,6 +60,7 @@ import asyncio
 from ..chaos import plan as chaos_plan
 from ..errors import ReproError
 from ..harness.spec import SweepSubmission
+from ..noise.model import finite_real
 from ..obs import log as obs_log
 from ..obs import metrics as _metrics
 from ..obs.metrics import PROMETHEUS_CONTENT_TYPE
@@ -253,23 +255,25 @@ class ServiceServer:
                 return 201, scheduler.submit(submission)
             if parts == ["lease"]:
                 worker = _field(body, "worker", str)
-                max_wait = _field(body, "max_wait", (int, float), 0.0)
+                max_wait = body.get("max_wait", 0.0)
+                if not finite_real(max_wait):
+                    raise _BadRequest(
+                        "field 'max_wait' must be a finite number, got "
+                        "{!r}".format(max_wait))
                 pid = body.get("pid")
-                if pid is not None and not isinstance(pid, int):
+                if pid is not None and (isinstance(pid, bool) or
+                                        not isinstance(pid, int)):
                     raise _BadRequest("pid must be an integer")
                 return 200, {"job": await self._lease(worker, max_wait,
                                                       pid)}
             if parts == ["complete"]:
-                timings = body.get("timings")
-                if timings is not None and not isinstance(timings, dict):
-                    raise _BadRequest("timings must be an object")
                 return 200, scheduler.complete(
                     _field(body, "worker", str),
                     _field(body, "key", str),
                     _field(body, "lease", str),
                     result=body.get("result"),
                     stored=bool(body.get("stored", False)),
-                    timings=timings)
+                    timings=body.get("timings"))
             if parts == ["fail"]:
                 return 200, scheduler.fail(
                     _field(body, "worker", str),

@@ -72,6 +72,7 @@ from ..harness.benchjson import make_bench
 from ..harness.parallel import CellResult, SweepTask, tasks_from_spec
 from ..harness.spec import SweepSubmission
 from ..harness.sweep import sweep_rows
+from ..noise.model import finite_real
 from ..obs import metrics as _metrics
 from .store import CellStore
 
@@ -499,13 +500,22 @@ class Scheduler:
         telemetry, accumulated into each subscribed submission's
         ``phase_seconds`` status breakdown and never into results.
 
-        A malformed key or inline result raises before anything reaches
-        the store; the cell stays leased for a well-formed complete.
+        A malformed key, timing or inline result raises before anything
+        reaches the store; the cell stays leased for a well-formed
+        complete.
         """
         if not _CELL_KEY.fullmatch(key):
             raise ServiceError(
                 "bad cell key {!r}: expected 64 lowercase hex "
                 "characters".format(key[:80]))
+        if timings is not None:
+            if not isinstance(timings, dict):
+                raise ServiceError("timings must be an object")
+            for phase, seconds in timings.items():
+                if not finite_real(seconds) or seconds < 0:
+                    raise ServiceError(
+                        "timing {!r} must be a finite, non-negative "
+                        "number of seconds, got {!r}".format(phase, seconds))
         if result is None and not stored:
             raise ServiceError(
                 "complete needs a result payload or stored=true")
@@ -595,18 +605,13 @@ class Scheduler:
 
     def _record_timings(self, job: _Job,
                         timings: Dict[str, float]) -> None:
-        """Fold a worker's per-phase seconds into every subscribed
-        submission's breakdown."""
-        clean = {str(phase): float(value)
-                 for phase, value in timings.items()
-                 if isinstance(value, (int, float))}
-        if not clean:
-            return
+        """Fold a worker's per-phase seconds (checked by :meth:`complete`)
+        into every subscribed submission's breakdown."""
         for sid in job.waiters:
             record = self._submissions.get(sid)
             if record is None:
                 continue
-            for phase, value in clean.items():
+            for phase, value in timings.items():
                 record.phase_seconds[phase] = \
                     record.phase_seconds.get(phase, 0.0) + value
             record.cells_timed += 1

@@ -2,11 +2,11 @@
 
 :class:`ReferenceCore` runs the classical pipeline one
 :class:`~repro.isa.instructions.Instruction` at a time, dispatching on
-its mnemonic, with no pre-decode, no fast-block replay and no
-:class:`~repro.core.queues.ReplayBatch`.  A received message always
-re-arms the TCU timer through a queued :class:`~repro.core.queues.
-Resync` item.  Everything else — the TCU loop, sync booking, MsgU
-delivery, counters and TELF — is inherited from
+its mnemonic, with no pre-decode and no fast-block replay: each timed
+instruction pushes its own ``(position, kind, a, b)`` item
+(:mod:`repro.core.queues`).  A received message always re-arms the TCU
+timer through a queued ``ITEM_RESYNC`` item.  Everything else — the TCU
+loop, sync booking, MsgU delivery, counters and TELF — is inherited from
 :class:`~repro.core.node.HISQCore`, so a differential test compares
 exactly the interpreter and nothing more.
 
@@ -20,9 +20,9 @@ elsewhere in the tree import it by module name;
 
 from repro.core.config import CENTRAL_ADDRESS
 from repro.core.node import HISQCore
-from repro.core.queues import (EmitCodeword, Resync, SendMessage,
-                               SyncNearby, SyncRegion)
 from repro.errors import ExecutionError
+from repro.isa.decoded import (ITEM_CW, ITEM_RESYNC, ITEM_SEND, ITEM_SYNC_N,
+                               ITEM_SYNC_R)
 from repro.isa.registers import to_signed
 
 
@@ -97,8 +97,8 @@ class ReferenceCore(HISQCore):
         resync behind whatever the TCU still holds."""
         self.regs.write(self._recv_rd, value)
         earliest = self.engine.now + self.config.feedback_resync_cycles
-        self._tcu_enqueue(Resync(self.position, earliest,
-                                 exact=self._recv_src == CENTRAL_ADDRESS))
+        self._tcu_enqueue((self.position, ITEM_RESYNC, earliest,
+                           self._recv_src == CENTRAL_ADDRESS))
         self._pipeline_blocked = False
         self.engine.after(self.config.classical_cpi, self._pipeline_entry)
 
@@ -200,30 +200,29 @@ class ReferenceCore(HISQCore):
         elif m == "waitr":
             self.position += to_signed(regs.read(instr.rs1))
         elif m == "cw.i.i":
-            self._tcu_enqueue(EmitCodeword(self.position, instr.imm,
-                                           instr.imm2))
+            self._tcu_enqueue((self.position, ITEM_CW, instr.imm,
+                               instr.imm2))
         elif m == "cw.i.r":
-            self._tcu_enqueue(EmitCodeword(self.position, instr.imm,
-                                           regs.read(instr.rs2)))
+            self._tcu_enqueue((self.position, ITEM_CW, instr.imm,
+                               regs.read(instr.rs2)))
         elif m == "cw.r.i":
-            self._tcu_enqueue(EmitCodeword(self.position,
-                                           regs.read(instr.rs1), instr.imm2))
+            self._tcu_enqueue((self.position, ITEM_CW, regs.read(instr.rs1),
+                               instr.imm2))
         elif m == "cw.r.r":
-            self._tcu_enqueue(EmitCodeword(self.position,
-                                           regs.read(instr.rs1),
-                                           regs.read(instr.rs2)))
+            self._tcu_enqueue((self.position, ITEM_CW, regs.read(instr.rs1),
+                               regs.read(instr.rs2)))
         elif m == "sync":
             if instr.imm2:
-                self._tcu_enqueue(SyncRegion(self.position, instr.imm,
-                                             instr.imm2))
+                self._tcu_enqueue((self.position, ITEM_SYNC_R, instr.imm,
+                                   instr.imm2))
             else:
-                self._tcu_enqueue(SyncNearby(self.position, instr.imm))
+                self._tcu_enqueue((self.position, ITEM_SYNC_N, instr.imm, 0))
         elif m == "send":
-            self._tcu_enqueue(SendMessage(self.position, instr.imm,
-                                          regs.read(instr.rs1)))
+            self._tcu_enqueue((self.position, ITEM_SEND, instr.imm,
+                               regs.read(instr.rs1)))
         elif m == "send.i":
-            self._tcu_enqueue(SendMessage(self.position, instr.imm,
-                                          instr.imm2))
+            self._tcu_enqueue((self.position, ITEM_SEND, instr.imm,
+                               instr.imm2))
         else:
             raise ExecutionError("{}: cannot execute {!r}".format(self.name,
                                                                   m))

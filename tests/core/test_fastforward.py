@@ -1,9 +1,9 @@
 """Fast-forward vs stepwise differential suite.
 
 The pre-decoded fast path (basic-block replay in
-:meth:`repro.core.node.HISQCore._pipeline_run`, which enqueues admitted
-slices of four or more items as one
-:class:`~repro.core.queues.ReplayBatch`) must be *exactly* equivalent to
+:meth:`repro.core.node.HISQCore._pipeline_run`, which extends the TCU
+queue with an admitted slice's ``(position, kind, a, b)`` items in one
+call) must be *exactly* equivalent to
 the per-instruction interpreter: same makespans, same per-core counters,
 same TELF traces, same stall accounting — across every registered
 synchronization scheme, a sample of registry workloads, and randomized
@@ -255,8 +255,8 @@ class TestRandomProgramProperty:
     @pytest.mark.parametrize("depth", (2, 1024))
     @pytest.mark.parametrize("seed", range(8))
     def test_short_slices(self, seed, depth):
-        """Slices of under four items never batch: they are pushed item
-        by item straight from the block's item columns."""
+        """Blocks carrying one to three codewords replay as slices of
+        under four items, counted under ``block``."""
         source = _short_slice_program(3000 + seed)
         decoded.reset_replay_totals()
         fast = _run_bare(source, reference=False, depth=depth)
@@ -268,7 +268,8 @@ class TestRandomProgramProperty:
 
 
 class TestBatchedReplay:
-    """The fast path must really batch, not quietly push item by item."""
+    """The fast path must really replay long slices, not quietly fall
+    back to stepwise execution."""
 
     def test_workload_replay_batches(self):
         """The CI perf-smoke assertion, in miniature."""
@@ -282,7 +283,7 @@ class TestBatchedReplay:
         assert totals["vector_items"] >= 4 * totals["vector"]
 
     def test_deep_queue_forms_batches(self):
-        """With a roomy queue the emission programs take the batch path
+        """With a roomy queue the emission programs replay long slices
         (otherwise the tiny-queue differential proves nothing)."""
         decoded.reset_replay_totals()
         _run_bare(_emission_program(3), reference=False)
@@ -305,8 +306,8 @@ class TestBatchedReplay:
         assert core.counters()["codewords"] == 8
 
     def test_short_slice_pushes_items(self):
-        """A slice of under four items is pushed item by item and counted
-        under ``replay_totals()["block"]``, matching the stepwise loop."""
+        """A slice of under four items is counted under
+        ``replay_totals()["block"]`` and matches the stepwise loop."""
         source = "waiti 1\ncw.i.i 0,1\nwaiti 2\ncw.i.i 0,2\nhalt"
         decoded.clear_decode_caches()
         decoded.reset_replay_totals()

@@ -152,9 +152,9 @@ def _fingerprint(system, stats):
 
 
 class TestInterpreters:
-    """Region-sync items reach the TCU through both replay shapes: a
-    slice of under four items is pushed item by item, a longer one
-    rides a ReplayBatch.  Both must match the reference interpreter."""
+    """Region-sync items reach the TCU from replayed slices of both
+    counted lengths: under four items (``block``) and four or more
+    (``vector``).  Both must match the reference interpreter."""
 
     @pytest.mark.parametrize("syncs,shape", [(3, "block"), (6, "vector")])
     @pytest.mark.parametrize("members", MEMBER_SETS)

@@ -88,6 +88,20 @@ FUZZ_REQUESTS = [
     ("list max_wait",
      b"POST /lease HTTP/1.1\r\nContent-Length: 32\r\n\r\n"
      b"{\"worker\": \"w\", \"max_wait\": [1]}", {400}),
+    # Python's JSON decoder reads NaN and +-Infinity as floats and true
+    # as a bool, so each arrives looking like a number.
+    ("nan max_wait",
+     b"POST /lease HTTP/1.1\r\nContent-Length: 32\r\n\r\n"
+     b"{\"worker\": \"w\", \"max_wait\": NaN}", {400}),
+    ("infinite max_wait",
+     b"POST /lease HTTP/1.1\r\nContent-Length: 37\r\n\r\n"
+     b"{\"worker\": \"w\", \"max_wait\": Infinity}", {400}),
+    ("negative infinite max_wait",
+     b"POST /lease HTTP/1.1\r\nContent-Length: 38\r\n\r\n"
+     b"{\"worker\": \"w\", \"max_wait\": -Infinity}", {400}),
+    ("bool pid",
+     b"POST /lease HTTP/1.1\r\nContent-Length: 28\r\n\r\n"
+     b"{\"worker\": \"w\", \"pid\": true}", {400}),
 ]
 
 

@@ -153,30 +153,70 @@ class TestPhaseBreakdown:
         assert status["phase_seconds"]["simulate"] == 0.5 * cells
         assert status["phase_seconds"]["total"] == 1.0 * cells
 
+    #: Timings a /complete must refuse.  The JSON decoder reads NaN and
+    #: +-Infinity as floats and true as a bool, none of which is a
+    #: duration that ``phase_seconds`` could add up.
+    BAD_TIMINGS = [
+        "not-a-dict",
+        {"total": float("nan")},
+        {"total": float("inf")},
+        {"total": float("-inf")},
+        {"compile": True},
+        {"total": -1.0},
+        {"total": "1.0"},
+        {"total": None},
+    ]
+
     def test_timings_optional_and_validated(self, tmp_path, tiny_spec):
         async def scenario():
             server = await _start(tmp_path)
             host, port = server.host, server.port
             try:
-                await http_request(
+                _, sub = await http_request(
                     host, port, "POST", "/submit",
                     SweepSubmission(spec=tiny_spec,
                                     name="plain").to_dict())
                 _, reply = await http_request(
                     host, port, "POST", "/lease", {"worker": "w0"})
                 job = reply["job"]
-                code, body = await http_request(
+                complete = {
+                    "worker": "w0", "key": job["key"],
+                    "lease": job["lease"],
+                    "result": run_cell(
+                        SweepTask.from_dict(job["task"])).to_dict()}
+                refused = [await http_request(
+                    host, port, "POST", "/complete",
+                    dict(complete, timings=timings))
+                    for timings in self.BAD_TIMINGS]
+                # Every refusal left the cell leased: a well-formed
+                # complete on the same lease lands on time.
+                accepted = await http_request(
+                    host, port, "POST", "/complete",
+                    dict(complete, timings={"compile": 0.5, "total": 1}))
+                _, reply = await http_request(
+                    host, port, "POST", "/lease", {"worker": "w0"})
+                job = reply["job"]
+                untimed = await http_request(
                     host, port, "POST", "/complete",
                     {"worker": "w0", "key": job["key"],
-                     "lease": job["lease"], "result": {},
-                     "timings": "not-a-dict"})
-                return code, body
+                     "lease": job["lease"],
+                     "result": run_cell(
+                         SweepTask.from_dict(job["task"])).to_dict()})
+                _, status = await http_request(
+                    host, port, "GET", "/status/{}".format(sub["id"]))
+                return refused, accepted, untimed, status
             finally:
                 await server.close()
 
-        code, body = asyncio.run(scenario())
-        assert code == 400
-        assert "timings must be an object" in body["error"]
+        refused, accepted, untimed, status = asyncio.run(scenario())
+        for timings, (code, body) in zip(self.BAD_TIMINGS, refused):
+            assert code == 400, timings
+            assert "timing" in body["error"], timings
+        assert "timings must be an object" in refused[0][1]["error"]
+        assert accepted == (200, {"ok": True, "late": False})
+        assert untimed == (200, {"ok": True, "late": False})
+        assert status["phase_seconds"] == {"compile": 0.5, "total": 1.0}
+        assert status["cells_timed"] == 1
 
 
 @pytest.mark.slow

@@ -4,7 +4,7 @@ CI installs ``requirements.txt`` and nothing else, so a test, benchmark
 or example that imports a package the manifest does not list fails to
 collect there even when it passes on a machine that happens to have the
 package.  Each top-level module imported under ``tests/``,
-``benchmarks/`` and ``examples/`` must therefore be the standard
+``benchmarks/``, ``examples/`` and ``ci/`` must therefore be the standard
 library, the ``repro`` package, one of the repo's own helper modules
 (``reference_core``, ``svc_util``, e2e's ``run``/``compare``/``layers``
 ...), or a name listed in ``requirements.txt``.
@@ -18,7 +18,7 @@ import sys
 import sysconfig
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TREES = ("tests", "benchmarks", "examples")
+TREES = ("tests", "benchmarks", "examples", "ci")
 
 
 #: Import names whose distribution (the name ``requirements.txt``
