@@ -8,13 +8,11 @@ Run after ``benchmarks/bench_hotpath.py`` has written
         python -m pytest -q benchmarks/bench_hotpath.py
     python -m pytest ci/perf_smoke -q
 
-The deterministic rows (cell count, identity flags, summed makespans,
-replay counters) must digest-match the checked-in baseline
+The deterministic rows (cell counts, identity flags, summed makespans,
+cache hit counts) must digest-match the checked-in baseline
 ``benchmarks/baselines/BENCH_hotpath_smoke.json``: any change to
-simulation results under either interpreter fails here, and so does
-replay that silently stops admitting long slices (the replay counters
-are part of the digested rows).  A missing artifact is a failure, not
-a skip.
+simulation results under either interpreter fails here.  A missing
+artifact is a failure, not a skip.
 """
 
 import os
@@ -41,9 +39,6 @@ def test_hotpath_matches_baseline():
     for tier in ("legacy", "vector"):
         row = rows["sweep_{}_scale_0.05".format(tier)]
         assert row["identical"] == 1, row
-    vector = rows["sweep_vector_scale_0.05"]
-    assert vector["vector_batches"] > 0, vector
-    assert vector["vector_items"] >= 4 * vector["vector_batches"]
     cc = rows["compile_cache_scale_0.05"]
     assert cc["identical"] == 1, cc
     assert cc["warm_misses"] == 0, cc

@@ -37,11 +37,7 @@ flat integer arrays:
   Step tuples are re-derived from the pool rather than stored.
 * ``idx`` + ``decs`` — each unique decode is a slice of one uint32 index
   array into the pool (programs that assemble identical binaries store
-  their decode once).
-* ``bheader`` + ``cols`` — every fast block's ``pos_cum``/``pushes``/
-  item columns concatenated into eight int64 columns; a warm load
-  slices them back and hands the columns straight to
-  :class:`~repro.isa.decoded.FastBlock` (no per-block array build).
+  their decode once), plus its ``has_recv`` flag.
 * ``meta`` — the small remaining ``CompilationResult`` fields, pickled
   as-is.  The circuit itself is **not stored**: the key guarantees the
   caller's circuit is content-identical, so :meth:`CompileCache.get`
@@ -61,8 +57,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..diskcache import PickleDirStore
-from ..isa.decoded import (DecodedProgram, FastBlock, _prime_decoded,
-                           _step_of, decode_program)
+from ..isa.decoded import (DecodedProgram, _prime_decoded, _step_of,
+                           decode_program)
 from ..isa.instructions import Instruction, interned
 from ..isa.program import Program
 from ..obs import metrics as _metrics
@@ -75,7 +71,7 @@ from .schemes import get_scheme, origin_module
 #: Bump whenever the payload layout, Program, DecodedProgram or the
 #: simulation semantics change incompatibly — old entries are keyed away
 #: instead of deserialized wrongly (the salt is part of the hash key).
-COMPILE_CACHE_VERSION = 2
+COMPILE_CACHE_VERSION = 3
 
 COMPILE_CACHE_HITS = _metrics.counter(
     "repro_compile_cache_hits_total",
@@ -212,15 +208,6 @@ def _encode(result: CompilationResult) -> dict:
     decs = []
     idx_chunks = []
     idx_total = 0
-    bheader = []
-    pos_col: list = []
-    push_col: list = []
-    kind_col: list = []
-    off_col: list = []
-    a_col: list = []
-    b_col: list = []
-    cwi_col: list = []
-    cwp_col: list = []
 
     def index_of(instr) -> int:
         j = pool_index.get(id(instr))
@@ -240,24 +227,7 @@ def _encode(result: CompilationResult) -> dict:
         dec_index[id(decoded)] = len(decs)
         chunk = np.fromiter(map(index_of, decoded.instructions),
                             dtype=np.uint32, count=decoded.n)
-        block_lo = len(bheader)
-        seen_blocks = set()
-        for block in decoded.fast_block:
-            if block is None or id(block) in seen_blocks:
-                continue
-            seen_blocks.add(id(block))
-            bheader.append((block.start, block.n, len(block.item_kinds),
-                            len(block.cw_idx)))
-            pos_col.extend(block.pos_cum)
-            push_col.extend(block.pushes)
-            kind_col.extend(block.item_kinds)
-            off_col.extend(block.item_off)
-            a_col.extend(block.item_a)
-            b_col.extend(block.item_b)
-            cwi_col.extend(block.cw_idx)
-            cwp_col.extend(block.cw_pushes)
-        decs.append((idx_total, idx_total + decoded.n, block_lo,
-                     len(bheader), decoded.has_recv))
+        decs.append((idx_total, idx_total + decoded.n, decoded.has_recv))
         idx_chunks.append(chunk)
         idx_total += decoded.n
     programs = {}
@@ -265,7 +235,6 @@ def _encode(result: CompilationResult) -> dict:
         decoded = decode_program(program)
         programs[address] = (program.name, program.labels,
                              dec_index[id(decoded)])
-    column = lambda values: np.array(values, dtype=np.int64)
     return {
         "version": COMPILE_CACHE_VERSION,
         "meta": {name: getattr(result, name) for name in _META_FIELDS},
@@ -276,10 +245,6 @@ def _encode(result: CompilationResult) -> dict:
                 else np.empty(0, dtype=np.uint32)),
         "decs": decs,
         "programs": programs,
-        "bheader": column(bheader).reshape(-1, 4),
-        "cols": tuple(column(values) for values in (
-            pos_col, push_col, kind_col, off_col, a_col, b_col,
-            cwi_col, cwp_col)),
     }
 
 
@@ -301,35 +266,16 @@ def _decode(payload: dict, circuit) -> CompilationResult:
     # interned repeats across cells.
     step_pool = [_step_of(instr) for instr in instr_pool]
 
-    (pos_col, push_col, kind_col, off_col, a_col, b_col, cwi_col,
-     cwp_col) = [column.tolist() for column in payload["cols"]]
-    blocks = []
-    p0 = k0 = c0 = 0
-    for start, n, n_items, n_cw in payload["bheader"].tolist():
-        p1 = p0 + n + 1
-        k1 = k0 + n_items
-        c1 = c0 + n_cw
-        blocks.append(FastBlock(
-            start, n, pos_col[p0:p1], push_col[p0:p1],
-            cwi_col[c0:c1], cwp_col[c0:c1], kind_col[k0:k1],
-            a_col[k0:k1], b_col[k0:k1], off_col[k0:k1]))
-        p0, k0, c0 = p1, k1, c1
-
     index_array = payload["idx"]
     get_instr = instr_pool.__getitem__
     get_step = step_pool.__getitem__
     dec_objs = []
     dec_keys = []
-    for idx_lo, idx_hi, block_lo, block_hi, has_recv in payload["decs"]:
+    for idx_lo, idx_hi, has_recv in payload["decs"]:
         indices = index_array[idx_lo:idx_hi].tolist()
         instructions = tuple(map(get_instr, indices))
-        fast_block: list = [None] * len(instructions)
-        for block in blocks[block_lo:block_hi]:
-            fast_block[block.start:block.start + block.n] = \
-                [block] * block.n
         dec_objs.append(DecodedProgram.from_artifact(
-            instructions, list(map(get_step, indices)), fast_block,
-            bool(has_recv)))
+            instructions, list(map(get_step, indices)), bool(has_recv)))
         dec_keys.append(tuple(map(id, instructions)))
 
     programs = {}

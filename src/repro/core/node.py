@@ -18,24 +18,22 @@ The core talks to the outside world through a *fabric* object provided by
 the system builder (:mod:`repro.sim.system`) with four methods:
 ``sync_signal``, ``send_booking``, ``send_message``, ``emit_codeword``.
 
-Fast path
----------
-Programs are pre-decoded (:mod:`repro.isa.decoded`) into dense opcode
-tuples plus *fast blocks*: maximal straight-line runs of deterministic
-timeline instructions.  The pipeline replays a fast block's precompiled
-item columns in bulk — an admitted slice extends the TCU queue with its
-``(position, kind, a, b)`` items in one call instead of a
-per-instruction fetch/decode/dispatch — and falls back to stepwise
-execution at branches, feedback receives, device interactions and
-whenever the TCU queue could fill.  Every item, replayed or pushed
-stepwise, has that one tuple shape (:mod:`repro.core.queues`), so the
-TCU loop reads, pops and issues it in one place.  Replay is engineered
-to be *exactly* equivalent to stepwise execution: same instruction
-counts per scheduler activation (so continuations land on the same
-cycles), same queue contents, same TELF traces, counters and stall
-accounting.  The per-instruction interpreter it must match is
-``ReferenceCore`` in ``tests/core/reference_core.py``; the differential
-suites run both.
+Pipeline loop
+-------------
+Programs are pre-decoded (:mod:`repro.isa.decoded`) into one dense
+``(opcode, rd, rs1, rs2, imm, imm2)`` tuple per instruction, and one
+loop dispatches on the opcode: up to ``batch_limit`` instructions per
+scheduler activation, pushing each timed item as a ``(position, kind,
+a, b)`` tuple (:mod:`repro.core.queues`), so the TCU loop reads, pops
+and issues every item in one place.  An activation ends early at a full
+codeword queue (the pipeline stalls until the TCU pops), at ``halt``,
+and at ``recv``: the receive registers with the MsgU at once, and a
+message that is already waiting, or arrives before the recv completes
+``cost + cpi`` cycles later, is held until that cycle.  Counters, TELF
+traces, stall accounting and makespans match the per-instruction
+interpreter ``ReferenceCore`` in ``tests/core/reference_core.py``,
+which schedules its receive as an event; the differential suites run
+both.
 """
 
 from __future__ import annotations
@@ -44,8 +42,7 @@ from typing import Optional
 
 from ..errors import ExecutionError, TimingViolation
 from ..isa.decoded import (ITEM_CW, ITEM_RESYNC, ITEM_SEND, ITEM_SYNC_N,
-                           ITEM_SYNC_R, REPLAY_BLOCK, REPLAY_VECTOR,
-                           REPLAY_VECTOR_ITEMS)
+                           ITEM_SYNC_R)
 from ..isa.decoded import (CW_OPS, OP_ADD, OP_ADDI, OP_AND, OP_ANDI,
                            OP_AUIPC, OP_BEQ, OP_BGE, OP_BGEU, OP_BLT,
                            OP_BLTU, OP_BNE, OP_CW_II, OP_CW_IR, OP_CW_RI,
@@ -98,18 +95,16 @@ class HISQCore:
         #: creation; a subclass's override is what gets bound).
         self._pipeline_entry = self._pipeline_run
         self._tcu_loop_cb = self._tcu_loop
-        self._do_recv_cb = self._do_recv_pending
         self._delivered_cb = self._delivered
         self.load(program or Program(name=name))
 
     def _refresh_fast_ctx(self) -> None:
-        """Pre-assemble the fast interpreter's per-activation constants."""
+        """Pre-assemble the pipeline loop's per-activation constants."""
         decoded = self._decoded
         queue = self._queue
         self._fast_ctx = (
-            decoded.steps, decoded.n, decoded.fast_block, _IS_CW,
-            self.config.classical_cpi, self.config.batch_limit,
-            queue, queue._items, queue.push, queue.depth)
+            decoded.steps, decoded.n, _IS_CW, self.config.classical_cpi,
+            self.config.batch_limit, queue._items, queue.push, queue.depth)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -141,6 +136,9 @@ class HISQCore:
         self._started = False
         self._recv_rd = 0
         self._recv_src = 0
+        #: Cycle the outstanding recv completes; a message that reaches
+        #: the MsgU earlier is held until then (:meth:`_delivered`).
+        self._recv_ready = 0
 
         # Statistics.
         self.instructions_executed = 0
@@ -204,19 +202,17 @@ class HISQCore:
     # ------------------------------------------------------------------
 
     def _pipeline_run(self) -> None:
-        """Decoded interpreter with basic-block fast-forward.
+        """Decoded interpreter: one activation of the classical pipeline.
 
-        Byte-identical to the per-instruction reference in every observable
-        (queue contents, counters, TELF, continuation timing): the loop
-        consumes the same per-activation instruction budget, and block
-        replay is only admitted when stepwise execution could not have
-        stalled inside the replayed slice (see
-        :meth:`repro.isa.decoded.FastBlock.replay_end`).
+        Consumes the same per-activation instruction budget as the
+        per-instruction reference, so continuations land on the same
+        cycles and every observable (queue contents, counters, TELF,
+        continuation timing) is byte-identical to it.
         """
         if self._halted or self._pipeline_blocked:
             return
-        (steps, nsteps, fast_block, is_cw, cpi, budget,
-         queue, items, push_item, depth) = self._fast_ctx
+        (steps, nsteps, is_cw, cpi, budget, items, push_item,
+         depth) = self._fast_ctx
         regs = self.regs
         engine = self.engine
         pc = self.pc
@@ -231,51 +227,6 @@ class HISQCore:
                 self.instructions_executed += executed
                 self._tcu_kick()
                 return
-            block = fast_block[pc]
-            if block is not None:
-                j = pc - block.start
-                free = depth - len(items)
-                pushes_j = block.pushes[j]
-                # Whole-tail admission with one comparison; partial
-                # replays go through the bisect-based replay_end.
-                if budget >= block.n - j and \
-                        block.cw_last - pushes_j < free:
-                    e = block.n
-                else:
-                    e = block.replay_end(j, budget, free)
-                if e > j:
-                    lo = pushes_j
-                    hi = block.pushes[e]
-                    base = position - block.pos_cum[j]
-                    k = hi - lo
-                    if k:
-                        off = block.item_off
-                        kinds = block.item_kinds
-                        a_col = block.item_a
-                        b_col = block.item_b
-                        items.extend([(base + off[i], kinds[i], a_col[i],
-                                       b_col[i]) for i in range(lo, hi)])
-                        if k >= 4:
-                            REPLAY_VECTOR.value += 1
-                            REPLAY_VECTOR_ITEMS.value += k
-                        else:
-                            REPLAY_BLOCK.value += 1
-                        if len(items) > queue.high_water:
-                            queue.high_water = len(items)
-                    consumed = e - j
-                    pc += consumed
-                    position = base + block.pos_cum[e]
-                    executed += consumed
-                    cost += consumed * cpi
-                    budget -= consumed
-                    if k:
-                        self.pc = pc
-                        self.position = position
-                        self._tcu_kick()
-                    continue
-                # else: the next codeword cannot fit — execute it stepwise
-                # below, which re-checks the live queue and stalls exactly
-                # like the per-instruction reference.
             op, rd, rs1, rs2, imm, imm2 = steps[pc]
             if is_cw[op] and len(items) >= depth:
                 self.pc = pc
@@ -296,16 +247,19 @@ class HISQCore:
             if op == OP_RECV:
                 # Only one receive can be outstanding (the pipeline blocks
                 # on it), so the operands ride on the core instead of a
-                # fresh closure per recv.
+                # fresh closure per recv.  The recv completes after the
+                # activation's accumulated cost plus its own cycle; it
+                # registers with the MsgU now, and _delivered holds an
+                # earlier message until then.
                 self._recv_rd = rd
                 self._recv_src = imm
-                engine.after(cost + cpi, self._do_recv_cb)
+                self._recv_ready = engine.now + cost + cpi
                 self.pc = pc + 1
                 self.position = position
                 self.instructions_executed += executed + 1
                 self._pipeline_blocked = True
+                self.message_unit.receive(imm, self._delivered_cb)
                 return
-            # -- stepwise decoded execution --------------------------------
             next_pc = pc + 1
             if op == OP_WAITI:
                 position += imm
@@ -452,12 +406,16 @@ class HISQCore:
         self.instructions_executed += executed
         engine.after(max(cost, 1), self._pipeline_entry)
 
-    def _do_recv_pending(self) -> None:
-        """Prebound continuation of a scheduled recv (operands on self)."""
-        self.message_unit.receive(self._recv_src, self._delivered_cb)
-
     def _delivered(self, source, value) -> None:
-        """A blocked receive's message arrived: write back and resync."""
+        """A blocked receive's message arrived: write back and resync.
+
+        A message that was already waiting when the recv executed, or
+        that arrives before the recv completes, is held until the
+        recv's completion cycle and handled then."""
+        if self.engine.now < self._recv_ready:
+            self.engine.at(self._recv_ready,
+                           lambda: self._delivered(source, value))
+            return
         self.regs.write(self._recv_rd, value)
         # External trigger: the TCU timer may not pass the current
         # position before the trigger arrival plus re-arm latency.

@@ -5,8 +5,7 @@ The pipeline runs ahead of real time and enqueues items tagged with their
 (QuMA-style queue-based event timing, paper section 3.2).
 
 Every item is one plain tuple ``(position, kind, a, b)``.  ``kind`` is an
-``ITEM_*`` constant of :mod:`repro.isa.decoded`, whose fast blocks store
-the same kinds in their item columns:
+``ITEM_*`` constant of :mod:`repro.isa.decoded`:
 
 ``ITEM_CW``
     Send codeword ``b`` to port ``a``.
@@ -36,10 +35,9 @@ from typing import Callable, Optional
 class ItemQueue:
     """Bounded FIFO between pipeline and TCU with a stall callback.
 
-    The pipeline appends to the deque ``_items`` (one item per
-    :meth:`push`, a replayed fast-block slice per ``extend``) and the TCU
-    loop pops its head, waking the registered space-waiter once the queue
-    drops below ``depth``.
+    The pipeline appends to the deque ``_items`` through :meth:`push`
+    and the TCU loop pops its head, waking the registered space-waiter
+    once the queue drops below ``depth``.
     """
 
     def __init__(self, depth: int):
@@ -51,8 +49,7 @@ class ItemQueue:
         """Empty the queue and zero its tallies.  The deque is cleared in
         place: the fast interpreter holds a reference to it."""
         self._items.clear()
-        #: Longest the queue has been after a push (observability; the
-        #: fast interpreter also updates it after each replayed slice).
+        #: Longest the queue has been after a push (observability).
         self.high_water = 0
         self._space_waiter: Optional[Callable[[], None]] = None
 

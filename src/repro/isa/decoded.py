@@ -1,18 +1,11 @@
-"""HISQ pre-decode: dense operand tuples plus basic-block fast-forward data.
+"""HISQ pre-decode: one dense operand tuple per instruction.
 
 Executing a compiled :class:`~repro.isa.program.Program` instruction by
 instruction pays a Python dispatch (mnemonic string compares, dataclass
 attribute loads) per instruction per shot.  This module decodes a program
-*once* into
-
-* ``steps`` — one ``(opcode, rd, rs1, rs2, imm, imm2)`` tuple per
-  instruction, with integer opcodes, for table-driven stepwise execution,
-  and
-* *fast blocks* — maximal straight-line runs of deterministic, register-free
-  timeline instructions (``nop``/``waiti``/``cw.i.i``/``sync``/``send.i``)
-  precompiled into position-offset item templates, which the core's
-  fast-forward path replays in bulk instead of dispatching per instruction
-  (classic trace pre-decode from sampled architecture simulation).
+*once* into ``steps`` — one ``(opcode, rd, rs1, rs2, imm, imm2)`` tuple
+per instruction, with integer opcodes — which the HISQ core's pipeline
+loop (:meth:`repro.core.node.HISQCore._pipeline_run`) dispatches on.
 
 Decodes are cached and shared: per :class:`Program` *object* (the common
 case — every extra shot reloads the same compiled binaries) and per
@@ -24,9 +17,8 @@ id-based content keys safe against id reuse.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..obs import metrics as _metrics
 
@@ -96,96 +88,14 @@ OPCODES: Dict[str, int] = {
 #: pipelines stall on these when the queue is full).
 CW_OPS = frozenset((OP_CW_II, OP_CW_IR, OP_CW_RI, OP_CW_RR))
 
-#: Instructions eligible for fast-forward replay: deterministic effect on
-#: (position, TCU queue) only — no registers, memory, branches or blocking.
-_FAST_OPS = frozenset((OP_WAITI, OP_CW_II, OP_SYNC, OP_SEND_I, OP_NOP))
-_IS_FAST = [op in _FAST_OPS for op in range(64)]
-
-#: Minimum run length worth the replay-entry overhead.
-MIN_FAST_BLOCK = 4
-
-#: Kinds of TCU item, in fast-block item columns and in the
-#: ``(position, kind, a, b)`` tuples of the TCU queue
-#: (:mod:`repro.core.queues` documents each kind's ``a`` and ``b``).
-#: Only the first four occur inside a fast block.
+#: Kinds of TCU item, the ``kind`` of the ``(position, kind, a, b)``
+#: tuples in the TCU queue (:mod:`repro.core.queues` documents each
+#: kind's ``a`` and ``b``).
 ITEM_CW = 0
 ITEM_SYNC_N = 1
 ITEM_SYNC_R = 2
 ITEM_SEND = 3
 ITEM_RESYNC = 4
-
-
-class FastBlock:
-    """Precompiled replay data for one straight-line fast run.
-
-    All arrays are indexed by the instruction's offset inside the block:
-
-    ``pos_cum[i]``
-        Timeline-position advance accumulated *before* instruction ``i``
-        (``pos_cum[n]`` is the whole block's advance).
-    ``pushes[i]``
-        Number of TCU items among the first ``i`` instructions — doubles
-        as the index into the item columns for slicing.
-    ``item_kinds`` / ``item_off`` / ``item_a`` / ``item_b``
-        One TCU item per item-pushing instruction, in program order, as
-        structure-of-arrays columns: its kind (``ITEM_*``), its position
-        offset inside the block and its two operands.  The executor
-        admits a slice and extends the TCU queue with one
-        ``(entry position + offset, kind, a, b)`` tuple per item of the
-        slice — the same items stepwise execution would push one by one.
-    ``cw_idx`` / ``cw_pushes``
-        Offsets of codeword instructions and their ``pushes`` values, for
-        the queue-space admission check (only ``cw.*`` stalls on a full
-        queue; ``sync``/``send.i`` push unconditionally).
-    """
-
-    __slots__ = ("start", "n", "pos_cum", "pushes", "cw_idx", "cw_pushes",
-                 "cw_last", "item_kinds", "item_a", "item_b", "item_off")
-
-    def __init__(self, start: int, n: int, pos_cum: List[int],
-                 pushes: List[int], cw_idx: List[int], cw_pushes: List[int],
-                 item_kinds: List[int], item_a: List[int],
-                 item_b: List[int], item_off: List[int]):
-        self.start = start
-        self.n = n
-        self.pos_cum = pos_cum
-        self.pushes = pushes
-        self.cw_idx = cw_idx
-        self.cw_pushes = cw_pushes
-        #: Highest ``pushes`` value among codeword instructions (-1 if the
-        #: block has none): lets the executor admit a whole block with one
-        #: comparison instead of a bisect.
-        self.cw_last = cw_pushes[-1] if cw_pushes else -1
-        self.item_kinds = item_kinds
-        self.item_a = item_a
-        self.item_b = item_b
-        self.item_off = item_off
-
-    def replay_end(self, start: int, budget: int, free: int) -> int:
-        """Largest offset ``e`` such that replaying ``[start, e)`` is
-        *exactly* equivalent to stepwise execution.
-
-        ``budget`` is the remaining instruction budget of this scheduler
-        activation; ``free`` is the TCU queue's free space right now.  The
-        admission rule is conservative (it ignores TCU pops that stepwise
-        execution might interleave): every codeword instruction in the
-        slice must find the queue non-full even if nothing is popped
-        meanwhile.  Falling short just means the tail executes stepwise,
-        which re-checks the live queue state per instruction.
-        """
-        e = start + budget
-        if e > self.n:
-            e = self.n
-        cw_idx = self.cw_idx
-        if cw_idx:
-            lo = bisect_left(cw_idx, start)
-            hi = bisect_left(cw_idx, e)
-            if lo < hi:
-                threshold = self.pushes[start] + free - 1
-                if self.cw_pushes[hi - 1] > threshold:
-                    k = bisect_right(self.cw_pushes, threshold, lo, hi)
-                    e = cw_idx[k]
-        return e
 
 
 #: id(instruction) -> (instruction, step tuple).  Compiled programs are
@@ -213,44 +123,20 @@ class DecodedProgram:
     """Dense decoded form of one HISQ program.
 
     Programs with equal content share one instance, so it holds program
-    content only; how often its fast blocks replay is counted process
-    wide (:func:`replay_totals`).
+    content only.
     """
 
-    __slots__ = ("instructions", "n", "steps", "fast_block", "has_recv")
+    __slots__ = ("instructions", "n", "steps", "has_recv")
 
     def __init__(self, instructions: Tuple):
         self.instructions = instructions  # strong ref (pins content ids)
-        n = len(instructions)
-        self.n = n
+        self.n = len(instructions)
         # Decode via the per-object step memo (bulk map + listcomp; the
-        # interner makes repeats hit), then scan the opcode column for
-        # fast runs — replay arrays are only built for runs that qualify.
+        # interner makes repeats hit).
         entries = list(map(_step_memo.get, map(id, instructions)))
         steps = [entry[1] if entry is not None else _step_of(instr)
                  for entry, instr in zip(entries, instructions)]
         self.steps = steps
-        is_fast = _IS_FAST
-        flags = [is_fast[step[0]] for step in steps]
-        fast_block: List[Optional[FastBlock]] = [None] * n
-        runs = []
-        run_start = -1
-        index = 0
-        for flag in flags:
-            if flag:
-                if run_start < 0:
-                    run_start = index
-            elif run_start >= 0:
-                if index - run_start >= MIN_FAST_BLOCK:
-                    runs.append((run_start, index))
-                run_start = -1
-            index += 1
-        if run_start >= 0 and index - run_start >= MIN_FAST_BLOCK:
-            runs.append((run_start, index))
-        for start, end in runs:
-            block = self._build_block(steps, start, end)
-            fast_block[start:end] = [block] * (end - start)
-        self.fast_block = fast_block
         #: Whether any instruction blocks on a message receive — programs
         #: without one have device-seed-independent timing, which is what
         #: lane fast-forward (:mod:`repro.sim.lanes`) keys on.
@@ -258,52 +144,18 @@ class DecodedProgram:
 
     @classmethod
     def from_artifact(cls, instructions: Tuple, steps: List[tuple],
-                      fast_block: List[Optional[FastBlock]],
                       has_recv: bool) -> "DecodedProgram":
         """Assemble a decoded program from already-decoded parts.
 
-        Used by the persistent compile cache's warm load, which stores
-        ``steps``/``fast_block`` explicitly and must not re-run
+        Used by the persistent compile cache's warm load, which derives
+        ``steps`` from its instruction pool and must not re-run
         ``__init__``'s decode pass."""
         decoded = cls.__new__(cls)
         decoded.instructions = instructions
         decoded.n = len(instructions)
         decoded.steps = steps
-        decoded.fast_block = fast_block
         decoded.has_recv = has_recv
         return decoded
-
-    @staticmethod
-    def _build_block(steps, start: int, end: int) -> FastBlock:
-        position = 0
-        pos_cum = [0]
-        pushes = [0]
-        kinds: List[int] = []
-        offsets: List[int] = []
-        a_col: List[int] = []
-        b_col: List[int] = []
-        cw_idx: List[int] = []
-        cw_pushes: List[int] = []
-        for offset, pc in enumerate(range(start, end)):
-            op, _, _, _, imm, imm2 = steps[pc]
-            if op == OP_WAITI:
-                position += imm
-            elif op != OP_NOP:
-                if op == OP_CW_II:
-                    cw_idx.append(offset)
-                    cw_pushes.append(len(kinds))
-                    kinds.append(ITEM_CW)
-                elif op == OP_SYNC:
-                    kinds.append(ITEM_SYNC_R if imm2 else ITEM_SYNC_N)
-                else:  # OP_SEND_I
-                    kinds.append(ITEM_SEND)
-                offsets.append(position)
-                a_col.append(imm)
-                b_col.append(imm2)
-            pos_cum.append(position)
-            pushes.append(len(kinds))
-        return FastBlock(start, end - start, pos_cum, pushes, cw_idx,
-                         cw_pushes, kinds, a_col, b_col, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -395,36 +247,15 @@ def decode_cache_stats() -> Dict[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Replay accounting.
+# Retired replay accounting.
 # ---------------------------------------------------------------------------
-
-#: Process-wide replay counters, bumped by the HISQ interpreter
-#: (:class:`~repro.core.node.HISQCore`).  ``vector`` counts admitted
-#: slices of four or more items, ``vector_items`` the items in them, and
-#: ``block`` the shorter slices; every slice enters the TCU queue the
-#: same way, so the four-item threshold only labels the counts.  These
-#: live in the observability registry but are always on: the perf-smoke
-#: digest gate, the benchmark ledger and the fast-forward tests read
-#: them through :func:`replay_totals`.
-REPLAY_VECTOR = _metrics.counter(
-    "repro_replay_vector_batches_total",
-    "admitted fast-block slices of four or more TCU items")
-REPLAY_VECTOR_ITEMS = _metrics.counter(
-    "repro_replay_vector_items_total",
-    "TCU items in admitted fast-block slices of four or more items")
-REPLAY_BLOCK = _metrics.counter(
-    "repro_replay_block_batches_total",
-    "admitted fast-block slices of one to three TCU items")
 
 
 def replay_totals() -> Dict[str, int]:
-    """Copy of the process-wide replay counters."""
-    return {"vector": REPLAY_VECTOR.value, "block": REPLAY_BLOCK.value,
-            "vector_items": REPLAY_VECTOR_ITEMS.value}
+    """Zeros in the shape of the retired fast-block replay counters.
 
-
-def reset_replay_totals() -> None:
-    """Zero the process-wide replay counters (benchmarks, tests)."""
-    REPLAY_VECTOR.value = 0
-    REPLAY_BLOCK.value = 0
-    REPLAY_VECTOR_ITEMS.value = 0
+    The HISQ core has one pipeline loop and replays no fast blocks, so
+    every count is 0.  Kept only because the end-to-end benchmark's
+    ledger (``benchmarks/e2e/layers.py``) imports it; ROADMAP item 1,
+    the benchmark change that re-records the ledger, drops it."""
+    return {"vector": 0, "block": 0, "vector_items": 0}

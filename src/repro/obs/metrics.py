@@ -4,14 +4,11 @@ The observability layer's bookkeeping pillar.  Instruments are created
 once (module import time, usually) via the get-or-create constructors
 :func:`counter` / :func:`gauge` / :func:`histogram` and then mutated
 directly — a :class:`Counter` increment is one attribute add on a
-``__slots__`` object, cheap enough for the simulator's admission-batch
-granularity (never per event or per queue item).
+``__slots__`` object, cheap enough to bump once per decode or simulated
+run (never per event or per queue item).
 
-One cost tier: every instrument is always live.  Counters and gauges
-replace what used to be ad-hoc module globals
-(``isa.decoded._REPLAY_TOTALS``, ``sim.lanes._LANE_TOTALS``, the
-sweep-cache hit tallies) and several CI gates read them; their cost is
-an integer add.  The simulator and compiler record no wall-clock here:
+One cost tier: every instrument is always live, several CI gates read
+counters and gauges, and their cost is an integer add.  The simulator and compiler record no wall-clock here:
 where their time goes is what :mod:`repro.obs.trace` spans show, and
 the one histogram (the service's lease latency) is observed off the
 hot path.

@@ -267,12 +267,17 @@ class ServiceServer:
                 return 200, {"job": await self._lease(worker, max_wait,
                                                       pid)}
             if parts == ["complete"]:
+                stored = body.get("stored", False)
+                if not isinstance(stored, bool):
+                    raise _BadRequest(
+                        "field 'stored' must be a bool, got {!r}".format(
+                            stored))
                 return 200, scheduler.complete(
                     _field(body, "worker", str),
                     _field(body, "key", str),
                     _field(body, "lease", str),
                     result=body.get("result"),
-                    stored=bool(body.get("stored", False)),
+                    stored=stored,
                     timings=body.get("timings"))
             if parts == ["fail"]:
                 return 200, scheduler.fail(
@@ -285,7 +290,7 @@ class ServiceServer:
                     _field(body, "worker", str),
                     _field(body, "key", str),
                     _field(body, "lease", str),
-                    reason=str(body.get("reason", "")))
+                    reason=_field(body, "reason", str, ""))
             if parts == ["heartbeat"]:
                 return 200, scheduler.heartbeat(
                     _field(body, "worker", str),

@@ -106,18 +106,13 @@ class TestRoundTrip:
             misses_after_load  # pins served every lookup
 
 
-#: Every FastBlock slot the executor reads.
-_BLOCK_SLOTS = ("start", "n", "pos_cum", "pushes", "cw_idx", "cw_pushes",
-                "cw_last", "item_kinds", "item_a", "item_b", "item_off")
-
-
-class TestWarmBlocks:
-    """A warm load rebuilds every fast block from the stored columns; it
-    must equal a fresh decode of the same instructions slot for slot."""
+class TestWarmDecode:
+    """A warm load rebuilds every decode from the stored pool and index
+    slices; it must equal a fresh decode of the same instructions."""
 
     @pytest.mark.parametrize("scheme", scheme_registry.scheme_names())
     @pytest.mark.parametrize("workload", ("bv_n400", "repetition_d25"))
-    def test_blocks_match_fresh_decode(self, workload, scheme, tmp_path):
+    def test_decode_matches_fresh_decode(self, workload, scheme, tmp_path):
         spec = registry.get_workload(workload).spec(0.04, 0.25)
         circuit = spec.circuit()
         cache = CompileCache(str(tmp_path))
@@ -128,22 +123,15 @@ class TestWarmBlocks:
         warm = cached_compile(circuit, scheme=scheme,
                               mesh_kind=spec.mesh_kind, cache=cache)
         assert _delta(before) == {"hits": 1, "misses": 0}
-        blocks = 0
+        recvs = 0
         for program in warm.programs.values():
             loaded = decoded.decode_program(program)
             fresh = decoded.DecodedProgram(tuple(program.instructions))
             assert loaded is not fresh
-            assert (loaded.steps, loaded.has_recv) == \
-                (fresh.steps, fresh.has_recv)
-            for pc, (got, want) in enumerate(zip(loaded.fast_block,
-                                                 fresh.fast_block)):
-                assert (got is None) == (want is None), pc
-                if got is None or got.start != pc:
-                    continue
-                blocks += 1
-                for slot in _BLOCK_SLOTS:
-                    assert getattr(got, slot) == getattr(want, slot), slot
-        assert blocks > 0
+            assert (loaded.n, loaded.steps, loaded.has_recv) == \
+                (fresh.n, fresh.steps, fresh.has_recv)
+            recvs += loaded.has_recv
+        assert recvs > 0
 
 
 class TestIntegrity:

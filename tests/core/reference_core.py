@@ -1,14 +1,15 @@
-"""Stepwise HISQ interpreter: the reference for the decoded fast path.
+"""Stepwise HISQ interpreter: the reference for the decoded pipeline.
 
 :class:`ReferenceCore` runs the classical pipeline one
 :class:`~repro.isa.instructions.Instruction` at a time, dispatching on
-its mnemonic, with no pre-decode and no fast-block replay: each timed
-instruction pushes its own ``(position, kind, a, b)`` item
-(:mod:`repro.core.queues`).  A received message always re-arms the TCU
-timer through a queued ``ITEM_RESYNC`` item.  Everything else — the TCU
-loop, sync booking, MsgU delivery, counters and TELF — is inherited from
-:class:`~repro.core.node.HISQCore`, so a differential test compares
-exactly the interpreter and nothing more.
+its mnemonic, with no pre-decode: each timed instruction pushes its own
+``(position, kind, a, b)`` item (:mod:`repro.core.queues`).  A ``recv``
+schedules an engine event for the cycle it completes, and that event
+registers the receive with the MsgU; a received message always re-arms
+the TCU timer through a queued ``ITEM_RESYNC`` item.  Everything else —
+the TCU loop, sync booking, MsgU delivery, counters and TELF — is
+inherited from :class:`~repro.core.node.HISQCore`, so a differential
+test compares exactly the interpreter and nothing more.
 
 Bare cores are built directly (``ReferenceCore(name, address, engine,
 telf)``); a whole system runs on it with

@@ -1,16 +1,16 @@
-"""Fast-forward vs stepwise differential suite.
+"""Decoded pipeline vs stepwise reference differential suite.
 
-The pre-decoded fast path (basic-block replay in
-:meth:`repro.core.node.HISQCore._pipeline_run`, which extends the TCU
-queue with an admitted slice's ``(position, kind, a, b)`` items in one
-call) must be *exactly* equivalent to
+The decoded pipeline loop (:meth:`repro.core.node.HISQCore._pipeline_run`,
+which dispatches on pre-decoded opcode tuples and registers a ``recv``
+with the MsgU as soon as it executes) must be *exactly* equivalent to
 the per-instruction interpreter: same makespans, same per-core counters,
 same TELF traces, same stall accounting — across every registered
-synchronization scheme, a sample of registry workloads, and randomized
-ISA programs.  :class:`reference_core.ReferenceCore` is that stepwise
-interpreter, the reference behavior here; every reference run checks
-that no fast block replayed.  Lane-parallel multishot is checked against
-a fresh simulation per shot at the end.
+synchronization scheme, a sample of registry workloads, randomized ISA
+programs, and messages that reach a receiver before, on and after the
+cycle its ``recv`` completes.  :class:`reference_core.ReferenceCore` is
+that stepwise interpreter, the reference behavior here; it schedules
+each receive as an engine event.  Lane-parallel multishot is checked
+against a fresh simulation per shot at the end.
 """
 
 import random
@@ -21,21 +21,19 @@ import repro.sim.system
 from repro.compiler import schemes as scheme_registry
 from repro.compiler.driver import (run_circuit, shot_device_seed,
                                    simulate_shot)
-from repro.core.config import CoreConfig
+from repro.core.config import ANY_SOURCE, CENTRAL_ADDRESS, CoreConfig
+from repro.core.message_unit import MessageUnit
 from repro.core.node import HISQCore
 from repro.harness import registry
 from repro.isa import decoded
 from repro.isa.assembler import assemble
 from repro.isa.decoded import decode_program
-from repro.sim import lanes
+from repro.sim import ControlSystem, lanes
 from repro.sim.engine import Engine
 from repro.sim.telf import TelfLog
 from repro.testing import random_clifford_circuit
 
 from reference_core import ReferenceCore
-
-#: replay_totals() of a run that replayed no fast block.
-NO_REPLAY = {"vector": 0, "block": 0, "vector_items": 0}
 
 
 def _fingerprint(result):
@@ -54,14 +52,11 @@ def _fingerprint(result):
 
 
 def _run(circuit, scheme, monkeypatch, reference, **kwargs):
-    decoded.reset_replay_totals()
     with monkeypatch.context() as patch:
         if reference:
             patch.setattr(repro.sim.system, "HISQCore", ReferenceCore)
         result = run_circuit(circuit, scheme=scheme, backend=None,
                              record_gate_log=False, **kwargs)
-    if reference:
-        assert decoded.replay_totals() == NO_REPLAY
     return _fingerprint(result)
 
 
@@ -140,11 +135,8 @@ def _run_bare(source: str, reference: bool, depth: int = 1024):
     core = core_class("c0", 0, engine, telf,
                       config=CoreConfig(event_queue_depth=depth))
     core.load(assemble(source))
-    replays = decoded.replay_totals()
     core.start()
     engine.run(until=2_000_000)
-    if reference:
-        assert decoded.replay_totals() == replays
     return {
         "counters": core.counters(),
         "regs": core.regs.snapshot(),
@@ -159,8 +151,8 @@ def _run_bare(source: str, reference: bool, depth: int = 1024):
 
 
 def _emission_program(seed: int) -> str:
-    """Randomized program biased toward long emission runs, so replay
-    batches actually form (and tiny queues must split them)."""
+    """Randomized program biased toward long emission runs, which
+    tiny queues must split with pipeline stalls."""
     rng = random.Random(seed)
     lines = []
     lines.append("addi $1,$0,{}".format(rng.randint(1, 5)))
@@ -186,9 +178,9 @@ def _emission_program(seed: int) -> str:
 
 
 def _short_slice_program(seed: int) -> str:
-    """Randomized program whose fast blocks carry one to three codewords
-    each (padded to block length with waits and nops, and split by ALU
-    work), so every admitted slice takes the per-item path."""
+    """Randomized program of short timeline runs carrying one to three
+    codewords each (padded with waits and nops, and split by ALU
+    work)."""
     rng = random.Random(seed)
     lines = ["addi $1,$0,{}".format(rng.randint(1, 4))]
     for _ in range(rng.randint(3, 12)):
@@ -228,7 +220,7 @@ class TestRandomProgramProperty:
 
     def test_burst_emissions_tiny_queue(self):
         """Back-to-back codewords through a depth-2 queue stall the
-        pipeline; the replay admission logic must fall back exactly."""
+        pipeline at exactly the reference's instructions."""
         lines = []
         for i in range(40):
             lines.append("cw.i.i 0,{}".format(i + 1))
@@ -244,9 +236,8 @@ class TestRandomProgramProperty:
     @pytest.mark.parametrize("depth", (2, 1024))
     @pytest.mark.parametrize("seed", range(15))
     def test_emission_runs(self, seed, depth):
-        """Long emission runs replay as batches; depth-2 queues force
-        replay admission to split them and the pipeline to stall, and
-        accounting must still agree."""
+        """Long emission runs; depth-2 queues force the pipeline to
+        stall inside them, and accounting must still agree."""
         source = _emission_program(2000 + seed)
         fast = _run_bare(source, reference=False, depth=depth)
         slow = _run_bare(source, reference=True, depth=depth)
@@ -255,74 +246,31 @@ class TestRandomProgramProperty:
     @pytest.mark.parametrize("depth", (2, 1024))
     @pytest.mark.parametrize("seed", range(8))
     def test_short_slices(self, seed, depth):
-        """Blocks carrying one to three codewords replay as slices of
-        under four items, counted under ``block``."""
+        """Short timeline runs split by ALU work."""
         source = _short_slice_program(3000 + seed)
-        decoded.reset_replay_totals()
         fast = _run_bare(source, reference=False, depth=depth)
-        totals = decoded.replay_totals()
-        assert totals["block"] > 0
-        assert totals["vector"] == totals["vector_items"] == 0
         slow = _run_bare(source, reference=True, depth=depth)
         assert fast == slow
 
 
-class TestBatchedReplay:
-    """The fast path must really replay long slices, not quietly fall
-    back to stepwise execution."""
+class TestPinnedGrid:
+    """Deterministic work counts of a small grid, pinned exactly."""
 
-    def test_workload_replay_batches(self):
-        """The CI perf-smoke assertion, in miniature."""
-        spec = registry.get_workload("bv_n400").spec(0.04, 0.25)
-        decoded.clear_decode_caches()
-        decoded.reset_replay_totals()
-        run_circuit(spec.circuit(), scheme="bisp", backend=None,
-                    record_gate_log=False, mesh_kind=spec.mesh_kind)
-        totals = decoded.replay_totals()
-        assert totals["vector"] > 0
-        assert totals["vector_items"] >= 4 * totals["vector"]
+    def test_events_and_makespans_pinned(self, monkeypatch):
+        """Summed engine events and makespans of every scheme on two
+        registry workloads at scale 0.05, plus one 4-shot recv-bearing
+        cell whose lanes all replay.  A change that adds or drops engine
+        events moves the count even when every timing still agrees with
+        the stepwise reference."""
+        events = []
+        run = ControlSystem.run
 
-    def test_deep_queue_forms_batches(self):
-        """With a roomy queue the emission programs replay long slices
-        (otherwise the tiny-queue differential proves nothing)."""
-        decoded.reset_replay_totals()
-        _run_bare(_emission_program(3), reference=False)
-        assert decoded.replay_totals()["vector"] > 0
+        def counted_run(system, *args, **kwargs):
+            stats = run(system, *args, **kwargs)
+            events.append(stats.events_processed)
+            return stats
 
-    def test_per_program_counters(self):
-        """One program's run moves the process-wide replay counters."""
-        decoded.clear_decode_caches()
-        source = "\n".join(["waiti 3\ncw.i.i 0,{}".format(i + 1)
-                            for i in range(8)]) + "\nhalt"
-        engine = Engine()
-        core = HISQCore("c0", 0, engine, TelfLog())
-        core.load(assemble(source))
-        before = decoded.replay_totals()
-        core.start()
-        engine.run(until=100_000)
-        after = decoded.replay_totals()
-        assert after["vector"] - before["vector"] > 0
-        assert after["vector_items"] - before["vector_items"] > 0
-        assert core.counters()["codewords"] == 8
-
-    def test_short_slice_pushes_items(self):
-        """A slice of under four items is counted under
-        ``replay_totals()["block"]`` and matches the stepwise loop."""
-        source = "waiti 1\ncw.i.i 0,1\nwaiti 2\ncw.i.i 0,2\nhalt"
-        decoded.clear_decode_caches()
-        decoded.reset_replay_totals()
-        fast = _run_bare(source, reference=False)
-        assert decoded.replay_totals() == {"vector": 0, "block": 1,
-                                           "vector_items": 0}
-        assert fast == _run_bare(source, reference=True)
-
-    def test_replay_counts_pinned(self):
-        """Exact replay counts and summed makespans of a small grid: every
-        scheme on two registry workloads at scale 0.05, plus one 4-shot
-        recv-bearing cell whose lanes all replay.  A change to slice
-        admission moves the counts even when every timing still agrees
-        with the stepwise reference."""
-        decoded.reset_replay_totals()
+        monkeypatch.setattr(ControlSystem, "run", counted_run)
         makespans = 0
         for workload in ("bv_n400", "logical_t_n432"):
             spec = registry.get_workload(workload).spec(0.05)
@@ -338,9 +286,144 @@ class TestBatchedReplay:
                              mesh_kind=spec.mesh_kind)
         assert result.lane_mode == "replay"
         makespans += sum(result.shot_makespans)
-        assert decoded.replay_totals() == {"vector": 1150, "block": 478,
-                                           "vector_items": 8762}
         assert makespans == 73071
+        assert sum(events) == 28232
+
+
+#: What each receive-hold program's ``recv`` names as its source: one
+#: concrete sender, any sender, or the lock-step central broadcast.
+RECV_SOURCES = ("concrete", "any", "central")
+
+
+def _recv_programs(source: str, pad: int, seed: int) -> dict:
+    """Assembly per controller of a 3-core line: senders ``waiti`` a
+    random time and then send; each receiver runs ``pad`` ALU
+    instructions before its first ``recv``, so sweeping ``pad`` moves the
+    recv's completion cycle across the message's arrival."""
+    rng = random.Random(seed)
+
+    def sender(destination, value):
+        return ["waiti {}".format(rng.randint(0, 24)),
+                "send.i {},{}".format(destination, value),
+                "waiti {}".format(rng.randint(1, 5)), "cw.i.i 0,1", "halt"]
+
+    def receiver(src, recvs):
+        lines = []
+        if rng.random() < 0.5:
+            # Items still queued at the TCU: the resync goes through it.
+            lines += ["waiti {}".format(rng.randint(1, 30)), "cw.i.i 0,2"]
+        lines += ["addi $3,$3,1"] * pad
+        for _ in range(recvs):
+            lines += ["recv $5,{}".format(src), "cw.i.r 1,$5",
+                      "waiti {}".format(rng.randint(0, 6))]
+        return lines + ["cw.i.i 2,9", "halt"]
+
+    if source == "concrete":
+        programs = {0: sender(2, 11), 2: receiver(0, 1)}
+    elif source == "any":
+        # Two messages for two receives: the second is often already
+        # waiting when its recv executes.
+        programs = {0: sender(2, 11), 1: sender(2, 12),
+                    2: receiver(ANY_SOURCE, 2)}
+    else:
+        programs = {0: sender(CENTRAL_ADDRESS, 11),
+                    1: receiver(CENTRAL_ADDRESS, 1),
+                    2: receiver(CENTRAL_ADDRESS, 1)}
+    return {address: "\n".join(lines)
+            for address, lines in programs.items()}
+
+
+def _run_recv_system(programs: dict) -> dict:
+    system = ControlSystem(3, mesh_kind="line", record_gate_log=False)
+    for address, source in programs.items():
+        system.load_program(address, assemble(source))
+    stats = system.run()
+    return {
+        "makespan": stats.makespan_cycles,
+        "per_core": {name: dict(counters) for name, counters in
+                     stats.per_core.items()},
+        "telf": list(system.telf._raw),
+        "regs": {address: core.regs.snapshot()
+                 for address, core in system.cores.items()},
+    }
+
+
+class TestRecvHold:
+    """A ``recv`` registers with the MsgU when it executes; a message
+    that is already waiting, or arrives before the cycle the recv
+    completes, is held until that cycle.  Neither benchmark grid reaches
+    the hold (every message there arrives later), so these programs aim
+    messages before, on and after the completion cycle and compare each
+    run with ``ReferenceCore``, which registers the receive from a
+    scheduled event."""
+
+    @pytest.mark.parametrize("source", RECV_SOURCES)
+    def test_matches_reference(self, source, monkeypatch):
+        handed = {}
+        receiving = []
+        delivered = HISQCore._delivered
+        receive = MessageUnit.receive
+
+        def spy_delivered(core, src, value):
+            # Classify each message on its first hand-over to the core.
+            key = (core.name, value)
+            if key not in handed:
+                lag = core.engine.now - core._recv_ready
+                handed[key] = ("waiting" if receiving else
+                               "before" if lag < 0 else
+                               "on" if lag == 0 else "after")
+            delivered(core, src, value)
+
+        def spy_receive(unit, src, callback):
+            receiving.append(unit)
+            try:
+                receive(unit, src, callback)
+            finally:
+                receiving.pop()
+
+        monkeypatch.setattr(HISQCore, "_delivered", spy_delivered)
+        monkeypatch.setattr(MessageUnit, "receive", spy_receive)
+        seen = set()
+        for pad in range(48):
+            programs = _recv_programs(source, pad, seed=pad)
+            handed.clear()
+            fast = _run_recv_system(programs)
+            seen.update(handed.values())
+            with monkeypatch.context() as patch:
+                patch.setattr(repro.sim.system, "HISQCore", ReferenceCore)
+                slow = _run_recv_system(programs)
+            assert fast == slow, (source, pad)
+        assert {"before", "on", "after"} <= seen, seen
+        if source == "any":
+            assert "waiting" in seen, seen
+
+    @pytest.mark.parametrize("arrival", (0, 3, 4, 5, 6, 9))
+    def test_bare_core_events(self, arrival):
+        """A bare core whose recv completes at cycle 5 (four ALU
+        instructions, then the recv's own cycle) gets its message at
+        ``arrival``.  The decoded core schedules no registration event,
+        so it runs one event fewer than the reference, unless the
+        message arrived before cycle 5 and was held by one event."""
+        runs = {}
+        for core_class in (HISQCore, ReferenceCore):
+            engine = Engine()
+            telf = TelfLog()
+            core = core_class("c0", 0, engine, telf)
+            core.load(assemble("addi $3,$3,1\n" * 4 +
+                               "recv $5,7\ncw.i.r 0,$5\nhalt"))
+            engine.at(arrival, lambda core=core: core.deliver_message(7, 42))
+            core.start()
+            engine.run()
+            runs[core_class] = (core, engine)
+        (fast, fast_engine), (slow, slow_engine) = runs.values()
+        assert fast._recv_ready == 5
+        assert fast.counters() == slow.counters()
+        assert fast.regs.snapshot() == slow.regs.snapshot()
+        assert fast.telf._raw == slow.telf._raw
+        assert (fast_engine.now, fast.drained) == (slow_engine.now, True)
+        held = int(arrival < fast._recv_ready)
+        assert slow_engine.events_processed - \
+            fast_engine.events_processed == 1 - held
 
 
 class TestLaneDifferential:
@@ -400,11 +483,9 @@ class TestLaneDifferential:
                            mesh_kind=spec.mesh_kind)
         monkeypatch.setattr(repro.sim.system, "HISQCore", ReferenceCore)
         lanes.reset_lane_totals()
-        decoded.reset_replay_totals()
         slow = run_circuit(circuit, scheme="bisp", backend=None,
                            record_gate_log=False, shots=3,
                            mesh_kind=spec.mesh_kind)
-        assert decoded.replay_totals() == NO_REPLAY
         assert slow.lane_mode == "fastforward"
         assert lanes.lane_totals() == {"fastforward": 2, "replayed": 0}
         assert slow.shot_stats == fast.shot_stats

@@ -12,7 +12,7 @@ import pytest
 
 import repro.sim.system
 from repro.compiler import compile_circuit, run_circuit
-from repro.isa import assemble, decoded
+from repro.isa import assemble
 from repro.network.sync_plan import sync_plan_totals
 from repro.quantum import QuantumCircuit
 from repro.sim import ControlSystem
@@ -152,30 +152,19 @@ def _fingerprint(system, stats):
 
 
 class TestInterpreters:
-    """Region-sync items reach the TCU from replayed slices of both
-    counted lengths: under four items (``block``) and four or more
-    (``vector``).  Both must match the reference interpreter."""
+    """Region-sync items pushed by the decoded pipeline loop must match
+    the reference interpreter's."""
 
-    @pytest.mark.parametrize("syncs,shape", [(3, "block"), (6, "vector")])
+    @pytest.mark.parametrize("syncs", [3, 6])
     @pytest.mark.parametrize("members", MEMBER_SETS)
-    def test_fast_matches_legacy(self, members, syncs, shape, monkeypatch):
+    def test_fast_matches_legacy(self, members, syncs, monkeypatch):
         prints = {}
         for reference in (False, True):
             if reference:
                 monkeypatch.setattr(repro.sim.system, "HISQCore",
                                     ReferenceCore)
-            decoded.reset_replay_totals()
             system, _ = _region_system(members, syncs, emit=False)
             prints[reference] = _fingerprint(system, system.run())
-            totals = decoded.replay_totals()
-            if reference:
-                assert totals == {"vector": 0, "block": 0,
-                                  "vector_items": 0}
-            else:
-                # One admitted slice per member, all of one shape.
-                assert totals[shape] == len(members)
-                assert sum(totals[k] for k in ("vector", "block")) == \
-                    len(members)
         assert prints[False] == prints[True]
 
     def test_compiled_region_sync_circuit(self, monkeypatch):
@@ -194,14 +183,11 @@ class TestInterpreters:
                 monkeypatch.setattr(repro.sim.system, "HISQCore",
                                     ReferenceCore)
             before = sync_plan_totals()["fallback"]
-            decoded.reset_replay_totals()
             run = run_circuit(circuit, mesh_kind="line", device_seed=5,
                               record_gate_log=False,
                               compilation=compilation)
             epochs = sync_plan_totals()["fallback"] - before
             assert epochs > 0
-            totals = decoded.replay_totals()
-            assert (totals["vector"] + totals["block"] == 0) == reference
             runs[reference] = (run.makespan_cycles,
                                run.stats.sync_stall_cycles,
                                run.system.device.lifetimes_ns(),

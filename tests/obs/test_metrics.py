@@ -140,9 +140,6 @@ class TestProcessRegistry:
             "repro_decode_pin_hits_total",
             "repro_decode_content_hits_total",
             "repro_decode_misses_total",
-            "repro_replay_vector_batches_total",
-            "repro_replay_vector_items_total",
-            "repro_replay_block_batches_total",
             "repro_compilations_total",
             "repro_simulations_total",
             "repro_engine_events_total",

@@ -6,9 +6,11 @@ lines, lying content-lengths, non-UTF-8 bodies, mid-body disconnects —
 which the JSON-level tests in ``test_http.py`` never reach."""
 
 import asyncio
+import json
 
 import pytest
 
+from repro.harness.parallel import CellResult
 from repro.service.http import (MAX_BODY_BYTES, ServiceServer,
                                 http_request)
 from repro.service.scheduler import Scheduler
@@ -52,6 +54,18 @@ def status_of(raw: bytes) -> int:
     assert raw, "server closed without responding"
     return int(raw.split(b"\r\n", 1)[0].split(b" ", 2)[1])
 
+
+def post(path: str, body: dict) -> bytes:
+    """A raw POST of ``body`` as JSON, with its true content-length."""
+    data = json.dumps(body).encode()
+    return "POST {} HTTP/1.1\r\nContent-Length: {}\r\n\r\n".format(
+        path, len(data)).encode() + data
+
+
+#: A well-formed inline result, so only the field under test is wrong.
+RESULT = CellResult(spec_name="x", scheme="bisp", num_qubits=1, num_ops=1,
+                    feedback_ops=0, makespan_cycles=1, sync_stall_cycles=0,
+                    lifetimes_ns={0: 1.0}).to_dict()
 
 FUZZ_REQUESTS = [
     # (label, raw bytes, acceptable statuses)
@@ -102,6 +116,14 @@ FUZZ_REQUESTS = [
     ("bool pid",
      b"POST /lease HTTP/1.1\r\nContent-Length: 28\r\n\r\n"
      b"{\"worker\": \"w\", \"pid\": true}", {400}),
+    # Truthy strings and numbers must not pass as stored=true, and a
+    # release reason is text, not any JSON value.
+    ("string stored",
+     post("/complete", {"worker": "w", "key": "0" * 64, "lease": "l",
+                        "stored": "false", "result": RESULT}), {400}),
+    ("non-string reason",
+     post("/release", {"worker": "w", "key": "k", "lease": "l",
+                       "reason": {"why": 1}}), {400}),
 ]
 
 

@@ -26,6 +26,10 @@ PROCESS_COUNTS = {
     "compile_cache.hits", "compile_cache.misses",
 }
 
+#: Ledger rows of the retired fast-block replay counters.
+REPLAY_COUNTS = ("replay.vector_batches", "replay.vector_items",
+                 "replay.block_fallbacks")
+
 
 def _load_layers():
     spec = importlib.util.spec_from_file_location("e2e_layers", LAYERS_PATH)
@@ -67,3 +71,6 @@ def test_region_sync_epochs_counted():
     assert counts_after["sync_plan.fallback"] - \
         counts_before["sync_plan.fallback"] == 3
     assert counts_after["sync_plan.resolved"] == 0
+    # The HISQ core replays no fast blocks: the replay rows stay 0.
+    assert {name: counts_after[name] for name in REPLAY_COUNTS} == \
+        dict.fromkeys(REPLAY_COUNTS, 0)
