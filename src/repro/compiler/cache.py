@@ -220,21 +220,19 @@ def _encode(result: CompilationResult) -> dict:
                 pool_labels[j] = instr.label
         return j
 
-    for address, program in result.programs.items():
-        decoded = decode_program(program)
-        if id(decoded) in dec_index:
-            continue
-        dec_index[id(decoded)] = len(decs)
-        chunk = np.fromiter(map(index_of, decoded.instructions),
-                            dtype=np.uint32, count=decoded.n)
-        decs.append((idx_total, idx_total + decoded.n, decoded.has_recv))
-        idx_chunks.append(chunk)
-        idx_total += decoded.n
     programs = {}
     for address, program in result.programs.items():
         decoded = decode_program(program)
-        programs[address] = (program.name, program.labels,
-                             dec_index[id(decoded)])
+        dec_i = dec_index.get(id(decoded))
+        if dec_i is None:
+            dec_i = dec_index[id(decoded)] = len(decs)
+            chunk = np.fromiter(map(index_of, decoded.instructions),
+                                dtype=np.uint32, count=decoded.n)
+            decs.append((idx_total, idx_total + decoded.n,
+                         decoded.has_recv))
+            idx_chunks.append(chunk)
+            idx_total += decoded.n
+        programs[address] = (program.name, program.labels, dec_i)
     return {
         "version": COMPILE_CACHE_VERSION,
         "meta": {name: getattr(result, name) for name in _META_FIELDS},
@@ -270,24 +268,21 @@ def _decode(payload: dict, circuit) -> CompilationResult:
     get_instr = instr_pool.__getitem__
     get_step = step_pool.__getitem__
     dec_objs = []
-    dec_keys = []
     for idx_lo, idx_hi, has_recv in payload["decs"]:
         indices = index_array[idx_lo:idx_hi].tolist()
-        instructions = tuple(map(get_instr, indices))
-        dec_objs.append(DecodedProgram.from_artifact(
-            instructions, list(map(get_step, indices)), bool(has_recv)))
-        dec_keys.append(tuple(map(id, instructions)))
+        decoded = DecodedProgram.from_artifact(
+            tuple(map(get_instr, indices)), list(map(get_step, indices)),
+            bool(has_recv))
+        _prime_decoded(decoded)
+        dec_objs.append(decoded)
 
     programs = {}
     for address, (name, labels, dec_i) in payload["programs"].items():
-        decoded = dec_objs[dec_i]
-        program = Program(name=name,
-                          instructions=list(decoded.instructions),
-                          labels=dict(labels))
-        # Aliasing holds by construction: the program list was built
-        # from the decode's own instruction tuple.
-        _prime_decoded(program, decoded, dec_keys[dec_i])
-        programs[address] = program
+        # Built from the decode's own instruction tuple, so the program
+        # finds the primed decode by content.
+        programs[address] = Program(
+            name=name, instructions=list(dec_objs[dec_i].instructions),
+            labels=dict(labels))
     return CompilationResult(
         circuit=circuit, programs=programs,
         codeword_tables=_decode_codeword_tables(payload["codewords"]),
@@ -310,8 +305,8 @@ class CompileCache(PickleDirStore):
         circuit's content).  Beyond the pickle-level broad except of the
         base class, the payload shape and format version are checked
         explicitly, instruction operands re-validate through the
-        interner, and the decoded artifacts are pinned onto their
-        programs — a payload that fails *any* of it (truncated file,
+        interner, and the decoded artifacts are primed into the decode
+        cache — a payload that fails *any* of it (truncated file,
         stale salt written by a future layout that reuses keys,
         hand-edited store) is a miss, never a crash or a wrong program.
         """

@@ -53,7 +53,7 @@ from .lockstep_gen import lower_lockstep
 from .sync_pass import demand_gaps, hoist_bookings
 
 #: Valid scheme-name shape (same rule as workload names).
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 class SchemeRegistryError(CompilationError):
@@ -122,7 +122,7 @@ class Scheme:
 
 
 def _validate(scheme: Scheme) -> None:
-    if not _NAME_RE.match(scheme.name):
+    if not _NAME_RE.fullmatch(scheme.name):
         raise SchemeRegistryError(
             "scheme name {!r} must match {}".format(scheme.name,
                                                     _NAME_RE.pattern))

@@ -1,8 +1,7 @@
-"""Per-core configuration and well-known addresses."""
+"""Well-known addresses of the HISQ fabric.
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+A core's timing parameters come from
+:class:`~repro.sim.config.SimulationConfig`."""
 
 #: Pseudo-address of the on-board acquisition unit: measurement results
 #: appear to the readout board's message unit as messages from this source.
@@ -13,28 +12,3 @@ CENTRAL_ADDRESS = 0xFFD
 
 #: recv from this source matches a message from any sender.
 ANY_SOURCE = 0xFFF
-
-
-@dataclass
-class CoreConfig:
-    """Static configuration of one HISQ core.
-
-    Attributes
-    ----------
-    classical_cpi:
-        Pipeline cycles consumed per classical instruction.
-    event_queue_depth:
-        Capacity of the TCU item queue; the pipeline stalls when full
-        (matches the 1024-entry event queue of Table 1).
-    feedback_resync_cycles:
-        Cycles the TCU needs to re-arm its timer after an external trigger
-        (feedback resynchronization).
-    batch_limit:
-        Maximum classical instructions executed per scheduler activation
-        (simulation efficiency knob; does not affect timing semantics).
-    """
-
-    classical_cpi: int = 1
-    event_queue_depth: int = 1024
-    feedback_resync_cycles: int = 2
-    batch_limit: int = 256

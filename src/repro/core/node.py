@@ -6,9 +6,13 @@ The classical pipeline executes RV32I instructions at ``classical_cpi``
 cycles each and *runs ahead* of real time, pushing timed items (codeword
 emissions, syncs, message transmissions) into the TCU's item queue tagged
 with their timeline position (``wait`` advances the position cursor).  The
-TCU issues items at precise wall-clock times through an
+TCU issues items at precise wall-clock times (QuMA-style queue-based event
+timing, paper section 3.2) through an
 :class:`~repro.core.timer.AbsoluteTimer` that maps positions to wall-clock;
-sync stalls and feedback triggers shift the mapping forward.
+sync stalls and feedback triggers shift the mapping forward.  Every timing
+parameter the core reads (``classical_cpi``, ``event_queue_depth``,
+``feedback_resync_cycles``) comes from the system's
+:class:`~repro.sim.config.SimulationConfig`.
 
 The only pipeline-blocking operations are ``recv`` (feedback) and a full
 codeword queue; the only TCU-blocking operations are the two BISP
@@ -18,26 +22,55 @@ The core talks to the outside world through a *fabric* object provided by
 the system builder (:mod:`repro.sim.system`) with four methods:
 ``sync_signal``, ``send_booking``, ``send_message``, ``emit_codeword``.
 
+TCU items
+---------
+The item queue is core state: a FIFO the pipeline appends to and the TCU
+loop pops.  A codeword instruction stalls the pipeline while the queue
+holds ``event_queue_depth`` items (the 1024-entry event queue of Table
+1), until the TCU pops one.  Every item is one plain tuple ``(position,
+kind, a, b)``; ``kind`` is an ``ITEM_*`` constant of
+:mod:`repro.isa.decoded`:
+
+``ITEM_CW``
+    Send codeword ``b`` to port ``a``.
+``ITEM_SYNC_N``
+    Book neighbor-level synchronization with controller ``a`` (``b`` is 0).
+``ITEM_SYNC_R``
+    Book region-level synchronization through sync group ``a``; ``b`` is
+    the compile-time distance, in cycles, from the booking position to
+    the synchronization point (paper section 4.3).
+``ITEM_SEND``
+    Transmit value ``b`` to controller ``a``.
+``ITEM_RESYNC``
+    External-trigger resynchronization after a blocking feedback receive:
+    the TCU timer may not pass ``position`` before wall-clock cycle ``a``
+    (the trigger arrival plus re-arm latency).  With the exact flag ``b``
+    set (lock-step central trigger), the timer re-arms so that
+    ``position`` maps to exactly ``a`` — the broadcast arrival becomes the
+    common time base of all controllers.
+
 Pipeline loop
 -------------
-Programs are pre-decoded (:mod:`repro.isa.decoded`) into one dense
-``(opcode, rd, rs1, rs2, imm, imm2)`` tuple per instruction, and one
-loop dispatches on the opcode: up to ``batch_limit`` instructions per
-scheduler activation, pushing each timed item as a ``(position, kind,
-a, b)`` tuple (:mod:`repro.core.queues`), so the TCU loop reads, pops
-and issues every item in one place.  An activation ends early at a full
-codeword queue (the pipeline stalls until the TCU pops), at ``halt``,
-and at ``recv``: the receive registers with the MsgU at once, and a
-message that is already waiting, or arrives before the recv completes
-``cost + cpi`` cycles later, is held until that cycle.  Counters, TELF
-traces, stall accounting and makespans match the per-instruction
-interpreter ``ReferenceCore`` in ``tests/core/reference_core.py``,
-which schedules its receive as an event; the differential suites run
-both.
+:meth:`HISQCore.load` decodes the program once (:mod:`repro.isa.decoded`,
+cached by content) into one dense ``(opcode, rd, rs1, rs2, imm, imm2)``
+tuple per instruction, and the core runs that decode: an edit to the
+program after ``load`` takes effect at the next ``load``.  One loop
+dispatches on the opcode: up to :data:`BATCH_LIMIT` instructions per
+scheduler activation, pushing each timed item onto the queue, so the TCU
+loop reads, pops and issues every item in one place.  An activation ends
+early at a full codeword queue (the pipeline stalls until the TCU pops),
+at ``halt``, and at ``recv``: the receive registers with the MsgU at
+once, and a message that is already waiting, or arrives before the recv
+completes ``cost + cpi`` cycles later, is held until that cycle.
+Counters, TELF traces, stall accounting and makespans match the
+per-instruction interpreter ``ReferenceCore`` in
+``tests/core/reference_core.py``, which schedules its receive as an
+event; the differential suites run both.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from ..errors import ExecutionError, TimingViolation
@@ -54,12 +87,17 @@ from ..isa.decoded import (CW_OPS, OP_ADD, OP_ADDI, OP_AND, OP_ANDI,
                            OP_WAITR, OP_XOR, OP_XORI, decode_program)
 from ..isa.program import Program
 from ..isa.registers import RegisterFile, to_signed
-from .config import CENTRAL_ADDRESS, CoreConfig
+from ..sim.config import SimulationConfig
+from .config import CENTRAL_ADDRESS
 from .message_unit import MessageUnit
-from .queues import ItemQueue
 from .sync_unit import SyncUnit
 from .timer import AbsoluteTimer
 
+
+#: Most classical instructions one pipeline activation executes.  It
+#: bounds the work of one engine event, never timing: the next activation
+#: lands on the cycle the executed instructions cost.
+BATCH_LIMIT = 256
 
 #: opcode -> does this instruction stall on a full TCU queue?
 _IS_CW = [False] * 64
@@ -71,8 +109,7 @@ class HISQCore:
     """One control or readout board's digital part."""
 
     def __init__(self, name: str, address: int, engine, telf,
-                 config: Optional[CoreConfig] = None,
-                 program: Optional[Program] = None,
+                 config: Optional[SimulationConfig] = None,
                  strict_timing: bool = False):
         self.name = name
         self.address = address
@@ -82,7 +119,7 @@ class HISQCore:
         #: the per-event tuple construction on the hot path).
         self._telf_raw = telf._raw if getattr(telf, "enabled", True) \
             else None
-        self.config = config or CoreConfig()
+        self.config = config or SimulationConfig()
         #: Raise TimingViolation instead of counting it (used in tests).
         self.strict_timing = strict_timing
 
@@ -90,31 +127,31 @@ class HISQCore:
         self.sync_unit = SyncUnit(name)
         self.message_unit = MessageUnit(name)
         self.fabric = None  # wired by the system builder
-        self._queue = ItemQueue(self.config.event_queue_depth)
+        #: The TCU item queue; reset() clears it in place, because the
+        #: pipeline loop's context holds it.
+        self._items = deque()
         #: Prebound continuation callbacks (skip per-event bound-method
         #: creation; a subclass's override is what gets bound).
         self._pipeline_entry = self._pipeline_run
         self._tcu_loop_cb = self._tcu_loop
         self._delivered_cb = self._delivered
-        self.load(program or Program(name=name))
-
-    def _refresh_fast_ctx(self) -> None:
-        """Pre-assemble the pipeline loop's per-activation constants."""
-        decoded = self._decoded
-        queue = self._queue
-        self._fast_ctx = (
-            decoded.steps, decoded.n, _IS_CW, self.config.classical_cpi,
-            self.config.batch_limit, queue._items, queue.push, queue.depth)
+        self.load(Program(name=name))
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def load(self, program: Program) -> None:
-        """Install a program and reset execution state."""
+        """Install a program, decode it and reset execution state.
+
+        The core runs this decode: edits to ``program`` after ``load``
+        take effect at the next ``load``."""
         self.program = program
-        self._decoded = decode_program(program)
-        self._refresh_fast_ctx()
+        decoded = decode_program(program)
+        # The pipeline loop's per-activation constants.
+        self._fast_ctx = (decoded.steps, decoded.n, _IS_CW,
+                          self.config.classical_cpi, self._push,
+                          self._items, self.config.event_queue_depth)
         self.reset()
 
     def reset(self) -> None:
@@ -128,7 +165,14 @@ class HISQCore:
         self.timer = AbsoluteTimer()
         self.sync_unit.reset()
         self.message_unit.reset()
-        self._queue.reset()
+        self._items.clear()
+        #: Callback of a pipeline stalled on a full queue, run once the
+        #: TCU pops below the depth.
+        self._space_waiter = None
+        #: Longest the queue has been after a push (observability only:
+        #: the trajectory differs between the decoded and the reference
+        #: interpreter, so it stays out of :meth:`counters`).
+        self.queue_high_water = 0
         self._tcu_busy = False
         self._sync_state = None
         self._halted = False
@@ -153,10 +197,6 @@ class HISQCore:
         """Schedule the pipeline to begin executing at cycle ``at``."""
         if self._started:
             raise ExecutionError("{}: already started".format(self.name))
-        # Re-validate: picks up in-place program edits since load()
-        # (trust_pin=False catches same-length element swaps too).
-        self._decoded = decode_program(self.program, trust_pin=False)
-        self._refresh_fast_ctx()
         self._started = True
         self.engine.at(at, self._pipeline_entry)
 
@@ -168,7 +208,7 @@ class HISQCore:
     @property
     def drained(self) -> bool:
         """True when the pipeline halted and the TCU has no pending work."""
-        return self._halted and len(self._queue) == 0 and \
+        return self._halted and not self._items and \
             self._sync_state is None
 
     @property
@@ -189,14 +229,6 @@ class HISQCore:
             "last_event": self.last_event_time,
         }
 
-    @property
-    def queue_high_water(self) -> int:
-        """Peak logical TCU-queue depth (observability only — the exact
-        trajectory differs between the fast and reference interpreters, so
-        this stays out of the differentially compared :meth:`counters`
-        dict)."""
-        return self._queue.high_water
-
     # ------------------------------------------------------------------
     # Classical pipeline
     # ------------------------------------------------------------------
@@ -211,14 +243,14 @@ class HISQCore:
         """
         if self._halted or self._pipeline_blocked:
             return
-        (steps, nsteps, is_cw, cpi, budget, items, push_item,
-         depth) = self._fast_ctx
+        steps, nsteps, is_cw, cpi, push_item, items, depth = self._fast_ctx
         regs = self.regs
         engine = self.engine
         pc = self.pc
         position = self.position
         cost = 0
         executed = 0
+        budget = BATCH_LIMIT
         while budget > 0:
             if not 0 <= pc < nsteps:
                 self._halted = True
@@ -241,8 +273,7 @@ class HISQCore:
                         0, self.engine.now - stall_from)
                     self._pipeline_run()
 
-                self._queue.wait_for_space(
-                    lambda: engine.after(0, resume))
+                self._space_waiter = lambda: engine.after(0, resume)
                 return
             if op == OP_RECV:
                 # Only one receive can be outstanding (the pipeline blocks
@@ -424,7 +455,7 @@ class HISQCore:
         exact = self._recv_src == CENTRAL_ADDRESS
         earliest = self.engine.now + self.config.feedback_resync_cycles
         position = self.position
-        if self._sync_state is None and not self._queue._items:
+        if self._sync_state is None and not self._items:
             # TCU idle: apply the resync inline — exactly what _tcu_loop
             # would do with this single queued item, minus the queue
             # round trip.
@@ -448,8 +479,16 @@ class HISQCore:
     # Timing control unit
     # ------------------------------------------------------------------
 
+    def _push(self, item) -> None:
+        """Append a timed item to the queue (the caller has checked for
+        space) and track the peak depth."""
+        items = self._items
+        items.append(item)
+        if len(items) > self.queue_high_water:
+            self.queue_high_water = len(items)
+
     def _tcu_enqueue(self, item) -> None:
-        self._queue.push(item)
+        self._push(item)
         self._tcu_kick()
 
     def _tcu_kick(self) -> None:
@@ -474,10 +513,9 @@ class HISQCore:
         by the stall, which is exactly BISP's synchronization overhead.
         """
         engine = self.engine
-        queue = self._queue
-        items = queue._items
+        items = self._items
         popleft = items.popleft
-        depth = queue.depth
+        depth = self.config.event_queue_depth
         tcu_cb = self._tcu_loop_cb
         timer = self.timer
         telf_raw = self._telf_raw
@@ -513,9 +551,9 @@ class HISQCore:
                 timer.position = position
                 timer.wall = target
             popleft()
-            waiter = queue._space_waiter
+            waiter = self._space_waiter
             if waiter is not None and len(items) < depth:
-                queue._space_waiter = None
+                self._space_waiter = None
                 waiter()
             if kind == ITEM_CW:
                 self.codewords_emitted += 1

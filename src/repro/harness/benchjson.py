@@ -56,10 +56,22 @@ import hashlib
 import json
 import os
 import platform
+import re
 import tempfile
 from typing import Dict, List, Optional
 
 from ..errors import ReproError
+
+#: A BENCH or submission name, which is also a file name
+#: (``BENCH_<name>.json``): ASCII letters, digits and underscores only
+#: (``str.isalnum`` also passes other scripts' letters and digits).
+_NAME_RE = re.compile(r"[A-Za-z0-9_]+")
+
+
+def valid_name(name) -> bool:
+    """Whether ``name`` is a non-empty ``[A-Za-z0-9_]+`` string."""
+    return isinstance(name, str) and _NAME_RE.fullmatch(name) is not None
+
 
 BENCH_SCHEMA_VERSION = 3
 
@@ -218,8 +230,7 @@ def validate_bench(doc: object) -> Dict[str, object]:
         _fail("schema_version", "expected one of {}, got {!r}".format(
             SUPPORTED_SCHEMA_VERSIONS, doc["schema_version"]))
     _check_type("name", doc["name"], str)
-    if not doc["name"] or not all(
-            c.isalnum() or c == "_" for c in doc["name"]):
+    if not valid_name(doc["name"]):
         _fail("name", "must be a non-empty [A-Za-z0-9_]+ string")
     if doc["kind"] not in ("sweep", "benchmark", "service", "chaos"):
         _fail("kind", "must be 'sweep', 'benchmark', 'service' or 'chaos'")

@@ -35,7 +35,7 @@ from ..compiler import cache as compile_cache_mod
 from ..compiler import schemes as scheme_registry
 from ..compiler.driver import compile_circuit, run_circuit
 from ..errors import ReproError
-from ..noise.model import NoiseModel, derive_seed
+from ..noise.model import NoiseModel, derive_seed, finite_real
 from ..obs import log as obs_log
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -273,10 +273,6 @@ def _is_int(value, minimum: int) -> bool:
         and value >= minimum
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _cell_field_checks(data: Dict[str, object]):
     """(field, well-formed?) for every :class:`CellResult` wire field."""
     for name in ("spec_name", "scheme"):
@@ -286,15 +282,18 @@ def _cell_field_checks(data: Dict[str, object]):
         yield name, _is_int(data.get(name), 0)
     lifetimes = data.get("lifetimes_ns")
     yield "lifetimes_ns", isinstance(lifetimes, dict) and all(
-        isinstance(qubit, str) and qubit.isdecimal() and _is_number(ns)
-        for qubit, ns in lifetimes.items())
+        isinstance(qubit, str) and qubit.isascii() and qubit.isdecimal()
+        and finite_real(ns) and ns >= 0 for qubit, ns in lifetimes.items())
     yield "shots", _is_int(data.get("shots", 1), 1)
     shot_makespans = data.get("shot_makespan_cycles", ())
     yield "shot_makespan_cycles", isinstance(shot_makespans, (list, tuple)) \
         and all(_is_int(cycles, 0) for cycles in shot_makespans)
+    # Fidelities are proportions: wilson_interval clamps to [0, 1] too.
     for name in ("fidelity_empirical", "fidelity_ci_low",
                  "fidelity_ci_high"):
-        yield name, data.get(name) is None or _is_number(data[name])
+        value = data.get(name)
+        yield name, value is None or (finite_real(value) and
+                                      0 <= value <= 1)
     yield "noise_method", data.get("noise_method") is None or \
         isinstance(data["noise_method"], str)
     yield "noise_shots", data.get("noise_shots") is None or \

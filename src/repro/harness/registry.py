@@ -41,7 +41,7 @@ from ..errors import ReproError
 from ..quantum.circuit import QuantumCircuit
 
 #: Valid workload-name shape: lowercase identifier with digits/underscores.
-_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 #: Mesh kinds understood by the compiler driver.
 MESH_KINDS = ("line", "interaction")
@@ -123,7 +123,7 @@ class Workload:
 
 
 def _validate(workload: Workload) -> None:
-    if not _NAME_RE.match(workload.name):
+    if not _NAME_RE.fullmatch(workload.name):
         raise WorkloadRegistryError(
             "workload name {!r} must match {}".format(
                 workload.name, _NAME_RE.pattern))

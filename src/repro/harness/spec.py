@@ -27,6 +27,7 @@ from ..errors import ReproError
 from ..noise.model import NoiseModel, finite_real
 from ..sim.config import SimulationConfig
 from . import registry
+from .benchjson import valid_name
 
 
 class SweepSpecError(ReproError):
@@ -305,8 +306,7 @@ class SweepSubmission:
             raise SweepSpecError(
                 "submission spec must be a SweepSpec, got {!r}".format(
                     type(self.spec).__name__))
-        if not self.name or not isinstance(self.name, str) or not all(
-                c.isalnum() or c == "_" for c in self.name):
+        if not valid_name(self.name):
             raise SweepSpecError(
                 "submission name must be a non-empty [A-Za-z0-9_]+ "
                 "string, got {!r}".format(self.name))

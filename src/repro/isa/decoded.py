@@ -7,12 +7,13 @@ attribute loads) per instruction per shot.  This module decodes a program
 per instruction, with integer opcodes — which the HISQ core's pipeline
 loop (:meth:`repro.core.node.HISQCore._pipeline_run`) dispatches on.
 
-Decodes are cached and shared: per :class:`Program` *object* (the common
-case — every extra shot reloads the same compiled binaries) and per
-program *content* (so recompilations of identical circuits across sweep
-cells and worker processes decode once).  The caches hold strong
-references to the instruction sequences they decoded, which makes the
-id-based content keys safe against id reuse.
+Decodes are cached and shared by program *content* alone: the key is the
+identity of every instruction, so recompilations of identical circuits
+across sweep cells and worker processes decode once, and an edited
+program, even one edited in place without changing its length, gets a
+fresh decode.  The cache holds strong references to the instructions it
+decoded, which makes the id-based keys safe against id reuse.  A core
+decodes once, at :meth:`~repro.core.node.HISQCore.load`.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ OPCODES: Dict[str, int] = {
 CW_OPS = frozenset((OP_CW_II, OP_CW_IR, OP_CW_RI, OP_CW_RR))
 
 #: Kinds of TCU item, the ``kind`` of the ``(position, kind, a, b)``
-#: tuples in the TCU queue (:mod:`repro.core.queues` documents each
-#: kind's ``a`` and ``b``).
+#: tuples in the TCU queue (:mod:`repro.core.node` documents each kind's
+#: ``a`` and ``b``).
 ITEM_CW = 0
 ITEM_SYNC_N = 1
 ITEM_SYNC_R = 2
@@ -159,7 +160,7 @@ class DecodedProgram:
 
 
 # ---------------------------------------------------------------------------
-# Decode caches.
+# Decode cache.
 # ---------------------------------------------------------------------------
 
 _BY_CONTENT_LIMIT = 8192
@@ -172,9 +173,6 @@ _BY_CONTENT_LIMIT = 8192
 _by_content: "OrderedDict[tuple, DecodedProgram]" = OrderedDict()
 
 #: Decode-cache outcome counters (always live; an int add each).
-DECODE_PIN_HITS = _metrics.counter(
-    "repro_decode_pin_hits_total",
-    "decode_program calls satisfied by the per-program pin")
 DECODE_CONTENT_HITS = _metrics.counter(
     "repro_decode_content_hits_total",
     "decode_program calls satisfied by the content cache")
@@ -182,25 +180,9 @@ DECODE_MISSES = _metrics.counter(
     "repro_decode_misses_total", "programs decoded from scratch")
 
 
-def decode_program(program, trust_pin: bool = True) -> DecodedProgram:
-    """Decoded (and cached) form of ``program``.
-
-    The result is also pinned on the program object itself (dropped from
-    pickles by :class:`~repro.isa.program.Program`), so every extra shot
-    reloading the same compiled binary skips even the content lookup.
-    The pin is validated by list identity + length, which misses a
-    same-length in-place element replacement — callers that must pick up
-    arbitrary edits (``HISQCore.start``) pass ``trust_pin=False`` to
-    force the content-level lookup, whose id-tuple key catches every
-    element swap.
-    """
+def decode_program(program) -> DecodedProgram:
+    """Decoded (and cached) form of ``program``'s current instructions."""
     instructions = program.instructions
-    if trust_pin:
-        cached = getattr(program, "_decoded_cache", None)
-        if cached is not None and cached[0] is instructions and \
-                cached[1] == len(instructions):
-            DECODE_PIN_HITS.value += 1
-            return cached[2]
     content_key = tuple(map(id, instructions))
     decoded = _by_content.get(content_key)
     if decoded is None:
@@ -212,24 +194,18 @@ def decode_program(program, trust_pin: bool = True) -> DecodedProgram:
     else:
         DECODE_CONTENT_HITS.value += 1
         _by_content.move_to_end(content_key)
-    program._decoded_cache = (instructions, len(instructions), decoded)
     return decoded
 
 
-def _prime_decoded(program, decoded: DecodedProgram, content_key: tuple
-                   ) -> None:
-    """Install ``decoded`` in both cache levels without any checks.
+def _prime_decoded(decoded: DecodedProgram) -> None:
+    """Install ``decoded`` in the content cache without decoding.
 
-    ``content_key`` must be ``tuple(map(id, program.instructions))`` for
-    instructions the decoded object pins.  The compile cache's warm load
-    (:mod:`repro.compiler.cache`) builds program and decode from one
-    instruction pool, so the aliasing holds by construction and the key
-    is shared across programs that reuse a decode."""
-    _by_content[content_key] = decoded
+    The compile cache's warm load (:mod:`repro.compiler.cache`) builds
+    each decode and its programs from one instruction pool, so a program
+    whose list is ``list(decoded.instructions)`` finds it by content."""
+    _by_content[tuple(map(id, decoded.instructions))] = decoded
     if len(_by_content) > _BY_CONTENT_LIMIT:
         _by_content.popitem(last=False)
-    program._decoded_cache = (program.instructions,
-                              len(program.instructions), decoded)
 
 
 def clear_decode_caches() -> None:
@@ -239,9 +215,14 @@ def clear_decode_caches() -> None:
 
 
 def decode_cache_stats() -> Dict[str, int]:
-    """Sizes and hit/miss tallies of the decode caches (diagnostics)."""
+    """Sizes and hit/miss tallies of the decode cache (diagnostics).
+
+    ``pin_hits`` is always 0: decodes are no longer pinned per program
+    object.  It stays only because the end-to-end benchmark's ledger
+    (``benchmarks/e2e/layers.py``) sums it; ROADMAP item 1, the
+    benchmark change that re-records the ledger, drops it."""
     return {"by_content": len(_by_content), "step_memo": len(_step_memo),
-            "pin_hits": DECODE_PIN_HITS.value,
+            "pin_hits": 0,
             "content_hits": DECODE_CONTENT_HITS.value,
             "misses": DECODE_MISSES.value}
 

@@ -26,14 +26,6 @@ class Program:
     instructions: List[Instruction] = field(default_factory=list)
     labels: Dict[str, int] = field(default_factory=dict)
 
-    def __getstate__(self):
-        """Pickle only the declared fields (drop any pinned decode cache)."""
-        return {"name": self.name, "instructions": self.instructions,
-                "labels": self.labels}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
     def __len__(self):
         return len(self.instructions)
 

@@ -1,6 +1,6 @@
 """Transaction-level simulator (CACTUS-Light equivalent)."""
 
-from .config import DEFAULT_CONFIG, SimulationConfig, SystemLayout
+from .config import DEFAULT_CONFIG, SimulationConfig
 from .device import (GateAction, MarkerAction, MeasureAction, QuantumDevice,
                      QubitActivity)
 from .engine import Engine
@@ -10,6 +10,5 @@ from .telf import ExecutionStats, TelfLog, TelfRecord
 __all__ = [
     "ControlSystem", "DEFAULT_CONFIG", "Engine", "ExecutionStats",
     "GateAction", "MarkerAction", "MeasureAction", "QuantumDevice",
-    "QubitActivity", "SimulationConfig", "SystemLayout", "TelfLog",
-    "TelfRecord",
+    "QubitActivity", "SimulationConfig", "TelfLog", "TelfRecord",
 ]

@@ -97,25 +97,3 @@ class SimulationConfig:
 
 #: Shared default configuration instance.
 DEFAULT_CONFIG = SimulationConfig()
-
-
-@dataclass
-class SystemLayout:
-    """How qubits map onto boards (paper section 6.1 hardware shape).
-
-    The DQCtrl control board drives 8 XY + 20 Z channels; each readout
-    board handles feedlines coupling several qubits.  For architecture
-    experiments the paper's motivating examples use one controller per
-    qubit; both arrangements are supported.
-    """
-
-    #: Number of qubits driven by one control board / HISQ core.
-    qubits_per_controller: int = 1
-    #: Number of qubits measured by one readout board.
-    qubits_per_readout: int = 6
-    #: XY ports per control board.
-    xy_channels: int = 8
-    #: Z (flux) ports per control board.
-    z_channels: int = 20
-    #: Readout input/output channel pairs per readout board.
-    readout_channels: int = 4

@@ -6,14 +6,15 @@ over the hybrid topology, one :class:`~repro.network.router.Router` per
 tree node, the lock-step baseline's central hub, and a
 :class:`~repro.sim.device.QuantumDevice`.  It also implements the *fabric*
 interface through which cores and routers exchange signals and messages
-with calibrated latencies.
+with calibrated latencies.  Cores, routers, device and fabric all read the
+one :class:`~repro.sim.config.SimulationConfig` the system is built with.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from ..core.config import CENTRAL_ADDRESS, CoreConfig
+from ..core.config import CENTRAL_ADDRESS
 from ..core.node import HISQCore
 from ..errors import ExecutionError, SynchronizationError
 # Unused here; benchmarks/e2e/layers.py wraps this binding.
@@ -64,7 +65,6 @@ class ControlSystem:
 
     def __init__(self, num_controllers: int,
                  config: Optional[SimulationConfig] = None,
-                 core_config: Optional[CoreConfig] = None,
                  mesh_kind: str = "line",
                  backend=None,
                  topology: Optional[Topology] = None,
@@ -73,10 +73,6 @@ class ControlSystem:
                  record_gate_log: bool = True,
                  record_telf: bool = True):
         self.config = config or SimulationConfig()
-        self.core_config = core_config or CoreConfig(
-            event_queue_depth=self.config.event_queue_depth,
-            feedback_resync_cycles=self.config.feedback_resync_cycles,
-            classical_cpi=self.config.classical_cpi)
         self.engine = Engine()
         self.telf = TelfLog(enabled=record_telf)
         self.topology = topology or build_topology(
@@ -87,7 +83,7 @@ class ControlSystem:
         self.cores: Dict[int, HISQCore] = {}
         for address in range(self.topology.num_controllers):
             core = HISQCore("C{}".format(address), address, self.engine,
-                            self.telf, config=self.core_config,
+                            self.telf, config=self.config,
                             strict_timing=strict_timing)
             core.fabric = self
             self.cores[address] = core

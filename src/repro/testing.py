@@ -17,7 +17,6 @@ import numpy as np
 
 from .compiler.codegen import LoweredProgram, lower_circuit
 from .compiler.mapping import QubitMap
-from .core.config import CoreConfig
 from .core.node import HISQCore
 from .isa.assembler import assemble
 from .network.topology import build_topology
@@ -32,10 +31,11 @@ CLIFFORD_2Q = ("cx", "cz", "swap")
 
 
 def make_bare_core(source: str, **config_kwargs) -> Tuple[Engine, HISQCore]:
-    """Assemble ``source`` onto a single started core with its own engine."""
+    """Assemble ``source`` onto a single started core with its own engine
+    (``config_kwargs`` are :class:`SimulationConfig` fields)."""
     engine = Engine()
     core = HISQCore("c0", 0, engine, TelfLog(),
-                    config=CoreConfig(**config_kwargs))
+                    config=SimulationConfig(**config_kwargs))
     core.load(assemble(source))
     core.start()
     return engine, core

@@ -73,6 +73,13 @@ class TestRegistry:
         with pytest.raises(SchemeRegistryError, match=match):
             register(toy_scheme(name, **overrides))
 
+    def test_trailing_newline_name_rejected(self):
+        # "$" also matches before a final newline: the name must match
+        # in full.
+        with pytest.raises(SchemeRegistryError, match="must match"):
+            register(toy_scheme("toy_nl\n"))
+        assert "toy_nl\n" not in scheme_names()
+
     def test_unknown_scheme_error_names_it_and_lists_registered(self):
         with pytest.raises(SchemeRegistryError) as excinfo:
             get_scheme("warp")

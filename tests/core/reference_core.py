@@ -3,7 +3,7 @@
 :class:`ReferenceCore` runs the classical pipeline one
 :class:`~repro.isa.instructions.Instruction` at a time, dispatching on
 its mnemonic, with no pre-decode: each timed instruction pushes its own
-``(position, kind, a, b)`` item (:mod:`repro.core.queues`).  A ``recv``
+``(position, kind, a, b)`` item (:mod:`repro.core.node`).  A ``recv``
 schedules an engine event for the cycle it completes, and that event
 registers the receive with the MsgU; a received message always re-arms
 the TCU timer through a queued ``ITEM_RESYNC`` item.  Everything else —
@@ -20,7 +20,7 @@ elsewhere in the tree import it by module name;
 """
 
 from repro.core.config import CENTRAL_ADDRESS
-from repro.core.node import HISQCore
+from repro.core.node import BATCH_LIMIT, HISQCore
 from repro.errors import ExecutionError
 from repro.isa.decoded import (ITEM_CW, ITEM_RESYNC, ITEM_SEND, ITEM_SYNC_N,
                                ITEM_SYNC_R)
@@ -31,30 +31,24 @@ class ReferenceCore(HISQCore):
     """HISQ core whose pipeline interprets mnemonics one by one."""
 
     def load(self, program) -> None:
-        """Install a program and reset execution state (no decode)."""
+        """Install a program and reset execution state (no decode: the
+        loop reads ``program.instructions`` live)."""
         self.program = program
         self.reset()
-
-    def start(self, at: int = 0) -> None:
-        """Schedule the pipeline at cycle ``at``; the loop reads
-        ``program.instructions`` live, so edits after load apply."""
-        if self._started:
-            raise ExecutionError("{}: already started".format(self.name))
-        self._started = True
-        self.engine.at(at, self._pipeline_entry)
 
     def _pipeline_run(self) -> None:
         """Per-instruction interpreter."""
         if self._halted or self._pipeline_blocked:
             return
         cost = 0
-        for _ in range(self.config.batch_limit):
+        for _ in range(BATCH_LIMIT):
             if not 0 <= self.pc < len(self.program.instructions):
                 self._halted = True
                 self._tcu_kick()
                 break
             instr = self.program.instructions[self.pc]
-            if instr.mnemonic.startswith("cw.") and self._queue.full:
+            if instr.mnemonic.startswith("cw.") and \
+                    len(self._items) >= self.config.event_queue_depth:
                 # Pipeline stalls until the TCU drains one entry; the
                 # accumulated cost is folded into the stall accounting.
                 self._pipeline_blocked = True
@@ -66,8 +60,7 @@ class ReferenceCore(HISQCore):
                         0, self.engine.now - stall_from)
                     self._pipeline_run()
 
-                self._queue.wait_for_space(
-                    lambda: self.engine.after(0, resume))
+                self._space_waiter = lambda: self.engine.after(0, resume)
                 return
             if instr.mnemonic == "recv":
                 # Flush accumulated cost, then block on the message unit.

@@ -21,14 +21,14 @@ import repro.sim.system
 from repro.compiler import schemes as scheme_registry
 from repro.compiler.driver import (run_circuit, shot_device_seed,
                                    simulate_shot)
-from repro.core.config import ANY_SOURCE, CENTRAL_ADDRESS, CoreConfig
+from repro.core.config import ANY_SOURCE, CENTRAL_ADDRESS
 from repro.core.message_unit import MessageUnit
 from repro.core.node import HISQCore
 from repro.harness import registry
 from repro.isa import decoded
 from repro.isa.assembler import assemble
 from repro.isa.decoded import decode_program
-from repro.sim import ControlSystem, lanes
+from repro.sim import ControlSystem, SimulationConfig, lanes
 from repro.sim.engine import Engine
 from repro.sim.telf import TelfLog
 from repro.testing import random_clifford_circuit
@@ -133,7 +133,7 @@ def _run_bare(source: str, reference: bool, depth: int = 1024):
     telf = TelfLog()
     core_class = ReferenceCore if reference else HISQCore
     core = core_class("c0", 0, engine, telf,
-                      config=CoreConfig(event_queue_depth=depth))
+                      config=SimulationConfig(event_queue_depth=depth))
     core.load(assemble(source))
     core.start()
     engine.run(until=2_000_000)
@@ -143,7 +143,7 @@ def _run_bare(source: str, reference: bool, depth: int = 1024):
         "memory": dict(core.memory),
         "pc": core.pc,
         "position": core.position,
-        "queue_len": len(core._queue),
+        "queue_len": len(core._items),
         "telf": list(telf._raw),
         "events": engine.events_processed,
         "now": engine.now,
@@ -491,6 +491,25 @@ class TestLaneDifferential:
         assert slow.shot_stats == fast.shot_stats
 
 
+def _append_emission(program):
+    program.instructions.pop()  # drop halt
+    program.extend(assemble("cw.i.i 0,7\nhalt").instructions)
+
+
+def _swap_emission_for_wait(program):
+    # Same length, one element replaced in place.
+    program.instructions[3] = assemble("waiti 11\nhalt").instructions[0]
+
+
+#: edit -> (source, edit function, (codewords, position) of the program as
+#: loaded, the same after the edit).
+EDITS = {
+    "append": ("waiti 5\nhalt", _append_emission, (0, 5), (1, 5)),
+    "swap": ("waiti 5\ncw.i.i 0,1\nwaiti 9\ncw.i.i 0,2\nhalt",
+             _swap_emission_for_wait, (2, 14), (1, 25)),
+}
+
+
 class TestDecodeOnLoad:
     def test_reference_never_decodes(self):
         """The stepwise reference interprets the program as written:
@@ -509,27 +528,31 @@ class TestDecodeOnLoad:
         first = decode_program(program)
         assert decode_program(program) is first
 
-    def test_start_revalidates_after_append(self):
-        """Programs edited after load() are re-decoded at start()."""
-        program = assemble("waiti 5\nhalt")
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_start_runs_program_as_loaded(self, edit):
+        """A core runs the decode load() made: an edit between load()
+        and start() does not reach the pipeline."""
+        source, apply_edit, as_loaded, _ = EDITS[edit]
+        program = assemble(source)
         engine = Engine()
         core = HISQCore("c0", 0, engine, TelfLog())
         core.load(program)
-        program.instructions.pop()  # drop halt
-        program.extend(assemble("cw.i.i 0,7\nhalt").instructions)
+        apply_edit(program)
         core.start()
         engine.run(until=10_000)
-        assert core.counters()["codewords"] == 1
+        assert (core.counters()["codewords"], core.position) == as_loaded
 
-    def test_start_revalidates_same_length_swap(self):
-        """Same-length in-place element replacement is caught too."""
-        program = assemble("waiti 5\ncw.i.i 0,1\nwaiti 9\ncw.i.i 0,2\nhalt")
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_second_load_picks_up_edit(self, edit):
+        """Loading the edited program again runs the edit, a same-length
+        in-place swap included."""
+        source, apply_edit, _, edited = EDITS[edit]
+        program = assemble(source)
         engine = Engine()
         core = HISQCore("c0", 0, engine, TelfLog())
         core.load(program)
-        # Swap one emission for a wait without changing the length.
-        program.instructions[3] = assemble("waiti 11\nhalt").instructions[0]
+        apply_edit(program)
+        core.load(program)
         core.start()
         engine.run(until=10_000)
-        assert core.counters()["codewords"] == 1
-        assert core.position == 25
+        assert (core.counters()["codewords"], core.position) == edited

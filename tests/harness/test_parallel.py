@@ -28,6 +28,28 @@ SCHEMES = ("bisp", "lockstep")
 TINY_GRID = SweepSpec(tags=("paper",), schemes=SCHEMES, scales=(SCALE,))
 
 
+#: A well-formed cell result; the wire-format tests break one field.
+CELL = CellResult(spec_name="x", scheme="bisp", num_qubits=1, num_ops=1,
+                  feedback_ops=0, makespan_cycles=1, sync_stall_cycles=0,
+                  lifetimes_ns={0: 1.0})
+
+#: (field, value) that CellResult.from_dict refuses: lifetimes are
+#: finite and >= 0 under ASCII qubit indices, fidelities finite and in
+#: [0, 1].
+BAD_CELL_FIELDS = [
+    ("lifetimes_ns", {"0": float("nan")}),
+    ("lifetimes_ns", {"0": float("inf")}),
+    ("lifetimes_ns", {"0": -1.0}),
+    # int() reads this Arabic-Indic digit as 3, colliding with "3".
+    ("lifetimes_ns", {"\u0663": 1.0, "3": 2.0}),
+    ("fidelity_empirical", float("nan")),
+    ("fidelity_empirical", 1.5),
+    ("fidelity_ci_low", -0.25),
+    ("fidelity_ci_low", float("-inf")),
+    ("fidelity_ci_high", float("inf")),
+]
+
+
 def tiny(workloads=("bv_n400",), schemes=("bisp",), **kwargs):
     """A small scale-0.02 sweep spec (one bisp cell by default)."""
     return SweepSpec(workloads=workloads, schemes=schemes, scales=(SCALE,),
@@ -324,6 +346,23 @@ class TestWireSerialization:
         assert rebuilt == cell
         assert rebuilt.lifetimes_ns == cell.lifetimes_ns
         assert all(isinstance(k, int) for k in rebuilt.lifetimes_ns)
+
+    @pytest.mark.parametrize(
+        "field,value", BAD_CELL_FIELDS,
+        ids=["{}={!r}".format(*case) for case in BAD_CELL_FIELDS])
+    def test_cell_result_refuses_bad_field(self, field, value):
+        """Worker payloads are stored as-is: a NaN, infinite or
+        out-of-range number must fail here, not reach a BENCH
+        document."""
+        data = dict(CELL.to_dict(), **{field: value})
+        with pytest.raises(ReproError, match=field):
+            CellResult.from_dict(data)
+
+    def test_cell_result_accepts_range_ends(self):
+        data = dict(CELL.to_dict(), lifetimes_ns={"0": 0, "1": 2.5},
+                    fidelity_empirical=1, fidelity_ci_low=0.0,
+                    fidelity_ci_high=1.0)
+        assert CellResult.from_dict(data).lifetimes_ns == {0: 0, 1: 2.5}
 
 
 class TestCompileCachePlumbing:

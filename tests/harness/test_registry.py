@@ -85,6 +85,7 @@ class TestRegistration:
         {"distance_threshold": 0},
         {"mesh_kind": "torus"},
         {"builder": "not callable"},
+        {"name": "toy_n8\n"},  # "$" also matches before a final newline
     ])
     def test_invalid_parameters_rejected(self, overrides):
         with pytest.raises(WorkloadRegistryError):

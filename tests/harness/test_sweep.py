@@ -35,6 +35,11 @@ TINY_SPEC = SweepSpec(
     device_seed=1234)
 
 
+#: Names ``str.isalnum`` accepts that a ``BENCH_<name>.json`` file name
+#: must not carry: only ASCII ``[A-Za-z0-9_]+`` is valid.
+NON_ASCII_NAMES = ["x\u00b2\u0663", "caf\u00e9"]
+
+
 class TestSweepSpec:
     def test_round_trip_identity(self):
         assert SweepSpec.from_json(TINY_SPEC.to_json()) == TINY_SPEC
@@ -259,6 +264,13 @@ class TestBenchJson:
         with pytest.raises(BenchSchemaError, match=match):
             validate_bench(doc)
 
+    @pytest.mark.parametrize("name", NON_ASCII_NAMES)
+    def test_non_ascii_name_rejected(self, name):
+        doc = make_bench("demo", [{"label": "x", "value": 1}])
+        doc["name"] = name
+        with pytest.raises(BenchSchemaError, match="name"):
+            validate_bench(doc)
+
     def test_sweep_rows_require_cell_identity(self):
         with pytest.raises(BenchSchemaError, match="workload"):
             make_bench("demo", [{"value": 1}], kind="sweep")
@@ -412,7 +424,7 @@ class TestSweepSubmission:
         {"priority": -1},
         {"priority": 1.5},
         {"priority": True},
-    ])
+    ] + [{"name": name} for name in NON_ASCII_NAMES])
     def test_invalid_metadata_rejected(self, kwargs):
         with pytest.raises(SweepSpecError):
             SweepSubmission(spec=TINY_SPEC, **kwargs)

@@ -38,7 +38,7 @@ class TestDecode:
                           halt())
         assert decode_program(first) is decode_program(second)
 
-    def test_append_invalidates_instance_cache(self):
+    def test_append_redecodes(self):
         program = _program(waiti(5), cw_ii(0, 1), waiti(2), cw_ii(0, 2))
         decoded = decode_program(program)
         program.append(halt())
@@ -46,7 +46,21 @@ class TestDecode:
         assert redecoded is not decoded
         assert redecoded.n == 5
 
+    def test_same_length_swap_redecodes(self):
+        # The cache is keyed on content alone, so replacing one element
+        # in place, at the same length, gets a fresh decode.
+        program = _program(waiti(5), cw_ii(0, 1), waiti(2), cw_ii(0, 2),
+                           halt())
+        decoded = decode_program(program)
+        program.instructions[1] = waiti(7)
+        redecoded = decode_program(program)
+        assert redecoded is not decoded
+        assert redecoded.steps[1][0] == OP_WAITI
+        assert redecoded.steps[1][4] == 7
+        assert decoded.steps[1][0] == OP_CW_II
+
     def test_cache_stats_shape(self):
         stats = decode_cache_stats()
         assert set(stats) == {"by_content", "step_memo", "pin_hits",
                               "content_hits", "misses"}
+        assert stats["pin_hits"] == 0  # retired; the e2e ledger sums it

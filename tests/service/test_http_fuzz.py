@@ -124,6 +124,18 @@ FUZZ_REQUESTS = [
     ("non-string reason",
      post("/release", {"worker": "w", "key": "k", "lease": "l",
                        "reason": {"why": 1}}), {400}),
+    # An inline result is stored as-is and served in BENCH documents, so
+    # a NaN lifetime or a fidelity outside [0, 1] must not reach the
+    # store.
+    ("nan lifetime",
+     post("/complete", {"worker": "w", "key": "0" * 64, "lease": "l",
+                        "result": dict(RESULT,
+                                       lifetimes_ns={"0": float("nan")})}),
+     {400}),
+    ("fidelity above one",
+     post("/complete", {"worker": "w", "key": "0" * 64, "lease": "l",
+                        "result": dict(RESULT, fidelity_empirical=1.5)}),
+     {400}),
 ]
 
 
@@ -139,12 +151,13 @@ class TestFuzz:
                 raw = await raw_exchange(server, blob)
                 code = status_of(raw)
                 await still_serving(server)
-                return code
+                return code, len(server.scheduler.store)
             finally:
                 await server.close()
 
-        code = asyncio.run(scenario())
+        code, stored = asyncio.run(scenario())
         assert code in expected, label
+        assert stored == 0, label
 
     def test_mid_body_disconnect(self, tmp_path):
         """A client that advertises 100 bytes and hangs up after 10:

@@ -18,7 +18,6 @@ from repro.compiler import schemes as scheme_registry
 from repro.compiler.driver import (compile_circuit, run_circuit,
                                    shot_device_seed, simulate_shot)
 from repro.core.message_unit import MessageUnit
-from repro.core.queues import ItemQueue
 from repro.core.sync_unit import SyncUnit
 from repro.core.timer import AbsoluteTimer
 from repro.errors import ExecutionError
@@ -166,7 +165,7 @@ def _fresh_fingerprint(compilation, seed):
 #: Run-state objects a component owns outright; their state is compared
 #: attribute by attribute.  Any other object is wiring (engine, fabric,
 #: programs) and compares by type only.
-_OWNED = (ItemQueue, SyncUnit, MessageUnit, AbsoluteTimer, QubitActivity)
+_OWNED = (SyncUnit, MessageUnit, AbsoluteTimer, QubitActivity)
 
 
 def _state(value):
@@ -235,9 +234,9 @@ class TestReusedLanesMatchFreshBuilds:
         system.run(until=100)
         cores = system.cores.values()
         assert system.engine.pending
-        assert any(len(core._queue) for core in cores)
+        assert any(core._items for core in cores)
         assert any(core.message_unit._waiter or core.sync_unit._flag_waiter
-                   or core.sync_unit._tm_waiter or core._queue._space_waiter
+                   or core.sync_unit._tm_waiter or core._space_waiter
                    for core in cores)
         assert any(router._pending or router._inbound or router._up
                    or router._down for router in system.routers.values())

@@ -12,6 +12,7 @@ import importlib.util
 from pathlib import Path
 
 from repro.isa import assemble
+from repro.isa.decoded import decode_cache_stats
 from repro.network.sync_plan import sync_plan_totals
 from repro.sim import ControlSystem
 
@@ -74,3 +75,6 @@ def test_region_sync_epochs_counted():
     # The HISQ core replays no fast blocks: the replay rows stay 0.
     assert {name: counts_after[name] for name in REPLAY_COUNTS} == \
         dict.fromkeys(REPLAY_COUNTS, 0)
+    # Decodes are keyed on content alone: the retired pin count that
+    # ``decode.calls`` still sums stays 0.
+    assert decode_cache_stats()["pin_hits"] == 0
