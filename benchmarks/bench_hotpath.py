@@ -49,7 +49,6 @@ from repro.harness.registry import get_workload
 from repro.harness.spec import SweepSpec
 from repro.compiler.driver import (compile_circuit, run_circuit,
                                    shot_device_seed, simulate_shot)
-from repro.isa import decoded
 from repro.quantum.stabilizer import StabilizerBackend
 from repro.testing import subprocess_env
 
@@ -100,7 +99,6 @@ def test_sweep_interpreters(bench_recorder, scale):
     for tier in TIERS:
         with interpreter(tier):
             clear_cell_caches()
-            decoded.clear_decode_caches()
             rows[tier], seconds[tier] = _timed_sweep(spec)
             # Warm repeat: the compile memo holds the whole grid, so
             # this is the simulation-only steady state (reruns,

@@ -3,10 +3,10 @@
 PR 6's per-process memo (`harness.parallel._CELL_COMPILATIONS`) already
 makes warm repeats of a cell compile-free — *within one process*.  Every
 fresh sweep worker, service worker and CI job still pays the full
-lowering/emit/decode pipeline for every cell it touches, and the
-ROADMAP item-2 close-out measured exactly that as the cold-path
-bottleneck ("compile dominates cold runs").  This module makes the
-compile artifact itself durable:
+lowering/emit pipeline for every cell it touches, and the ROADMAP
+item-2 close-out measured exactly that as the cold-path bottleneck
+("compile dominates cold runs").  This module makes the compile
+artifact itself durable:
 
 * One entry per compiled circuit, keyed by SHA-256 over (format-version
   salt, circuit content, scheme name + origin module,
@@ -24,20 +24,20 @@ Payload layout — columnar, not an object-graph pickle
 -----------------------------------------------------
 
 A compiled cell is hundreds of programs sharing a few thousand interned
-instructions; a naive pickle of ``CompilationResult`` + its decodes
-spends longer rebuilding that object graph than ``compile_circuit``
-takes to produce it, which would make the warm path pointless.  The
-payload therefore stores the *unique* content once and the structure as
-flat integer arrays:
+instructions; a naive pickle of ``CompilationResult`` spends longer
+rebuilding that object graph than ``compile_circuit`` takes to produce
+it, which would make the warm path pointless.  The payload therefore
+stores the *unique* content once and the structure as flat integer
+arrays:
 
 * ``pool`` — one operand tuple per unique instruction.  Loads re-intern
   label-less entries (:func:`repro.isa.instructions.interned`), so
   repeated content shares objects across cells exactly like a fresh
   compile, and unknown mnemonics fail validation into a clean miss.
-  Step tuples are re-derived from the pool rather than stored.
-* ``idx`` + ``decs`` — each unique decode is a slice of one uint32 index
-  array into the pool (programs that assemble identical binaries store
-  their decode once), plus its ``has_recv`` flag.
+  Each instruction derives its own step tuple, so no decode is stored.
+* ``idx`` — each unique program body is a slice of one uint32 index
+  array into the pool (programs made of the same instruction objects
+  store their body once).
 * ``meta`` — the small remaining ``CompilationResult`` fields, pickled
   as-is.  The circuit itself is **not stored**: the key guarantees the
   caller's circuit is content-identical, so :meth:`CompileCache.get`
@@ -57,8 +57,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..diskcache import PickleDirStore
-from ..isa.decoded import (DecodedProgram, _prime_decoded, _step_of,
-                           decode_program)
+# Unused here; benchmarks/e2e/layers.py wraps this binding.
+from ..isa.decoded import decode_program  # noqa: F401
 from ..isa.instructions import Instruction, interned
 from ..isa.program import Program
 from ..obs import metrics as _metrics
@@ -68,10 +68,10 @@ from ..sim.device import (GateAction, MarkerAction, MeasureAction,
 from .driver import CompilationResult, compile_circuit
 from .schemes import get_scheme, origin_module
 
-#: Bump whenever the payload layout, Program, DecodedProgram or the
+#: Bump whenever the payload layout, Program, Instruction or the
 #: simulation semantics change incompatibly — old entries are keyed away
 #: instead of deserialized wrongly (the salt is part of the hash key).
-COMPILE_CACHE_VERSION = 3
+COMPILE_CACHE_VERSION = 4
 
 COMPILE_CACHE_HITS = _metrics.counter(
     "repro_compile_cache_hits_total",
@@ -200,12 +200,11 @@ def _decode_codeword_tables(encoded: tuple) -> Dict[int, dict]:
 
 
 def _encode(result: CompilationResult) -> dict:
-    """Columnar payload for ``result`` plus every program's decode."""
+    """Columnar payload for ``result``."""
     pool_index: Dict[int, int] = {}
     pool = []
     pool_labels: Dict[int, str] = {}
-    dec_index: Dict[int, int] = {}
-    decs = []
+    body_slices: Dict[tuple, tuple] = {}
     idx_chunks = []
     idx_total = 0
 
@@ -222,17 +221,18 @@ def _encode(result: CompilationResult) -> dict:
 
     programs = {}
     for address, program in result.programs.items():
-        decoded = decode_program(program)
-        dec_i = dec_index.get(id(decoded))
-        if dec_i is None:
-            dec_i = dec_index[id(decoded)] = len(decs)
-            chunk = np.fromiter(map(index_of, decoded.instructions),
-                                dtype=np.uint32, count=decoded.n)
-            decs.append((idx_total, idx_total + decoded.n,
-                         decoded.has_recv))
-            idx_chunks.append(chunk)
-            idx_total += decoded.n
-        programs[address] = (program.name, program.labels, dec_i)
+        instructions = program.instructions
+        # The programs are alive for the whole call, so instruction ids
+        # cannot be reused while they key a body.
+        body = tuple(map(id, instructions))
+        lo_hi = body_slices.get(body)
+        if lo_hi is None:
+            n = len(instructions)
+            idx_chunks.append(np.fromiter(map(index_of, instructions),
+                                          dtype=np.uint32, count=n))
+            lo_hi = body_slices[body] = (idx_total, idx_total + n)
+            idx_total += n
+        programs[address] = (program.name, program.labels) + lo_hi
     return {
         "version": COMPILE_CACHE_VERSION,
         "meta": {name: getattr(result, name) for name in _META_FIELDS},
@@ -241,13 +241,12 @@ def _encode(result: CompilationResult) -> dict:
         "pool_labels": pool_labels,
         "idx": (np.concatenate(idx_chunks) if idx_chunks
                 else np.empty(0, dtype=np.uint32)),
-        "decs": decs,
         "programs": programs,
     }
 
 
 def _decode(payload: dict, circuit) -> CompilationResult:
-    """Rebuild a compilation (and prime its decodes) from a payload.
+    """Rebuild a compilation from a payload.
 
     Raises on any malformed payload — :meth:`CompileCache.get` turns
     that into a miss."""
@@ -259,29 +258,14 @@ def _decode(payload: dict, circuit) -> CompilationResult:
             instr_pool.append(Instruction(*operands, label=label))
         else:
             instr_pool.append(interned(*operands))
-    # Steps are re-derived, not trusted from disk: _step_of validates
-    # every mnemonic against the opcode table and hits its memo for
-    # interned repeats across cells.
-    step_pool = [_step_of(instr) for instr in instr_pool]
 
     index_array = payload["idx"]
     get_instr = instr_pool.__getitem__
-    get_step = step_pool.__getitem__
-    dec_objs = []
-    for idx_lo, idx_hi, has_recv in payload["decs"]:
-        indices = index_array[idx_lo:idx_hi].tolist()
-        decoded = DecodedProgram.from_artifact(
-            tuple(map(get_instr, indices)), list(map(get_step, indices)),
-            bool(has_recv))
-        _prime_decoded(decoded)
-        dec_objs.append(decoded)
-
     programs = {}
-    for address, (name, labels, dec_i) in payload["programs"].items():
-        # Built from the decode's own instruction tuple, so the program
-        # finds the primed decode by content.
+    for address, (name, labels, lo, hi) in payload["programs"].items():
         programs[address] = Program(
-            name=name, instructions=list(dec_objs[dec_i].instructions),
+            name=name,
+            instructions=list(map(get_instr, index_array[lo:hi].tolist())),
             labels=dict(labels))
     return CompilationResult(
         circuit=circuit, programs=programs,
@@ -290,7 +274,7 @@ def _decode(payload: dict, circuit) -> CompilationResult:
 
 
 class CompileCache(PickleDirStore):
-    """On-disk store of compiled (and pre-decoded) circuits.
+    """On-disk store of compiled circuits.
 
     Lives in the same directory family as the sweep result cache —
     point it at e.g. ``<cache-dir>/compile`` next to the cell store, or
@@ -304,9 +288,8 @@ class CompileCache(PickleDirStore):
         does not store it; ``key`` must have been derived from this
         circuit's content).  Beyond the pickle-level broad except of the
         base class, the payload shape and format version are checked
-        explicitly, instruction operands re-validate through the
-        interner, and the decoded artifacts are primed into the decode
-        cache — a payload that fails *any* of it (truncated file,
+        explicitly and instruction operands re-validate through the
+        interner — a payload that fails *any* of it (truncated file,
         stale salt written by a future layout that reuses keys,
         hand-edited store) is a miss, never a crash or a wrong program.
         """
@@ -321,11 +304,10 @@ class CompileCache(PickleDirStore):
             return None
 
     def put(self, key: str, result: CompilationResult) -> None:
-        """Store a compilation plus the decode of every program.
+        """Store a compilation.
 
-        Decoding here is warm (the caller just compiled, and decodes
-        are content-cached); the columnar payload keeps the warm load
-        several times cheaper than the compile it replaces."""
+        The columnar payload keeps the warm load several times cheaper
+        than the compile it replaces."""
         super().put(key, _encode(result))
 
 

@@ -51,17 +51,19 @@ kind, a, b)``; ``kind`` is an ``ITEM_*`` constant of
 
 Pipeline loop
 -------------
-:meth:`HISQCore.load` decodes the program once (:mod:`repro.isa.decoded`,
-cached by content) into one dense ``(opcode, rd, rs1, rs2, imm, imm2)``
-tuple per instruction, and the core runs that decode: an edit to the
-program after ``load`` takes effect at the next ``load``.  One loop
-dispatches on the opcode: up to :data:`BATCH_LIMIT` instructions per
-scheduler activation, pushing each timed item onto the queue, so the TCU
-loop reads, pops and issues every item in one place.  An activation ends
-early at a full codeword queue (the pipeline stalls until the TCU pops),
-at ``halt``, and at ``recv``: the receive registers with the MsgU at
-once, and a message that is already waiting, or arrives before the recv
-completes ``cost + cpi`` cycles later, is held until that cycle.
+:meth:`HISQCore.load` decodes the program once (:mod:`repro.isa.decoded`)
+into the list of its instructions' ``(opcode, rd, rs1, rs2, imm, imm2)``
+step tuples, and the core runs that decode: an edit to the program after
+``load`` takes effect at the next ``load``.  A core that was never
+loaded holds an empty program and decodes nothing.  One loop dispatches
+on the opcode: up to :data:`BATCH_LIMIT` instructions per scheduler
+activation.  Each timed item goes through one push, which also starts
+an idle TCU, so the TCU loop reads, pops and issues every item in one
+place.  An activation ends early at a full codeword queue (the pipeline
+stalls until the TCU pops), at ``halt``, and at ``recv``: the receive
+registers with the MsgU at once, and a message that is already waiting,
+or arrives before the recv completes ``cost + cpi`` cycles later, is
+held until that cycle.
 Counters, TELF traces, stall accounting and makespans match the
 per-instruction interpreter ``ReferenceCore`` in
 ``tests/core/reference_core.py``, which schedules its receive as an
@@ -75,8 +77,8 @@ from typing import Optional
 
 from ..errors import ExecutionError, TimingViolation
 from ..isa.decoded import (ITEM_CW, ITEM_RESYNC, ITEM_SEND, ITEM_SYNC_N,
-                           ITEM_SYNC_R)
-from ..isa.decoded import (CW_OPS, OP_ADD, OP_ADDI, OP_AND, OP_ANDI,
+                           ITEM_SYNC_R, decode_program)
+from ..isa.opcodes import (CW_OPS, OP_ADD, OP_ADDI, OP_AND, OP_ANDI,
                            OP_AUIPC, OP_BEQ, OP_BGE, OP_BGEU, OP_BLT,
                            OP_BLTU, OP_BNE, OP_CW_II, OP_CW_IR, OP_CW_RI,
                            OP_CW_RR, OP_HALT, OP_JAL, OP_JALR, OP_LUI,
@@ -84,7 +86,7 @@ from ..isa.decoded import (CW_OPS, OP_ADD, OP_ADDI, OP_AND, OP_ANDI,
                            OP_SEND_I, OP_SLL, OP_SLLI, OP_SLT, OP_SLTI,
                            OP_SLTIU, OP_SLTU, OP_SRA, OP_SRAI, OP_SRL,
                            OP_SRLI, OP_SUB, OP_SW, OP_SYNC, OP_WAITI,
-                           OP_WAITR, OP_XOR, OP_XORI, decode_program)
+                           OP_WAITR, OP_XOR, OP_XORI)
 from ..isa.program import Program
 from ..isa.registers import RegisterFile, to_signed
 from ..sim.config import SimulationConfig
@@ -135,7 +137,8 @@ class HISQCore:
         self._pipeline_entry = self._pipeline_run
         self._tcu_loop_cb = self._tcu_loop
         self._delivered_cb = self._delivered
-        self.load(Program(name=name))
+        # Empty until load(): an empty program has nothing to decode.
+        self._install(Program(name=name), [])
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -146,10 +149,12 @@ class HISQCore:
 
         The core runs this decode: edits to ``program`` after ``load``
         take effect at the next ``load``."""
+        self._install(program, decode_program(program).steps)
+
+    def _install(self, program: Program, steps: list) -> None:
         self.program = program
-        decoded = decode_program(program)
         # The pipeline loop's per-activation constants.
-        self._fast_ctx = (decoded.steps, decoded.n, _IS_CW,
+        self._fast_ctx = (steps, len(steps), _IS_CW,
                           self.config.classical_cpi, self._push,
                           self._items, self.config.event_queue_depth)
         self.reset()
@@ -296,15 +301,9 @@ class HISQCore:
                 position += imm
             elif op == OP_CW_II:
                 push_item((position, ITEM_CW, imm, imm2))
-                self.pc = next_pc
-                self.position = position
-                self._tcu_kick()
             elif op == OP_SYNC:
                 push_item((position, ITEM_SYNC_R if imm2 else ITEM_SYNC_N,
                            imm, imm2))
-                self.pc = next_pc
-                self.position = position
-                self._tcu_kick()
             elif op == OP_SW:
                 addr = (regs.read(rs1) + imm) & 0xFFFFFFFF
                 if addr % 4:
@@ -321,9 +320,6 @@ class HISQCore:
                 regs.write(rd, self.memory.get(addr, 0))
             elif op == OP_SEND:
                 push_item((position, ITEM_SEND, imm, regs.read(rs1)))
-                self.pc = next_pc
-                self.position = position
-                self._tcu_kick()
             elif op == OP_BEQ:
                 if regs.read(rs1) == regs.read(rs2):
                     next_pc = pc + imm
@@ -336,27 +332,15 @@ class HISQCore:
                 pass
             elif op == OP_SEND_I:
                 push_item((position, ITEM_SEND, imm, imm2))
-                self.pc = next_pc
-                self.position = position
-                self._tcu_kick()
             elif op == OP_WAITR:
                 position += to_signed(regs.read(rs1))
             elif op == OP_CW_IR:
                 push_item((position, ITEM_CW, imm, regs.read(rs2)))
-                self.pc = next_pc
-                self.position = position
-                self._tcu_kick()
             elif op == OP_CW_RI:
                 push_item((position, ITEM_CW, regs.read(rs1), imm2))
-                self.pc = next_pc
-                self.position = position
-                self._tcu_kick()
             elif op == OP_CW_RR:
                 push_item((position, ITEM_CW, regs.read(rs1),
                            regs.read(rs2)))
-                self.pc = next_pc
-                self.position = position
-                self._tcu_kick()
             elif op == OP_ADDI:
                 regs.write(rd, regs.read(rs1) + imm)
             elif op == OP_ADD:
@@ -471,7 +455,7 @@ class HISQCore:
                 timer.advance_to(position,
                                  max(timer.wall_of(position), earliest))
         else:
-            self._tcu_enqueue((position, ITEM_RESYNC, earliest, exact))
+            self._push((position, ITEM_RESYNC, earliest, exact))
         self._pipeline_blocked = False
         self.engine.after(self.config.classical_cpi, self._pipeline_entry)
 
@@ -481,15 +465,14 @@ class HISQCore:
 
     def _push(self, item) -> None:
         """Append a timed item to the queue (the caller has checked for
-        space) and track the peak depth."""
+        space), track the peak depth and start the TCU if it is idle."""
         items = self._items
         items.append(item)
         if len(items) > self.queue_high_water:
             self.queue_high_water = len(items)
-
-    def _tcu_enqueue(self, item) -> None:
-        self._push(item)
-        self._tcu_kick()
+        if not self._tcu_busy:
+            self._tcu_busy = True
+            self._tcu_loop()
 
     def _tcu_kick(self) -> None:
         if self._tcu_busy:

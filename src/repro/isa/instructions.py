@@ -1,9 +1,11 @@
 """Instruction objects for HISQ programs.
 
 An :class:`Instruction` is a decoded, executable representation: mnemonic
-plus resolved integer operands.  The assembler produces these from text and
-the encoder maps them to/from 32-bit words.  Convenience constructors are
-provided for programmatic code generation (the compiler uses them heavily).
+plus resolved integer operands, and the dense ``step`` tuple the HISQ
+core's pipeline loop dispatches on.  The assembler produces these from
+text and the encoder maps them to/from 32-bit words.  Convenience
+constructors are provided for programmatic code generation (the compiler
+uses them heavily).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import AssemblyError
-from .opcodes import FORMATS, Fmt, is_branch, is_quantum
+from .opcodes import FORMATS, OPCODES, Fmt, is_branch, is_quantum
 
 
 @dataclass(frozen=True)
@@ -32,6 +34,11 @@ class Instruction:
         Second immediate where needed: ``cw.i.i`` codeword, ``sync`` delta.
     label:
         Optional source label this instruction carried (for listings).
+    step:
+        Derived, not passed: ``(opcode, rd, rs1, rs2, imm, imm2)`` with
+        the integer opcode of :data:`~repro.isa.opcodes.OPCODES`.  HISQ
+        is a fixed-format ISA, so this tuple depends on the instruction
+        alone; :func:`repro.isa.decoded.decode_program` collects it.
     """
 
     mnemonic: str
@@ -41,15 +48,19 @@ class Instruction:
     imm: int = 0
     imm2: int = 0
     label: str = field(default="", compare=False)
+    step: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.mnemonic not in FORMATS:
+        opcode = OPCODES.get(self.mnemonic)
+        if opcode is None:
             raise AssemblyError("unknown mnemonic {!r}".format(self.mnemonic))
         for name in ("rd", "rs1", "rs2"):
             value = getattr(self, name)
             if not 0 <= value < 32:
                 raise AssemblyError(
                     "{} out of range in {}: {}".format(name, self.mnemonic, value))
+        object.__setattr__(self, "step", (opcode, self.rd, self.rs1,
+                                          self.rs2, self.imm, self.imm2))
 
     @property
     def fmt(self) -> Fmt:

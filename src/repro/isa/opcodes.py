@@ -75,6 +75,75 @@ FORMATS["recv"] = Fmt.RECV
 FORMATS["halt"] = Fmt.NONE
 FORMATS["nop"] = Fmt.NONE
 
+# ---------------------------------------------------------------------------
+# Integer opcodes, the first element of every instruction's ``step``
+# (:attr:`repro.isa.instructions.Instruction.step`), ordered roughly by
+# runtime frequency in compiled programs.
+# ---------------------------------------------------------------------------
+
+OP_WAITI = 0
+OP_CW_II = 1
+OP_SYNC = 2
+OP_SW = 3
+OP_LW = 4
+OP_SEND = 5
+OP_RECV = 6
+OP_BEQ = 7
+OP_BNE = 8
+OP_HALT = 9
+OP_NOP = 10
+OP_SEND_I = 11
+OP_WAITR = 12
+OP_CW_IR = 13
+OP_CW_RI = 14
+OP_CW_RR = 15
+OP_ADDI = 16
+OP_ADD = 17
+OP_SUB = 18
+OP_AND = 19
+OP_OR = 20
+OP_XOR = 21
+OP_ANDI = 22
+OP_ORI = 23
+OP_XORI = 24
+OP_SLT = 25
+OP_SLTU = 26
+OP_SLTI = 27
+OP_SLTIU = 28
+OP_SLL = 29
+OP_SRL = 30
+OP_SRA = 31
+OP_SLLI = 32
+OP_SRLI = 33
+OP_SRAI = 34
+OP_LUI = 35
+OP_AUIPC = 36
+OP_BLT = 37
+OP_BGE = 38
+OP_BLTU = 39
+OP_BGEU = 40
+OP_JAL = 41
+OP_JALR = 42
+
+#: Mnemonic -> integer opcode; names the same mnemonics as :data:`FORMATS`.
+OPCODES: dict[str, int] = {
+    "waiti": OP_WAITI, "cw.i.i": OP_CW_II, "sync": OP_SYNC, "sw": OP_SW,
+    "lw": OP_LW, "send": OP_SEND, "recv": OP_RECV, "beq": OP_BEQ,
+    "bne": OP_BNE, "halt": OP_HALT, "nop": OP_NOP, "send.i": OP_SEND_I,
+    "waitr": OP_WAITR, "cw.i.r": OP_CW_IR, "cw.r.i": OP_CW_RI,
+    "cw.r.r": OP_CW_RR, "addi": OP_ADDI, "add": OP_ADD, "sub": OP_SUB,
+    "and": OP_AND, "or": OP_OR, "xor": OP_XOR, "andi": OP_ANDI,
+    "ori": OP_ORI, "xori": OP_XORI, "slt": OP_SLT, "sltu": OP_SLTU,
+    "slti": OP_SLTI, "sltiu": OP_SLTIU, "sll": OP_SLL, "srl": OP_SRL,
+    "sra": OP_SRA, "slli": OP_SLLI, "srli": OP_SRLI, "srai": OP_SRAI,
+    "lui": OP_LUI, "auipc": OP_AUIPC, "blt": OP_BLT, "bge": OP_BGE,
+    "bltu": OP_BLTU, "bgeu": OP_BGEU, "jal": OP_JAL, "jalr": OP_JALR,
+}
+
+#: Opcodes that check the TCU queue for space before executing (the
+#: pipeline stalls on these when the queue is full).
+CW_OPS = frozenset((OP_CW_II, OP_CW_IR, OP_CW_RI, OP_CW_RR))
+
 
 def is_quantum(mnemonic: str) -> bool:
     """Return True for instructions handled by the timing control unit."""

@@ -90,28 +90,10 @@ class TestRoundTrip:
         assert warm.system.device.lifetimes_ns() == \
             fresh.system.device.lifetimes_ns()
 
-    def test_loaded_decode_is_adopted(self, tmp_path):
-        """A warm load primes the decode cache with the loaded decodes:
-        the simulator's decode_program calls then hit by content, with
-        no decode."""
-        cache = CompileCache(str(tmp_path))
-        circuit = build_ghz(4)
-        cached_compile(circuit, cache=cache)
-        decoded.clear_decode_caches()
-        result = cached_compile(circuit, cache=cache)
-        before = decoded.decode_cache_stats()
-        for program in result.programs.values():
-            dec = decoded.decode_program(program)
-            assert dec.instructions[0] is program.instructions[0]
-        after = decoded.decode_cache_stats()
-        assert after["misses"] == before["misses"]
-        assert after["content_hits"] - before["content_hits"] == \
-            len(result.programs)
-
 
 class TestWarmDecode:
-    """A warm load rebuilds every decode from the stored pool and index
-    slices; it must equal a fresh decode of the same instructions."""
+    """A warm load rebuilds every program from the stored pool and index
+    slices; each must decode exactly as the fresh compile's does."""
 
     @pytest.mark.parametrize("scheme", scheme_registry.scheme_names())
     @pytest.mark.parametrize("workload", ("bv_n400", "repetition_d25"))
@@ -119,20 +101,19 @@ class TestWarmDecode:
         spec = registry.get_workload(workload).spec(0.04, 0.25)
         circuit = spec.circuit()
         cache = CompileCache(str(tmp_path))
-        cached_compile(circuit, scheme=scheme, mesh_kind=spec.mesh_kind,
-                       cache=cache)
-        decoded.clear_decode_caches()
+        fresh = cached_compile(circuit, scheme=scheme,
+                               mesh_kind=spec.mesh_kind, cache=cache)
         before = compile_cache_totals()
         warm = cached_compile(circuit, scheme=scheme,
                               mesh_kind=spec.mesh_kind, cache=cache)
         assert _delta(before) == {"hits": 1, "misses": 0}
+        assert sorted(warm.programs) == sorted(fresh.programs)
         recvs = 0
-        for program in warm.programs.values():
+        for address, program in warm.programs.items():
             loaded = decoded.decode_program(program)
-            fresh = decoded.DecodedProgram(tuple(program.instructions))
-            assert loaded is not fresh
+            compiled = decoded.decode_program(fresh.programs[address])
             assert (loaded.n, loaded.steps, loaded.has_recv) == \
-                (fresh.n, fresh.steps, fresh.has_recv)
+                (compiled.n, compiled.steps, compiled.has_recv)
             recvs += loaded.has_recv
         assert recvs > 0
 

@@ -91,8 +91,8 @@ class ReferenceCore(HISQCore):
         resync behind whatever the TCU still holds."""
         self.regs.write(self._recv_rd, value)
         earliest = self.engine.now + self.config.feedback_resync_cycles
-        self._tcu_enqueue((self.position, ITEM_RESYNC, earliest,
-                           self._recv_src == CENTRAL_ADDRESS))
+        self._push((self.position, ITEM_RESYNC, earliest,
+                    self._recv_src == CENTRAL_ADDRESS))
         self._pipeline_blocked = False
         self.engine.after(self.config.classical_cpi, self._pipeline_entry)
 
@@ -194,29 +194,26 @@ class ReferenceCore(HISQCore):
         elif m == "waitr":
             self.position += to_signed(regs.read(instr.rs1))
         elif m == "cw.i.i":
-            self._tcu_enqueue((self.position, ITEM_CW, instr.imm,
-                               instr.imm2))
+            self._push((self.position, ITEM_CW, instr.imm, instr.imm2))
         elif m == "cw.i.r":
-            self._tcu_enqueue((self.position, ITEM_CW, instr.imm,
-                               regs.read(instr.rs2)))
+            self._push((self.position, ITEM_CW, instr.imm,
+                        regs.read(instr.rs2)))
         elif m == "cw.r.i":
-            self._tcu_enqueue((self.position, ITEM_CW, regs.read(instr.rs1),
-                               instr.imm2))
+            self._push((self.position, ITEM_CW, regs.read(instr.rs1),
+                        instr.imm2))
         elif m == "cw.r.r":
-            self._tcu_enqueue((self.position, ITEM_CW, regs.read(instr.rs1),
-                               regs.read(instr.rs2)))
+            self._push((self.position, ITEM_CW, regs.read(instr.rs1),
+                        regs.read(instr.rs2)))
         elif m == "sync":
             if instr.imm2:
-                self._tcu_enqueue((self.position, ITEM_SYNC_R, instr.imm,
-                                   instr.imm2))
+                self._push((self.position, ITEM_SYNC_R, instr.imm, instr.imm2))
             else:
-                self._tcu_enqueue((self.position, ITEM_SYNC_N, instr.imm, 0))
+                self._push((self.position, ITEM_SYNC_N, instr.imm, 0))
         elif m == "send":
-            self._tcu_enqueue((self.position, ITEM_SEND, instr.imm,
-                               regs.read(instr.rs1)))
+            self._push((self.position, ITEM_SEND, instr.imm,
+                        regs.read(instr.rs1)))
         elif m == "send.i":
-            self._tcu_enqueue((self.position, ITEM_SEND, instr.imm,
-                               instr.imm2))
+            self._push((self.position, ITEM_SEND, instr.imm, instr.imm2))
         else:
             raise ExecutionError("{}: cannot execute {!r}".format(self.name,
                                                                   m))

@@ -27,7 +27,6 @@ from repro.core.node import HISQCore
 from repro.harness import registry
 from repro.isa import decoded
 from repro.isa.assembler import assemble
-from repro.isa.decoded import decode_program
 from repro.sim import ControlSystem, SimulationConfig, lanes
 from repro.sim.engine import Engine
 from repro.sim.telf import TelfLog
@@ -513,20 +512,31 @@ EDITS = {
 class TestDecodeOnLoad:
     def test_reference_never_decodes(self):
         """The stepwise reference interprets the program as written:
-        loading and running it leaves the decode caches untouched."""
-        decoded.clear_decode_caches()
+        building, loading and running it decodes nothing."""
+        before = decoded.decode_cache_stats()["misses"]
         engine = Engine()
         core = ReferenceCore("c0", 0, engine, TelfLog())
         core.load(assemble("waiti 5\ncw.i.i 0,1\nhalt"))
         core.start()
         engine.run(until=10_000)
         assert core.counters()["codewords"] == 1
-        assert decoded.decode_cache_stats()["by_content"] == 0
+        assert decoded.decode_cache_stats()["misses"] == before
 
-    def test_decode_cache_shared_across_loads(self):
-        program = assemble("waiti 5\ncw.i.i 0,1\nwaiti 4\ncw.i.i 0,2\nhalt")
-        first = decode_program(program)
-        assert decode_program(program) is first
+    def test_unloaded_core_decodes_nothing(self):
+        """A core holds an empty program until load(); building it makes
+        no decode_program call, and started anyway it halts at once."""
+        def calls():
+            stats = decoded.decode_cache_stats()
+            return stats["pin_hits"] + stats["content_hits"] + stats["misses"]
+
+        before = calls()
+        engine = Engine()
+        core = HISQCore("c0", 0, engine, TelfLog())
+        assert len(core.program) == 0 and calls() == before
+        core.start()
+        engine.run(until=10)
+        assert core.halted and core.drained
+        assert core.counters()["instructions"] == 0
 
     @pytest.mark.parametrize("edit", sorted(EDITS))
     def test_start_runs_program_as_loaded(self, edit):

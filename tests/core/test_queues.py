@@ -1,7 +1,9 @@
 """TCU item queue: FIFO issue order, depth tracking and wake-up semantics.
 
 The queue is core state: items are plain ``(position, kind, a, b)``
-tuples that the core's TCU loop pops.
+tuples that the core's TCU loop pops.  A push starts an idle TCU, so
+each test holds the TCU busy while it fills the queue, as an earlier
+item still waiting for its issue cycle would.
 """
 
 from repro.core.node import HISQCore
@@ -12,14 +14,17 @@ from repro.sim.telf import TelfLog
 
 
 def _bare_core(depth):
+    """A bare core whose TCU is held busy until :func:`_drain`."""
     engine = Engine()
     core = HISQCore("c0", 0, engine, TelfLog(),
                     config=SimulationConfig(event_queue_depth=depth))
+    core._tcu_busy = True
     return engine, core
 
 
 def _drain(engine, core):
-    """Let the core's TCU issue everything queued."""
+    """Release the core's TCU and let it issue everything queued."""
+    core._tcu_busy = False
     core._tcu_kick()
     engine.run()
 

@@ -137,7 +137,6 @@ class TestProcessRegistry:
 
         names = {inst.name for inst in metrics.REGISTRY.instruments()}
         expected = {
-            "repro_decode_content_hits_total",
             "repro_decode_misses_total",
             "repro_compilations_total",
             "repro_simulations_total",

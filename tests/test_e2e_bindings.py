@@ -75,6 +75,7 @@ def test_region_sync_epochs_counted():
     # The HISQ core replays no fast blocks: the replay rows stay 0.
     assert {name: counts_after[name] for name in REPLAY_COUNTS} == \
         dict.fromkeys(REPLAY_COUNTS, 0)
-    # Decodes are keyed on content alone: the retired pin count that
-    # ``decode.calls`` still sums stays 0.
-    assert decode_cache_stats()["pin_hits"] == 0
+    # Nothing caches decodes: the retired pin and content-hit counts
+    # that ``decode.calls`` still sums stay 0.
+    stats = decode_cache_stats()
+    assert stats["pin_hits"] == stats["content_hits"] == 0
