@@ -26,7 +26,7 @@ def test_fig15_parallel_matches_serial_and_speeds_up(benchmark,
 
     def timed():
         # Both sides start cold: without the clear, the pool's forked
-        # workers would inherit the serial run's compile memo.
+        # workers would inherit the serial run's circuit memo.
         clear_cell_caches()
         t0 = time.perf_counter()
         serial = fig15_outcomes(scale, processes=1)

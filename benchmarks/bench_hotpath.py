@@ -72,10 +72,10 @@ MIN_TABLEAU_SPEEDUP = 2.0
 #: Floor for the compile phase of a *fresh process* sweeping against a
 #: warm persistent compile cache vs a fresh process with no store at
 #: all.  Measured in subprocesses because in-process repeats hit the
-#: interpreter-wide instruction-intern and decode-content caches, which
-#: shrink the "fully cold" baseline.  The ratio covers the compile phase
-#: only, the part the cache replaces: both sides run the same
-#: simulation, which would dilute a whole-sweep ratio towards 1x.
+#: interpreter-wide instruction interning, which shrinks the "fully
+#: cold" baseline.  The ratio covers the compile phase only, the part
+#: the cache replaces: both sides run the same simulation, which would
+#: dilute a whole-sweep ratio towards 1x.
 MIN_COMPILE_CACHE_SPEEDUP = float(os.environ.get(
     "REPRO_COMPILE_CACHE_MIN_SPEEDUP", "1.2"))
 
@@ -95,27 +95,16 @@ def _timed_sweep(spec):
 def test_sweep_interpreters(bench_recorder, scale):
     spec = SweepSpec(tags=("paper",), scales=(float(scale),))
 
-    rows, seconds, warm_seconds = {}, {}, {}
+    rows, seconds = {}, {}
     for tier in TIERS:
         with interpreter(tier):
             clear_cell_caches()
             rows[tier], seconds[tier] = _timed_sweep(spec)
-            # Warm repeat: the compile memo holds the whole grid, so
-            # this is the simulation-only steady state (reruns,
-            # --verify-parallel, benchmark iterations).
-            warm_rows, warm = _timed_sweep(spec)
-            warm_seconds[tier] = warm
-            assert warm_rows == rows[tier], tier
 
     speedup_vector = seconds["legacy"] / seconds["vector"]
-    warm_speedup = warm_seconds["legacy"] / warm_seconds["vector"]
     print("\n=== serial paper-tag sweep (scale={}) ===".format(scale))
-    print("cold  legacy: {:.2f}s   vector: {:.2f}s ({:.2f}x)".format(
+    print("legacy: {:.2f}s   vector: {:.2f}s ({:.2f}x)".format(
         seconds["legacy"], seconds["vector"], speedup_vector))
-    print("warm  legacy: {:.2f}s   vector: {:.2f}s "
-          "({:.2f}x; vs cold legacy {:.2f}x)".format(
-              warm_seconds["legacy"], warm_seconds["vector"], warm_speedup,
-              seconds["legacy"] / warm_seconds["vector"]))
 
     cells = len(rows["legacy"])
     makespan_sum = sum(row["makespan_cycles"] for row in rows["legacy"])
@@ -128,10 +117,7 @@ def test_sweep_interpreters(bench_recorder, scale):
             "sweep_{}_scale_{:g}".format(tier, float(scale)), **row)
     bench_recorder.note_volatile(
         legacy_seconds=seconds["legacy"],
-        vector_seconds=seconds["vector"], sweep_speedup=speedup_vector,
-        warm_legacy_seconds=warm_seconds["legacy"],
-        warm_vector_seconds=warm_seconds["vector"],
-        warm_speedup=warm_speedup)
+        vector_seconds=seconds["vector"], sweep_speedup=speedup_vector)
 
     # Bit-identity is the hard requirement; the wall-clock floor guards
     # against the decoded loop silently regressing to the legacy cost.
@@ -143,8 +129,8 @@ def test_sweep_interpreters(bench_recorder, scale):
 #: Driver for one *fresh interpreter* running the serial paper-tag
 #: sweep, optionally against a compile-cache store ("-" = none).  Fresh
 #: processes are the honest cold baseline: the interpreter-wide
-#: instruction-intern and decode-content caches start empty, exactly as
-#: every new sweep worker, service worker, or CLI invocation does.
+#: instruction interning starts empty, exactly as every new sweep
+#: worker, service worker, or CLI invocation does.
 _SWEEP_DRIVER = """
 import dataclasses, hashlib, json, sys, time
 from repro.compiler.cache import compile_cache_totals
@@ -177,7 +163,7 @@ def test_compile_cache_cold_vs_warm(bench_recorder, scale, tmp_path):
     """Cold-path payoff of the persistent compile cache, measured the
     way it is deployed: a fresh process with a warm store vs a fresh
     process with no store.  (In-process repeats are not a valid cold
-    baseline — recompiles there hit the intern/decode caches.)"""
+    baseline — recompiles there reuse interned instructions.)"""
     cache_dir = str(tmp_path / "compile")
 
     def _fresh_sweep(store):

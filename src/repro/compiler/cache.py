@@ -1,12 +1,10 @@
 """Persistent content-addressed compile cache.
 
-PR 6's per-process memo (`harness.parallel._CELL_COMPILATIONS`) already
-makes warm repeats of a cell compile-free — *within one process*.  Every
-fresh sweep worker, service worker and CI job still pays the full
-lowering/emit pipeline for every cell it touches, and the ROADMAP
-item-2 close-out measured exactly that as the cold-path bottleneck
-("compile dominates cold runs").  This module makes the compile
-artifact itself durable:
+A sweep compiles each cell once per process, so every fresh sweep
+worker, service worker and CI job pays the full lowering/emit pipeline
+for every cell it touches, and the ROADMAP item-2 close-out measured
+exactly that as the cold-path bottleneck ("compile dominates cold
+runs").  This module makes the compile artifact itself durable:
 
 * One entry per compiled circuit, keyed by SHA-256 over (format-version
   salt, circuit content, scheme name + origin module,
@@ -35,9 +33,8 @@ arrays:
   repeated content shares objects across cells exactly like a fresh
   compile, and unknown mnemonics fail validation into a clean miss.
   Each instruction derives its own step tuple, so no decode is stored.
-* ``idx`` — each unique program body is a slice of one uint32 index
-  array into the pool (programs made of the same instruction objects
-  store their body once).
+* ``idx`` — one uint32 index array into the pool; each program's body
+  is its own slice, in address order.
 * ``meta`` — the small remaining ``CompilationResult`` fields, pickled
   as-is.  The circuit itself is **not stored**: the key guarantees the
   caller's circuit is content-identical, so :meth:`CompileCache.get`
@@ -204,7 +201,6 @@ def _encode(result: CompilationResult) -> dict:
     pool_index: Dict[int, int] = {}
     pool = []
     pool_labels: Dict[int, str] = {}
-    body_slices: Dict[tuple, tuple] = {}
     idx_chunks = []
     idx_total = 0
 
@@ -222,17 +218,12 @@ def _encode(result: CompilationResult) -> dict:
     programs = {}
     for address, program in result.programs.items():
         instructions = program.instructions
-        # The programs are alive for the whole call, so instruction ids
-        # cannot be reused while they key a body.
-        body = tuple(map(id, instructions))
-        lo_hi = body_slices.get(body)
-        if lo_hi is None:
-            n = len(instructions)
-            idx_chunks.append(np.fromiter(map(index_of, instructions),
-                                          dtype=np.uint32, count=n))
-            lo_hi = body_slices[body] = (idx_total, idx_total + n)
-            idx_total += n
-        programs[address] = (program.name, program.labels) + lo_hi
+        n = len(instructions)
+        idx_chunks.append(np.fromiter(map(index_of, instructions),
+                                      dtype=np.uint32, count=n))
+        programs[address] = (program.name, program.labels, idx_total,
+                             idx_total + n)
+        idx_total += n
     return {
         "version": COMPILE_CACHE_VERSION,
         "meta": {name: getattr(result, name) for name in _META_FIELDS},

@@ -236,8 +236,9 @@ def run_circuit(circuit: QuantumCircuit, scheme: str = "bisp",
     (``estimate_fidelity``) on the compiled circuit's timing.
 
     A pre-built ``compilation`` (from :func:`compile_circuit`, e.g. the
-    sweep harness's per-process memo) skips the compile step; the
-    compile-side keyword arguments are then ignored.
+    one the sweep harness compiles or loads from its compile store)
+    skips the compile step; the compile-side keyword arguments are then
+    ignored.
     """
     if shots < 1:
         raise CompilationError("shots must be >= 1, got {}".format(shots))

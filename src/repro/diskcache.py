@@ -21,9 +21,9 @@ here once:
   it, and every unlink tolerates a concurrent winner.
 * **Corruption = loud miss** — every entry embeds a sha256 over its
   pickled payload (:data:`CHECKSUM_MARKER` envelope), verified on
-  ``get``.  A mismatch — or any unreadable pickle; bit rot raises far
-  more than ``UnpicklingError`` — is logged through ``repro.obs.log``
-  with the key and exception class, counted in
+  ``get``.  A mismatch, a missing envelope — or any unreadable pickle;
+  bit rot raises far more than ``UnpicklingError`` — is logged through
+  ``repro.obs.log`` with the key and exception class, counted in
   ``repro_diskcache_corrupt_total``, and the entry is quarantined to
   ``<key>.corrupt`` (an atomic rename: single-flight like orphan
   reclaim, so concurrent readers move it exactly once) instead of
@@ -62,9 +62,8 @@ from .obs import metrics as obs_metrics
 ORPHAN_TMP_SECONDS = 300.0
 
 #: First element of the checksummed on-disk envelope
-#: ``(marker, sha256_hexdigest, payload_pickle_bytes)``.  Entries
-#: written before the envelope existed are raw payload pickles; ``get``
-#: still reads them (no checksum to verify).
+#: ``(marker, sha256_hexdigest, payload_pickle_bytes)``.  ``put`` writes
+#: it on every entry, so ``get`` treats an entry without it as corrupt.
 CHECKSUM_MARKER = "repro-ck1"
 
 _log = obs_log.get_logger("repro.diskcache")
@@ -75,7 +74,8 @@ _corrupt_total = obs_metrics.counter(
 
 
 class StoreCorruption(ReproError):
-    """A store entry's embedded sha256 does not match its payload."""
+    """A store entry has no checksum envelope, or its embedded sha256
+    does not match its payload."""
 
 
 def _chaos():
@@ -195,16 +195,14 @@ class PickleDirStore:
         try:
             with open(self._path(key), "rb") as handle:
                 envelope = pickle.load(handle)
-            if (isinstance(envelope, tuple) and len(envelope) == 3
+            if not (isinstance(envelope, tuple) and len(envelope) == 3
                     and envelope[0] == CHECKSUM_MARKER):
-                _marker, digest, payload = envelope
-                if hashlib.sha256(payload).hexdigest() != digest:
-                    raise StoreCorruption(
-                        "sha256 mismatch for {}".format(key))
-                return pickle.loads(payload)
-            # Pre-envelope entry (raw payload pickle): readable, just
-            # unverifiable.
-            return envelope
+                raise StoreCorruption(
+                    "no checksum envelope for {}".format(key))
+            _marker, digest, payload = envelope
+            if hashlib.sha256(payload).hexdigest() != digest:
+                raise StoreCorruption("sha256 mismatch for {}".format(key))
+            return pickle.loads(payload)
         except FileNotFoundError:
             return None
         except Exception as exc:

@@ -33,7 +33,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import diskcache as _diskcache
 from ..compiler import cache as compile_cache_mod
 from ..compiler import schemes as scheme_registry
-from ..compiler.driver import compile_circuit, run_circuit
+# Unused here; benchmarks/e2e/layers.py wraps this binding.
+from ..compiler.driver import compile_circuit  # noqa: F401
+from ..compiler.driver import run_circuit
 from ..errors import ReproError
 from ..noise.model import NoiseModel, derive_seed, finite_real
 from ..obs import log as obs_log
@@ -415,18 +417,6 @@ def _cell_circuit(task: SweepTask, spec) -> tuple:
     return entry
 
 
-#: Cell-identity -> CompilationResult.  Compilation is deterministic and
-#: independent of device seed, fast-path switch and noise model, so warm
-#: repeats of a cell — ``--verify-parallel`` reruns, differential-mode
-#: sweeps, benchmark iterations — skip the lowering/emit pipeline (about
-#: a third of a cold sweep's wall-clock).  The compiled programs are
-#: treated as read-only by the simulator, which already reuses one
-#: compilation across every shot of a cell.  The limit must cover a
-#: whole sweep grid (paper tag: 12 workloads x 5 schemes = 60 cells) or
-#: warm repeats thrash the memo and recompile every cell.
-_CELL_COMPILATIONS: Dict[tuple, object] = {}
-_CELL_COMPILATIONS_LIMIT = 256
-
 #: Directory -> CompileCache handle (one per worker process; the store
 #: itself is shared on disk across sweep workers, service workers and
 #: the offline CLIs).
@@ -442,32 +432,16 @@ def _compile_cache_for(directory: str) -> compile_cache_mod.CompileCache:
 
 
 def _cell_compilation(task: SweepTask, circuit, mesh_kind: str):
-    config = task.config or SimulationConfig()
-    key = (task.spec_name, task.scheme, repr(task.scale),
-           repr(task.substitution_fraction), mesh_kind,
-           tuple(sorted(asdict(config).items())))
-    entry = _CELL_COMPILATIONS.get(key)
-    if entry is None:
-        if len(_CELL_COMPILATIONS) >= _CELL_COMPILATIONS_LIMIT:
-            _CELL_COMPILATIONS.clear()
-        if task.compile_cache_dir:
-            entry = compile_cache_mod.cached_compile(
-                circuit, scheme=task.scheme, config=task.config,
-                mesh_kind=mesh_kind,
-                cache=_compile_cache_for(task.compile_cache_dir))
-        else:
-            entry = compile_circuit(
-                circuit, scheme=task.scheme, config=task.config,
-                mesh_kind=mesh_kind)
-        _CELL_COMPILATIONS[key] = entry
-    return entry
+    directory = task.compile_cache_dir
+    return compile_cache_mod.cached_compile(
+        circuit, scheme=task.scheme, config=task.config, mesh_kind=mesh_kind,
+        cache=_compile_cache_for(directory) if directory else None)
 
 
 def clear_cell_caches() -> None:
-    """Drop the per-process circuit and compilation memos (benchmarks
-    that want cold-start numbers, and tests)."""
+    """Drop the per-process circuit memo (benchmarks that want
+    cold-start numbers, and tests)."""
     _CELL_CIRCUITS.clear()
-    _CELL_COMPILATIONS.clear()
 
 
 #: Cells between the explicit collections of :func:`_gc_batched`.

@@ -108,23 +108,13 @@ class Topology:
         One mesh hop if the controllers are neighbors; otherwise up the
         tree to the lowest common ancestor and back down.
         """
-        memo = self.__dict__.get("_latency_memo")
-        if memo is None:
-            memo = self.__dict__["_latency_memo"] = {}
-        key = (src, dst)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         if src == dst:
-            latency = 0
-        elif self.are_neighbors(src, dst):
-            latency = self.neighbor_link_cycles
-        else:
-            lca = self.common_ancestor([src, dst])
-            latency = (self.tree_distance_cycles(src, lca) +
-                       self.tree_distance_cycles(dst, lca))
-        memo[key] = latency
-        return latency
+            return 0
+        if self.are_neighbors(src, dst):
+            return self.neighbor_link_cycles
+        lca = self.common_ancestor([src, dst])
+        return (self.tree_distance_cycles(src, lca) +
+                self.tree_distance_cycles(dst, lca))
 
     def subtree_controllers(self, router: int) -> List[int]:
         """All controllers below ``router``."""

@@ -45,30 +45,9 @@ class SimulationConfig:
     router_fanout: int = 8
 
     def cycles(self, ns: float) -> int:
-        """Convert nanoseconds to an integer number of cycles (round up).
-
-        Memoized per ``(ns, cycle_ns)`` — compilers and the device bridge
-        call this once per gate event with a handful of distinct
-        durations.  Keying on ``cycle_ns`` keeps the memo correct if a
-        test mutates the grid after construction.
-        """
-        memo = self.__dict__.get("_cycles_memo")
-        if memo is None:
-            memo = self.__dict__["_cycles_memo"] = {}
-        key = (ns, self.cycle_ns)
-        hit = memo.get(key)
-        if hit is None:
-            q, r = divmod(ns, self.cycle_ns)
-            hit = memo[key] = int(q) + (1 if r > 1e-9 else 0)
-        return hit
-
-    def __getstate__(self):
-        """Pickle only the declared fields (drop the cycles memo)."""
-        from dataclasses import fields
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
+        """Convert nanoseconds to an integer number of cycles (round up)."""
+        q, r = divmod(ns, self.cycle_ns)
+        return int(q) + (1 if r > 1e-9 else 0)
 
     @property
     def single_qubit_gate_cycles(self) -> int:

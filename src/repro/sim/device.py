@@ -109,16 +109,16 @@ class QuantumDevice:
         self.config = config
         self.backend = backend
         self.record_gate_log = record_gate_log
+        self._single_qubit_gate_cycles = config.single_qubit_gate_cycles
+        self._two_qubit_gate_cycles = config.two_qubit_gate_cycles
         self._measurement_cycles = config.measurement_cycles
         self.reset(seed)
 
     def reset(self, seed: int) -> None:
         """Reseed the measurement RNG and drop every run record:
-        activity, gate log, unmatched halves, forced outcomes, memos and
+        activity, gate log, unmatched halves, forced outcomes and
         tallies.  The backend, if any, is the caller's to reset."""
         self.rng = np.random.default_rng(seed)
-        #: gate-arity -> cycles (avoids a float divmod per gate event).
-        self._gate_cycles_memo: Dict[int, int] = {}
         self.gate_log: List[Tuple[int, str, Tuple[int, ...]]] = []
         self.activity: Dict[int, QubitActivity] = defaultdict(QubitActivity)
         self._pending_halves: Dict[tuple, dict] = {}
@@ -202,10 +202,8 @@ class QuantumDevice:
 
     def _apply_gate(self, name: str, qubits: Tuple[int, ...], params,
                     now: int) -> None:
-        duration = self._gate_cycles_memo.get(len(qubits))
-        if duration is None:
-            duration = self.config.gate_cycles(len(qubits))
-            self._gate_cycles_memo[len(qubits)] = duration
+        duration = (self._two_qubit_gate_cycles if len(qubits) >= 2
+                    else self._single_qubit_gate_cycles)
         activity = self.activity
         end = now + duration
         for q in qubits:

@@ -56,16 +56,11 @@ def static_timing(compilation) -> bool:
     True iff no compiled program contains a ``recv``
     (:attr:`~repro.isa.decoded.DecodedProgram.has_recv`): measurement
     outcomes (the only seed-dependent values) are then never read by any
-    pipeline, so they cannot steer control flow or timing.  The answer
-    is memoized on the compilation object.
+    pipeline, so they cannot steer control flow or timing.  Each call
+    scans the compilation's current programs.
     """
-    cached = getattr(compilation, "_lanes_static", None)
-    if cached is not None:
-        return cached
-    static = not any(decode_program(program).has_recv
-                     for program in compilation.programs.values())
-    compilation._lanes_static = static
-    return static
+    return not any(decode_program(program).has_recv
+                   for program in compilation.programs.values())
 
 
 def _replay_lanes(compilation, device_seed: int, shots: int,

@@ -1,6 +1,5 @@
 """Persistent compile cache: identity, integrity, cross-process sharing."""
 
-import pickle
 import subprocess
 import sys
 
@@ -16,6 +15,7 @@ from repro.compiler.cache import (COMPILE_CACHE_VERSION, CompileCache,
 from repro.diskcache import PickleDirStore
 from repro.harness import registry
 from repro.isa import decoded
+from repro.isa.program import Program
 from repro.network.topology import build_topology
 from repro.sim.config import SimulationConfig
 from repro.testing import subprocess_env
@@ -91,6 +91,29 @@ class TestRoundTrip:
             fresh.system.device.lifetimes_ns()
 
 
+class TestPayloadLayout:
+    def test_program_slices_tile_idx(self):
+        """Each program stores its own body: the ``programs`` slices
+        cover ``idx`` end to end, one per program in address order, even
+        for two programs made of the same instruction objects."""
+        result = compile_circuit(build_ghz(4))
+        first = next(iter(result.programs.values()))
+        result.programs[99] = Program("alias", first.instructions)
+        payload = compile_cache._encode(result)
+        pool, idx = payload["pool"], payload["idx"].tolist()
+        assert list(payload["programs"]) == list(result.programs)
+        edge = 0
+        for address, (name, _labels, lo, hi) in payload["programs"].items():
+            program = result.programs[address]
+            assert (name, lo, hi) == \
+                (program.name, edge, edge + len(program))
+            assert [pool[j] for j in idx[lo:hi]] == [
+                (i.mnemonic, i.rd, i.rs1, i.rs2, i.imm, i.imm2)
+                for i in program.instructions]
+            edge = hi
+        assert edge == len(idx)
+
+
 class TestWarmDecode:
     """A warm load rebuilds every program from the stored pool and index
     slices; each must decode exactly as the fresh compile's does."""
@@ -146,9 +169,11 @@ class TestIntegrity:
     def test_wrong_payload_shape_is_miss(self, tmp_path):
         cache, circuit = self._warm(tmp_path)
         key = compile_key(circuit)
-        for path in tmp_path.glob("*.pkl"):
-            path.write_bytes(pickle.dumps(["unexpected", "shape"]))
+        # A valid envelope around the wrong shape: the payload check,
+        # not the store's integrity check, must turn it into a miss.
+        PickleDirStore(str(tmp_path)).put(key, ["unexpected", "shape"])
         assert cache.get(key) is None
+        assert cache.corrupt_keys() == []
 
     def test_stale_version_is_miss(self, tmp_path):
         """An entry written under another format version never

@@ -1,5 +1,6 @@
 """Sweep execution core: serial parity, caching, spawn safety."""
 
+import gc
 import os
 import pickle
 import subprocess
@@ -10,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 from repro.circuits.dynamic import count_feedback_ops
-from repro.compiler.driver import run_circuit
+from repro.compiler.driver import CompilationResult, run_circuit
 from repro.diskcache import ORPHAN_TMP_SECONDS, PickleDirStore
 from repro.errors import ReproError
 from repro.harness import fig15_suite
@@ -127,6 +128,26 @@ class TestTasks:
             assert cell.feedback_ops == count_feedback_ops(circuit), task
             assert warm[task.spec_name, task.scheme] == (
                 result.makespan_cycles, result.stats.sync_stall_cycles), task
+
+
+class TestMemory:
+    def test_serial_sweep_keeps_no_compilation_alive(self):
+        """A sweep compiles each cell once, so nothing holds a cell's
+        compilation after the cell: a serial run leaves no
+        ``CompilationResult`` behind for the collector to find."""
+        def compilations():
+            gc.collect()
+            return [obj for obj in gc.get_objects()
+                    if isinstance(obj, CompilationResult)]
+
+        clear_cell_caches()
+        before = compilations()
+        run_tasks(tasks_from_spec(SweepSpec(
+            workloads=("bv_n400", "qft_n30"), schemes=SCHEMES,
+            scales=(0.05,))), processes=1)
+        survivors = [obj for obj in compilations()
+                     if not any(obj is old for old in before)]
+        assert len(survivors) == 0, [obj.scheme for obj in survivors]
 
 
 class TestCache:
@@ -386,12 +407,10 @@ class TestCompileCachePlumbing:
         """Serial sweeps report exact compile hit/miss tallies, and a
         warm compile cache reproduces cold results bit-for-bit."""
         tasks = tasks_from_spec(tiny(schemes=SCHEMES))
-        clear_cell_caches()
         cold, cold_stats = run_tasks(
             tasks, processes=1, compile_cache_dir=str(tmp_path))
         assert cold_stats.compile_misses == 2
         assert cold_stats.compile_hits == 0
-        clear_cell_caches()
         warm, warm_stats = run_tasks(
             tasks, processes=1, compile_cache_dir=str(tmp_path))
         assert warm_stats.compile_hits == 2
@@ -402,16 +421,13 @@ class TestCompileCachePlumbing:
     def test_pool_run_tasks_counts(self, tmp_path):
         """Pool sweeps tally the lookups made inside their workers: a
         cold publish misses once per cell, a warm read hits once per
-        cell.  The memo is cleared first because forked workers inherit
-        the parent's."""
+        cell."""
         tasks = tasks_from_spec(tiny(workloads=("bv_n400", "qft_n30"),
                                      schemes=SCHEMES))
-        clear_cell_caches()
         cold, cold_stats = run_tasks(
             tasks, processes=2, compile_cache_dir=str(tmp_path))
         assert (cold_stats.compile_hits, cold_stats.compile_misses) == \
             (0, len(tasks))
-        clear_cell_caches()
         warm, warm_stats = run_tasks(
             tasks, processes=2, compile_cache_dir=str(tmp_path))
         assert (warm_stats.compile_hits, warm_stats.compile_misses) == \
@@ -421,7 +437,6 @@ class TestCompileCachePlumbing:
     def test_task_level_dir_wins(self, tmp_path):
         """A task that already carries a dir keeps it when run_tasks is
         handed a different one."""
-        clear_cell_caches()
         task, = tasks_from_spec(tiny())
         pinned = str(tmp_path / "pinned")
         tasks = [replace(task, compile_cache_dir=pinned)]

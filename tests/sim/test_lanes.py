@@ -2,9 +2,9 @@
 
 End-to-end lane/replay equivalence lives in
 tests/core/test_fastforward.py; this file covers the building blocks:
-static-timing detection, memoization, fast-forward stat fan-out, seed
-derivation, the counters, and the in-place ``ControlSystem.reset`` that
-replayed lanes run on (differential against a fresh build per shot).
+static-timing detection, fast-forward stat fan-out, seed derivation,
+the counters, and the in-place ``ControlSystem.reset`` that replayed
+lanes run on (differential against a fresh build per shot).
 """
 
 import dataclasses
@@ -69,13 +69,13 @@ class TestStaticTiming:
         circuit.measure(1, 1)
         assert not lanes.static_timing(compile_circuit(circuit))
 
-    def test_result_memoized_on_compilation(self):
-        compilation = compile_circuit(_static_circuit())
-        assert not hasattr(compilation, "_lanes_static")
-        first = lanes.static_timing(compilation)
-        assert compilation._lanes_static is first
-        compilation.programs = {}  # would change a fresh scan's answer
-        assert lanes.static_timing(compilation) is first
+    def test_reads_current_programs(self):
+        """Nothing is cached on the compilation: each call scans the
+        programs it holds now."""
+        compilation = compile_circuit(_feedback_circuit())
+        assert lanes.static_timing(compilation) is False
+        compilation.programs = {}
+        assert lanes.static_timing(compilation) is True
 
 
 class TestRunExtraShots:

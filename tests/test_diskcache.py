@@ -1,5 +1,5 @@
-"""Store integrity: checksum envelopes, quarantine, legacy entries and
-the diskcache chaos faults (torn writes, bit rot, ENOSPC)."""
+"""Store integrity: checksum envelopes, quarantine, envelope-less entries
+and the diskcache chaos faults (torn writes, bit rot, ENOSPC)."""
 
 import errno
 import os
@@ -10,6 +10,7 @@ import pytest
 from repro import diskcache
 from repro.chaos import FaultPlan, FaultRule, activate, deactivate
 from repro.diskcache import CHECKSUM_MARKER, PickleDirStore
+from repro.obs import log as obs_log
 
 
 @pytest.fixture(autouse=True)
@@ -60,10 +61,22 @@ class TestChecksum:
         assert corrupt_counter() == before + 1
         assert store.corrupt_keys() == ["k"]
 
-    def test_legacy_raw_pickle_still_reads(self, tmp_path):
+    def test_raw_pickle_without_envelope_is_a_quarantined_miss(
+            self, tmp_path):
+        """Every put writes the envelope, so a readable payload pickle
+        without one is corrupt like any other unverifiable entry."""
         store = PickleDirStore(str(tmp_path))
         (tmp_path / "old.pkl").write_bytes(pickle.dumps(PAYLOAD))
-        assert store.get("old") == PAYLOAD
+        obs_log.clear_flight_recorder()
+        before = corrupt_counter()
+        assert store.get("old") is None
+        assert corrupt_counter() == before + 1
+        assert not (tmp_path / "old.pkl").exists()
+        assert store.corrupt_keys() == ["old"]
+        logged = [record[4] for record in obs_log.flight_records()
+                  if record[3] == "store_entry_corrupt"]
+        assert [(f["key"], f["error"]) for f in logged] == \
+            [("old", "StoreCorruption")]
 
     def test_plain_miss_is_silent(self, tmp_path):
         store = PickleDirStore(str(tmp_path))
