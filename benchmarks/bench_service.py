@@ -115,7 +115,7 @@ async def drive(n: int, store_dir: str):
         async with gate:
             submission = SweepSubmission(
                 spec=grid_for(index), name="load{}".format(index),
-                owner="bench", priority=index % 3)
+                owner="bench")
             code, status = await http_request(
                 host, port, "POST", "/submit", submission.to_dict(),
                 timeout=120.0)

@@ -11,7 +11,8 @@ Run after ``benchmarks/bench_hotpath.py`` has written
 The deterministic rows (cell counts, identity flags, summed makespans,
 cache hit counts) must digest-match the checked-in baseline
 ``benchmarks/baselines/BENCH_hotpath_smoke.json``: any change to
-simulation results under either interpreter fails here.  A missing
+simulation results under either interpreter fails here, and so does a
+``volatile`` block whose keys differ from the baseline's.  A missing
 artifact is a failure, not a skip.
 """
 
@@ -35,6 +36,10 @@ def test_hotpath_matches_baseline():
     assert fresh["results_sha256"] == base["results_sha256"], (
         "hot-path results diverged from baseline:\n fresh {}\n "
         "base  {}".format(fresh["results"], base["results"]))
+    # The digest leaves out ``volatile``, so a timing the benchmark
+    # stopped recording would otherwise linger in the baseline.
+    assert set(fresh["volatile"]) == set(base["volatile"]), (
+        sorted(set(fresh["volatile"]) ^ set(base["volatile"])))
     rows = {row["label"]: row for row in fresh["results"]}
     for tier in ("legacy", "vector"):
         row = rows["sweep_{}_scale_0.05".format(tier)]

@@ -277,12 +277,12 @@ class SweepSubmission:
 
     This is the unit the sweep service (:mod:`repro.service`) accepts:
     *what* to run (the :class:`SweepSpec`) together with *who* is asking
-    (``owner`` — the quota key), *how urgently* (``priority`` — lower
-    runs first) and what to call the resulting artifact (``name`` —
-    becomes ``BENCH_<name>.json`` on fetch, hence the same character
-    restriction the BENCH schema enforces).  Like the spec itself it is
-    JSON-round-trippable (``from_dict(s.to_dict()) == s``), so the HTTP
-    front end, the CLI and the scheduler all exchange the same value.
+    (``owner`` — a label the service echoes in ``/status``) and what to
+    call the resulting artifact (``name`` — becomes ``BENCH_<name>.json``
+    on fetch, hence the same character restriction the BENCH schema
+    enforces).  Like the spec itself it is JSON-round-trippable
+    (``from_dict(s.to_dict()) == s``), so the HTTP front end, the CLI
+    and the scheduler all exchange the same value.
 
     ``idempotency_key`` makes retry-safety explicit: a client that
     resubmits after a lost ``/submit`` response sends the same key and
@@ -295,7 +295,6 @@ class SweepSubmission:
     spec: SweepSpec
     name: str = "sweep"
     owner: str = "anonymous"
-    priority: int = 0
     idempotency_key: Optional[str] = None
 
     def __post_init__(self):
@@ -314,10 +313,6 @@ class SweepSubmission:
             raise SweepSpecError(
                 "submission owner must be a non-empty string, got "
                 "{!r}".format(self.owner))
-        if not _is_int(self.priority) or self.priority < 0:
-            raise SweepSpecError(
-                "submission priority must be an integer >= 0 "
-                "(lower runs first), got {!r}".format(self.priority))
         if self.idempotency_key is not None and (
                 not isinstance(self.idempotency_key, str)
                 or not self.idempotency_key
@@ -330,14 +325,14 @@ class SweepSubmission:
         """sha256 over the canonical submission JSON (sans any explicit
         key): byte-equal submissions share one key by construction."""
         base = {"spec": self.spec.to_dict(), "name": self.name,
-                "owner": self.owner, "priority": self.priority}
+                "owner": self.owner}
         canonical = json.dumps(base, sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> Dict[str, object]:
         data = {"spec": self.spec.to_dict(), "name": self.name,
-                "owner": self.owner, "priority": self.priority}
+                "owner": self.owner}
         if self.idempotency_key is not None:
             data["idempotency_key"] = self.idempotency_key
         return data

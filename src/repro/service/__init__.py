@@ -14,9 +14,9 @@ artifacts.  This package promotes it to a running service:
   state machine: shards each submitted
   :class:`~repro.harness.spec.SweepSpec` grid into per-cell jobs,
   dedupes identical cells across concurrent submissions (two users
-  sweeping overlapping grids pay for each cell once), orders work by
-  submission priority under per-owner quotas, and re-leases cells whose
-  worker died (lease TTL).  No asyncio, no sockets, no waiting.
+  sweeping overlapping grids pay for each cell once), leases jobs in the
+  order they were queued, and re-leases cells whose worker died (lease
+  TTL).  No asyncio, no sockets, no waiting.
 * :mod:`repro.service.http` — a stdlib-only HTTP/1.1 shell on asyncio
   streams and the only place the service waits: ``/submit``,
   ``/status``, ``/fetch``, ``/metrics`` for clients; ``/lease`` (a

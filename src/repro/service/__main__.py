@@ -78,18 +78,6 @@ def spawn_worker(url: str, store: Optional[str] = None,
     return subprocess.Popen(command, env=subprocess_env())
 
 
-def _parse_quotas(values: Optional[Sequence[str]]) -> dict:
-    quotas = {}
-    for value in values or ():
-        owner, _, limit = value.partition("=")
-        if not owner or not limit.isdigit() or int(limit) < 1:
-            raise ReproError(
-                "--quota expects OWNER=N with N >= 1, got {!r}".format(
-                    value))
-        quotas[owner] = int(limit)
-    return quotas
-
-
 async def _serve(args) -> int:
     if args.chaos_plan:
         # Seeded fault injection in this process (scheduler + HTTP
@@ -102,9 +90,7 @@ async def _serve(args) -> int:
                   rules=len(injector.plan.rules))
     store = CellStore(args.store)
     scheduler = Scheduler(store, lease_ttl=args.lease_ttl,
-                          max_attempts=args.max_attempts,
-                          quotas=_parse_quotas(args.quota),
-                          default_quota=args.default_quota)
+                          max_attempts=args.max_attempts)
     server = ServiceServer(scheduler, host=args.host, port=args.port)
     await server.start()
     # The boot line stays on stdout — it carries the ephemeral port and
@@ -233,7 +219,7 @@ def _fallback_local(args, spec, reason: str) -> int:
 def _cmd_submit(args) -> int:
     spec = spec_from_args(args)
     submission = SweepSubmission(spec=spec, name=args.name,
-                                 owner=args.owner, priority=args.priority)
+                                 owner=args.owner)
     try:
         status = client.submit(args.url, submission,
                                retries=args.retries)
@@ -300,10 +286,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             "re-leased (default 120)")
     serve.add_argument("--max-attempts", type=int, default=5,
                        help="lease attempts per cell before it fails")
-    serve.add_argument("--quota", action="append", metavar="OWNER=N",
-                       help="max in-flight leases for OWNER (repeatable)")
-    serve.add_argument("--default-quota", type=int, default=None,
-                       help="max in-flight leases for everyone else")
     serve.add_argument("--worker-poll", type=float, default=5.0,
                        help="spawned workers' long-poll seconds")
     serve.add_argument("--worker-trace", default=None,
@@ -329,9 +311,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     submit.add_argument("--name", default="sweep",
                         help="artifact name (BENCH_<name>.json on fetch)")
     submit.add_argument("--owner", default="anonymous",
-                        help="quota account this submission bills")
-    submit.add_argument("--priority", type=int, default=0,
-                        help="0 = most urgent; higher waits longer")
+                        help="label for this submission, echoed in "
+                             "its status")
     submit.add_argument("--wait", action="store_true",
                         help="block until the submission finishes")
     submit.add_argument("--timeout", type=float, default=600.0,

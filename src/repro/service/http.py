@@ -428,35 +428,3 @@ async def http_request(host: str, port: int, method: str, path: str,
     status_line = header_blob.split(b"\r\n", 1)[0].decode("latin-1")
     status = int(status_line.split(" ", 2)[1])
     return status, json.loads(rest.decode("utf-8")) if rest else {}
-
-
-async def http_request_text(host: str, port: int, path: str,
-                            timeout: float = 60.0
-                            ) -> Tuple[int, str, str]:
-    """GET ``path`` without decoding the body as JSON; returns
-    ``(status, content_type, body_text)``.  The Prometheus scrape
-    tests use this against ``/metrics``."""
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout)
-    try:
-        head = ("GET {} HTTP/1.1\r\n"
-                "Host: {}:{}\r\n"
-                "Connection: close\r\n\r\n").format(path, host, port)
-        writer.write(head.encode("latin-1"))
-        await writer.drain()
-        raw = await asyncio.wait_for(reader.read(), timeout)
-    finally:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-    header_blob, _, rest = raw.partition(b"\r\n\r\n")
-    header_lines = header_blob.decode("latin-1").split("\r\n")
-    status = int(header_lines[0].split(" ", 2)[1])
-    content_type = ""
-    for line in header_lines[1:]:
-        name, _, value = line.partition(":")
-        if name.strip().lower() == "content-type":
-            content_type = value.strip()
-    return status, content_type, rest.decode("utf-8")

@@ -1,20 +1,20 @@
 """Synchronous sweep scheduler: shard, dedupe, lease, resume.
 
 One :class:`Scheduler` instance owns the live state of the service —
-submissions, the per-cell job table, the priority queue and the lease
+submissions, the per-cell job table, the FIFO queue and the lease
 book.  All of it is *soft* state: results live in the content-addressed
 :class:`~repro.service.store.CellStore`, so a scheduler restart plus a
 resubmission resumes any sweep from its completed cells.
 
 The scheduler is a plain state machine: every method is an ordinary
 call, and nothing here waits, sleeps or knows about sockets.  Whenever
-grantable work may have appeared (a job queued, a quota slot freed) it
+grantable work may have appeared (a job queued or requeued) it
 bumps :attr:`Scheduler.work_seq`; the HTTP shell
 (:class:`~repro.service.http.ServiceServer`) owns the only wait — it
 parks ``/lease`` long-polls, wakes them when ``work_seq`` moves, and
 runs the lease-expiry timer.  The offline executor
 (:func:`~repro.harness.parallel.run_tasks`) does not drive this state
-machine: it has no leases, TTLs, quotas or dedup to drive.
+machine: it has no leases, TTLs or dedup to drive.
 
 Sharding and dedup
     ``submit`` expands a :class:`~repro.harness.spec.SweepSubmission`'s
@@ -25,12 +25,10 @@ Sharding and dedup
     existing job); only genuinely new cells become jobs.  Two users
     sweeping overlapping grids pay for each overlapping cell once.
 
-Priorities and quotas
-    Jobs are leased in ``(priority, FIFO)`` order — lower priority
-    value first; a deduped job runs at the *most urgent* of its
-    subscribers' priorities.  Per-owner quotas cap in-flight leases so
-    one user's million-cell sweep cannot starve everyone else: jobs of
-    an at-quota owner are skipped (not dropped) until a lease frees up.
+FIFO leasing
+    Jobs are leased in the order they were queued; a job handed back by
+    ``release`` or lease expiry rejoins at the back.  A submission's
+    ``owner`` is a label that ``/status`` echoes, not a scheduling input.
 
 Leases and crash resume
     Workers long-poll ``/lease``; each grant carries a lease id and a
@@ -59,10 +57,9 @@ Hardening (the chaos-fabric contract)
 
 from __future__ import annotations
 
-import heapq
 import re
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -143,16 +140,12 @@ class _Job:
 
     key: str
     task: SweepTask
-    owner: str                      # quota account charged for the run
-    priority: int
     state: str = "queued"           # queued | leased
     attempts: int = 0
     waiters: List[str] = field(default_factory=list)
-    queue_token: Optional[Tuple[int, int]] = None
     lease_id: Optional[str] = None
     lease_worker: Optional[str] = None
     lease_deadline: float = 0.0
-    charged_owner: Optional[str] = None
     enqueued_at: float = 0.0
 
 
@@ -187,7 +180,6 @@ class _Submission:
             "id": self.id,
             "name": self.submission.name,
             "owner": self.submission.owner,
-            "priority": self.submission.priority,
             "state": self.state,
             "cells_total": total,
             "cells_done": total - len(self.pending) - len(self.failed),
@@ -212,17 +204,14 @@ class Scheduler:
 
     ``lease_ttl`` is how long a worker may hold a cell without
     completing before the cell is re-leased; ``max_attempts`` bounds
-    re-leasing of a cell that keeps killing its workers.  ``quotas``
-    maps owner -> max in-flight leases (``default_quota`` for everyone
-    else; ``None`` = unlimited).  Not thread-safe: one caller at a time
-    (the HTTP shell's event loop, or a test).
+    re-leasing of a cell that keeps killing its workers.  Not
+    thread-safe: one caller at a time (the HTTP shell's event loop, or a
+    test).
     """
 
     def __init__(self, store: CellStore,
                  lease_ttl: float = 120.0,
-                 max_attempts: int = 5,
-                 quotas: Optional[Dict[str, int]] = None,
-                 default_quota: Optional[int] = None):
+                 max_attempts: int = 5):
         if lease_ttl <= 0:
             raise ServiceError("lease_ttl must be > 0, got {}".format(
                 lease_ttl))
@@ -232,22 +221,19 @@ class Scheduler:
         self.store = store
         self.lease_ttl = lease_ttl
         self.max_attempts = max_attempts
-        self.quotas = dict(quotas or {})
-        self.default_quota = default_quota
         self.counters = ServiceCounters()
         #: Bumped whenever grantable work may have appeared (a job was
-        #: queued or a quota slot freed).  A ``lease`` that returned
-        #: None can only succeed after this moves; the HTTP shell wakes
-        #: parked long-polls exactly then.
+        #: queued or requeued).  A ``lease`` that returned None can only
+        #: succeed after this moves; the HTTP shell wakes parked
+        #: long-polls exactly then.
         self.work_seq = 0
         self._submissions: Dict[str, _Submission] = {}
         self._jobs: Dict[str, _Job] = {}
         self._failed: Dict[str, str] = {}
-        self._heap: List[Tuple[int, int, str]] = []
-        self._tick = 0
+        #: The queued subset of ``_jobs``, oldest first.
+        self._queue: OrderedDict[str, _Job] = OrderedDict()
         self._lease_seq = 0
         self._submission_seq = 0
-        self._inflight: Dict[str, int] = {}
         self._workers: Dict[str, Dict[str, object]] = {}
         #: keys whose store entry this scheduler has checksum-verified
         #: at least once (later probes downgrade to a cheap stat).
@@ -295,16 +281,11 @@ class Scheduler:
                 continue
             job = self._jobs.get(key)
             if job is not None:
-                # In-flight dedup: subscribe to the existing job and
-                # raise its urgency to the most urgent subscriber.
+                # In-flight dedup: subscribe to the existing job.
                 record.pending.add(key)
                 record.dedup_hits += 1
                 self.counters.dedup_hits += 1
                 job.waiters.append(sid)
-                if submission.priority < job.priority:
-                    job.priority = submission.priority
-                    if job.state == "queued":
-                        self._push_job(job)
             elif self._store_has_verified(key):
                 record.store_hits += 1
                 self.counters.store_hits += 1
@@ -335,13 +316,10 @@ class Scheduler:
     def _enqueue(self, record: _Submission, task: SweepTask,
                  key: str) -> None:
         """Queue a new job for ``key`` on behalf of ``record``."""
-        job = _Job(key=key, task=task,
-                   owner=record.submission.owner,
-                   priority=record.submission.priority,
-                   waiters=[record.id],
+        job = _Job(key=key, task=task, waiters=[record.id],
                    enqueued_at=time.monotonic())
         self._jobs[key] = job
-        self._push_job(job)
+        self._queue[key] = job
         self.work_seq += 1
 
     def _record(self, submission_id: str) -> _Submission:
@@ -408,30 +386,11 @@ class Scheduler:
 
     def lease(self, worker: str,
               pid: Optional[int] = None) -> Optional[Dict[str, object]]:
-        """Grant ``worker`` the most urgent queued job whose owner is
-        under quota, or return None when there is none.  Stale heap
-        entries — re-prioritized or already-leased jobs — are discarded
-        lazily; quota-blocked ones go back on the heap."""
-        skipped: List[Tuple[int, int, str]] = []
-        job = None
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            priority, tick, key = entry
-            candidate = self._jobs.get(key)
-            if candidate is None or candidate.state != "queued" or \
-                    candidate.queue_token != (priority, tick):
-                continue  # stale entry (lazy deletion)
-            limit = self._quota(candidate.owner)
-            if limit is not None and \
-                    self._inflight.get(candidate.owner, 0) >= limit:
-                skipped.append(entry)
-                continue
-            job = candidate
-            break
-        for entry in skipped:
-            heapq.heappush(self._heap, entry)
-        if job is None:
+        """Grant ``worker`` the oldest queued job, or return None when
+        the queue is empty."""
+        if not self._queue:
             return None
+        _, job = self._queue.popitem(last=False)
         now = time.monotonic()
         job.state = "leased"
         job.attempts += 1
@@ -439,8 +398,6 @@ class Scheduler:
         job.lease_id = "L{:08d}".format(self._lease_seq)
         job.lease_worker = worker
         job.lease_deadline = now + self.lease_ttl
-        job.charged_owner = job.owner
-        self._inflight[job.owner] = self._inflight.get(job.owner, 0) + 1
         self.counters.leases_granted += 1
         self.lease_latencies.append(now - job.enqueued_at)
         _LEASE_LATENCY.observe(now - job.enqueued_at)
@@ -453,32 +410,14 @@ class Scheduler:
                 "lease_ttl": self.lease_ttl,
                 "task": job.task.to_dict()}
 
-    def _push_job(self, job: _Job) -> None:
-        self._tick += 1
-        job.queue_token = (job.priority, self._tick)
-        heapq.heappush(self._heap, (job.priority, self._tick, job.key))
-
-    def _quota(self, owner: str) -> Optional[int]:
-        return self.quotas.get(owner, self.default_quota)
-
-    def _release_charge(self, job: _Job) -> None:
-        if job.charged_owner is not None:
-            owner = job.charged_owner
-            job.charged_owner = None
-            count = self._inflight.get(owner, 0) - 1
-            if count > 0:
-                self._inflight[owner] = count
-            else:
-                self._inflight.pop(owner, None)
-
     def _requeue(self, job: _Job, now: float) -> None:
-        """Take a leased job back into the queue (release or expiry)."""
-        self._release_charge(job)
+        """Put a leased job back at the end of the queue (release or
+        expiry)."""
         job.lease_id = None
         job.lease_worker = None
         job.state = "queued"
         job.enqueued_at = now
-        self._push_job(job)
+        self._queue[job.key] = job
 
     def complete(self, worker: str, key: str, lease: str,
                  result: Optional[Dict[str, object]] = None,
@@ -547,37 +486,39 @@ class Scheduler:
             # store write was idempotent; just count it.
             self.counters.late_completes += 1
             return {"ok": True, "late": True}
+        self._queue.pop(key, None)
         late = job.lease_id != lease or job.state != "leased"
         if late:
             self.counters.late_completes += 1
-        self._release_charge(job)
         self.counters.completes += 1
         if timings:
             self._record_timings(job, timings)
         self._finish(job, error=None)
-        self.work_seq += 1  # a quota slot freed up
         return {"ok": True, "late": late}
 
     def fail(self, worker: str, key: str, lease: str,
              error: str) -> Dict[str, object]:
         """Record a cell that raised on a worker.  Exceptions are
         deterministic for a fixed cell, so failed cells are not retried;
-        every subscribed submission reports the failure."""
+        every subscribed submission reports the failure.  An error with
+        no visible text raises before anything changes (``status``
+        reports each error's last line), so the cell stays leased."""
+        if not error.strip():
+            raise ServiceError("fail needs a non-blank error message")
         job = self._jobs.pop(key, None)
         if job is None:
             self.counters.late_completes += 1
             return {"ok": True, "late": True}
-        self._release_charge(job)
+        self._queue.pop(key, None)
         self._finish(job, error=error)
-        self.work_seq += 1
         return {"ok": True, "late": False}
 
     def release(self, worker: str, key: str, lease: str,
                 reason: str = "") -> Dict[str, object]:
         """Hand a leased cell back voluntarily (graceful SIGTERM drain,
-        ENOSPC on the store write).  The job requeues at its original
-        priority; unlike expiry this consumes no retry attempt and
-        records no failure — the environment hiccuped, not the cell."""
+        ENOSPC on the store write).  The job rejoins the back of the
+        queue; unlike expiry this consumes no retry attempt and records
+        no failure — the environment hiccuped, not the cell."""
         job = self._jobs.get(key)
         if job is None or job.state != "leased" or job.lease_id != lease:
             self.counters.late_completes += 1
@@ -655,7 +596,6 @@ class Scheduler:
             expired += 1
             self.counters.leases_expired += 1
             if job.attempts >= self.max_attempts:
-                self._release_charge(job)
                 self._jobs.pop(job.key, None)
                 self._finish(job, error=(
                     "lease expired {} time(s); giving up after "
@@ -670,7 +610,7 @@ class Scheduler:
     # -- observability -----------------------------------------------------
 
     def queue_depth(self) -> int:
-        return self._count_jobs("queued")
+        return len(self._queue)
 
     def _count_jobs(self, state: str) -> int:
         return sum(1 for job in self._jobs.values() if job.state == state)
@@ -699,7 +639,6 @@ class Scheduler:
             "counters": self.counters.to_dict(),
             "queue_depth": self.queue_depth(),
             "leased": self._count_jobs("leased"),
-            "inflight": dict(self._inflight),
             "submissions": self._submission_states(),
             "workers": {name: dict(info)
                         for name, info in self._workers.items()},

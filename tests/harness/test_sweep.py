@@ -408,22 +408,18 @@ class TestSweepCli:
 class TestSweepSubmission:
     def test_round_trip(self):
         sub = SweepSubmission(spec=TINY_SPEC, name="nightly",
-                              owner="alice", priority=3)
+                              owner="alice")
         assert SweepSubmission.from_json(sub.to_json()) == sub
 
     def test_defaults(self):
         sub = SweepSubmission(spec=TINY_SPEC)
-        assert (sub.name, sub.owner, sub.priority) == \
-            ("sweep", "anonymous", 0)
+        assert (sub.name, sub.owner) == ("sweep", "anonymous")
 
     @pytest.mark.parametrize("kwargs", [
         {"name": ""},
         {"name": "has space"},
         {"name": "has-dash"},
         {"owner": ""},
-        {"priority": -1},
-        {"priority": 1.5},
-        {"priority": True},
     ] + [{"name": name} for name in NON_ASCII_NAMES])
     def test_invalid_metadata_rejected(self, kwargs):
         with pytest.raises(SweepSpecError):

@@ -124,6 +124,11 @@ FUZZ_REQUESTS = [
     ("non-string reason",
      post("/release", {"worker": "w", "key": "k", "lease": "l",
                        "reason": {"why": 1}}), {400}),
+    # /status reports the last line of each failure, so an error with
+    # no visible text would have no line to report.
+    ("blank fail error",
+     post("/fail", {"worker": "w", "key": "k", "lease": "l",
+                    "error": " \n\t"}), {400}),
     # An inline result is stored as-is and served in BENCH documents, so
     # a NaN lifetime or a fidelity outside [0, 1] must not reach the
     # store.

@@ -23,12 +23,11 @@ from repro.harness.spec import SweepSubmission
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.obs.trace import validate_trace
 from repro.service import client
-from repro.service.http import (ServiceServer, http_request,
-                                http_request_text)
+from repro.service.http import ServiceServer, http_request
 from repro.service.scheduler import Scheduler
 from repro.service.store import CellStore
 from repro.testing import subprocess_env
-from svc_util import free_port
+from svc_util import free_port, http_request_text
 
 
 async def _start(tmp_path, **scheduler_kwargs):

@@ -1,4 +1,4 @@
-"""Scheduler unit tests: dedup, priorities, quotas, leases, resume.
+"""Scheduler unit tests: dedup, FIFO leasing, leases, resume.
 
 No HTTP and no event loop here — the scheduler is a synchronous state
 machine, so tests call its methods directly.  Workers are simulated by
@@ -107,61 +107,78 @@ class TestDedup:
         assert status["store_hits"] == 4
 
 
-class TestPriorityAndQuota:
-    def test_lower_priority_value_leases_first(self, tmp_path, tiny_spec,
-                                               overlap_spec):
-        scheduler = make_scheduler(tmp_path)
-        scheduler.submit(SweepSubmission(
-            spec=tiny_spec, name="slow", priority=5))
-        scheduler.submit(SweepSubmission(
-            spec=overlap_spec, name="urgent", priority=0))
-        grants = [scheduler.lease("w0")["key"] for _ in range(2)]
-        # The urgent submission's two *fresh* cells (w_state) lease
-        # before any priority-5 cell; its two deduped bv cells were
-        # raised to priority 0 too, so all grants serve the urgent sweep.
-        assert len(set(grants)) == 2
-
-    def test_dedup_raises_existing_job_priority(self, tmp_path, tiny_spec,
-                                                overlap_spec):
-        scheduler = make_scheduler(tmp_path)
-        scheduler.submit(SweepSubmission(
-            spec=tiny_spec, name="slow", priority=7))
-        scheduler.submit(SweepSubmission(
-            spec=overlap_spec, name="urgent", priority=1))
-        overlap_keys = {task.cache_key()
-                        for task in tasks_from_spec(overlap_spec)}
-        assert scheduler.lease("w0")["key"] in overlap_keys
-
-    def test_quota_caps_inflight_leases(self, tmp_path, tiny_spec):
-        scheduler = make_scheduler(tmp_path, quotas={"alice": 1})
-        scheduler.submit(SweepSubmission(spec=tiny_spec, owner="alice"))
-        first = scheduler.lease("w0")
-        second = scheduler.lease("w1")  # at quota -> nothing
-        scheduler.complete(
-            "w0", first["key"], first["lease"],
-            result=run_cell(SweepTask.from_dict(first["task"])).to_dict())
-        third = scheduler.lease("w1")
-        assert first is not None
-        assert second is None
-        assert third is not None
-
-    def test_quota_does_not_block_other_owners(self, tmp_path, tiny_spec,
-                                               overlap_spec):
-        scheduler = make_scheduler(tmp_path, quotas={"alice": 1})
-        scheduler.submit(SweepSubmission(
-            spec=tiny_spec, owner="alice", priority=0))
-        scheduler.submit(SweepSubmission(
-            spec=overlap_spec, owner="bob", priority=5))
-        grants = [scheduler.lease("w{}".format(i)) for i in range(3)]
-        # alice gets 1 lease (quota), bob's two fresh cells still flow.
-        assert len([g for g in grants if g is not None]) == 3
-
-
 @pytest.fixture
 def one_cell_spec() -> SweepSpec:
     """A single cell, so lease-lifecycle tests always re-lease *it*."""
     return SweepSpec(workloads=("bv_n400",), schemes=("bisp",),
                      scales=(SCALE,), shots=(1,))
+
+
+class TestFifo:
+    """Jobs lease in the order they were queued; a job handed back
+    rejoins at the back."""
+
+    def test_overlapping_submissions_lease_in_queue_order(
+            self, tmp_path, tiny_spec, overlap_spec):
+        scheduler = make_scheduler(tmp_path)
+        scheduler.submit(SweepSubmission(spec=tiny_spec, owner="alice"))
+        scheduler.submit(SweepSubmission(spec=overlap_spec, owner="bob"))
+        first = [task.cache_key() for task in tasks_from_spec(tiny_spec)]
+        second = [task.cache_key()
+                  for task in tasks_from_spec(overlap_spec)]
+        grants = [scheduler.lease("w0")["key"] for _ in range(6)]
+        assert grants == first + [key for key in second
+                                  if key not in first]
+        assert scheduler.lease("w0") is None
+
+    def test_released_and_expired_cells_rejoin_at_the_back(
+            self, tmp_path, tiny_spec):
+        scheduler = make_scheduler(tmp_path, lease_ttl=0.01)
+        scheduler.submit(SweepSubmission(spec=tiny_spec))
+        keys = [task.cache_key() for task in tasks_from_spec(tiny_spec)]
+        released = scheduler.lease("w0")
+        scheduler.release("w0", released["key"], released["lease"])
+        expired = scheduler.lease("w1")
+        time.sleep(0.03)
+        assert scheduler.expire_leases() == 1
+        assert (released["key"], expired["key"]) == (keys[0], keys[1])
+        grants = [scheduler.lease("w2")["key"] for _ in range(4)]
+        assert grants == keys[2:] + keys[:2]
+
+    def test_late_complete_dequeues_requeued_job(self, tmp_path,
+                                                 tiny_spec):
+        scheduler = make_scheduler(tmp_path, lease_ttl=0.01)
+        scheduler.submit(SweepSubmission(spec=tiny_spec))
+        stale = scheduler.lease("slow")
+        cell = run_cell(SweepTask.from_dict(stale["task"]))
+        time.sleep(0.03)
+        assert scheduler.expire_leases() == 1
+        assert scheduler.queue_depth() == 4
+        late = scheduler.complete("slow", stale["key"], stale["lease"],
+                                  result=cell.to_dict())
+        assert late["late"] is True
+        assert scheduler.queue_depth() == 3
+        grants = [scheduler.lease("w0") for _ in range(4)]
+        assert grants[3] is None
+        assert stale["key"] not in {grant["key"] for grant in grants[:3]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--store", "{store}", "--quota", "a=1"],
+    ["serve", "--store", "{store}", "--default-quota", "1"],
+    ["submit", "--url", "http://127.0.0.1:1", "--priority", "1"],
+], ids=["quota", "default_quota", "priority"])
+def test_removed_policy_flags_are_usage_errors(argv, tmp_path, capsys):
+    from repro.service.__main__ import main
+
+    # A store under a plain file cannot be created: a serve that took
+    # the flag would exit 1 here instead of serving forever.
+    (tmp_path / "file").write_text("")
+    store = str(tmp_path / "file" / "store")
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.replace("{store}", store) for arg in argv])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLeaseLifecycle:
@@ -240,18 +257,16 @@ class TestWorkSeq:
 
     def test_moves_on_grantable_work(self, tmp_path, tiny_spec,
                                      one_cell_spec):
-        scheduler = make_scheduler(tmp_path, lease_ttl=0.01,
-                                   default_quota=1)
+        scheduler = make_scheduler(tmp_path, lease_ttl=0.01)
         seq = scheduler.work_seq
         scheduler.submit(SweepSubmission(spec=tiny_spec))  # cold: queues
         assert scheduler.work_seq > seq
         first = scheduler.lease("w0")
-        assert scheduler.lease("w1") is None  # at quota
         seq = scheduler.work_seq
         scheduler.complete(
             "w0", first["key"], first["lease"],
             result=run_cell(SweepTask.from_dict(first["task"])).to_dict())
-        assert scheduler.work_seq > seq  # quota slot freed
+        assert scheduler.work_seq == seq  # a complete queues nothing
         second = scheduler.lease("w1")
         seq = scheduler.work_seq
         scheduler.release("w1", second["key"], second["lease"])
@@ -261,6 +276,15 @@ class TestWorkSeq:
         time.sleep(0.03)
         assert scheduler.expire_leases() == 1
         assert scheduler.work_seq > seq  # expired lease requeued
+
+    def test_still_on_fail(self, tmp_path, tiny_spec):
+        scheduler = make_scheduler(tmp_path)
+        scheduler.submit(SweepSubmission(spec=tiny_spec))
+        job = scheduler.lease("w0")
+        seq = scheduler.work_seq
+        scheduler.fail("w0", job["key"], job["lease"],
+                       error="ValueError: boom")
+        assert scheduler.work_seq == seq
 
     def test_still_on_warm_traffic(self, tmp_path, tiny_spec):
         scheduler = make_scheduler(tmp_path)
